@@ -1,6 +1,7 @@
 #include "common/rng.h"
 
 #include <cmath>
+#include <unordered_set>
 
 namespace egp {
 namespace {
@@ -100,14 +101,21 @@ std::vector<size_t> Rng::SampleIndices(size_t n, size_t k) {
     for (size_t i = 0; i < n; ++i) all[i] = i;
     return all;
   }
-  // Reservoir sampling; result order is randomized by the algorithm.
-  std::vector<size_t> reservoir(k);
-  for (size_t i = 0; i < k; ++i) reservoir[i] = i;
-  for (size_t i = k; i < n; ++i) {
-    size_t j = NextBounded(i + 1);
-    if (j < k) reservoir[j] = i;
+  // Floyd: step j keeps a uniform subset of [0, j] by taking a draw t in
+  // [0, j], or j itself when t was taken before (every earlier pick is
+  // < j, so j is always free).
+  std::vector<size_t> picked;
+  picked.reserve(k);
+  std::unordered_set<size_t> taken(2 * k);
+  for (size_t j = n - k; j < n; ++j) {
+    size_t pick = NextBounded(j + 1);
+    if (!taken.insert(pick).second) {
+      pick = j;
+      taken.insert(j);
+    }
+    picked.push_back(pick);
   }
-  return reservoir;
+  return picked;
 }
 
 Rng Rng::Fork() { return Rng(Next()); }

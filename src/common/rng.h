@@ -52,7 +52,9 @@ class Rng {
     }
   }
 
-  /// Reservoir-samples k distinct indices from [0, n).
+  /// A uniformly random k-subset of [0, n) by Floyd's algorithm: exactly
+  /// k draws and O(k) expected work, independent of n. The indices come
+  /// in no particular order. k >= n returns every index, ascending.
   std::vector<size_t> SampleIndices(size_t n, size_t k);
 
   /// Derives an independent child generator (for parallel streams).

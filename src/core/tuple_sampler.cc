@@ -11,6 +11,9 @@ namespace {
 /// types (one for plain columns, several for merged multi-way columns).
 std::vector<EntityId> ColumnValues(const EntityGraph& graph, EntityId entity,
                                    const MaterializedColumn& column) {
+  if (column.rel_types.size() == 1) {
+    return graph.NeighborSet(entity, column.rel_types[0], column.direction);
+  }
   std::vector<EntityId> values;
   for (RelTypeId rel : column.rel_types) {
     std::vector<EntityId> part =
@@ -20,6 +23,23 @@ std::vector<EntityId> ColumnValues(const EntityGraph& graph, EntityId entity,
   std::sort(values.begin(), values.end());
   values.erase(std::unique(values.begin(), values.end()), values.end());
   return values;
+}
+
+/// Whether ColumnValues would be non-empty: the first incident edge of one
+/// of the column's relationship types decides, and no set is built.
+bool HasColumnValue(const EntityGraph& graph, EntityId entity,
+                    const MaterializedColumn& column) {
+  const std::vector<EdgeId>& incident =
+      column.direction == Direction::kOutgoing ? graph.OutEdges(entity)
+                                               : graph.InEdges(entity);
+  const std::vector<EdgeRecord>& edges = graph.edges();
+  for (EdgeId id : incident) {
+    if (std::find(column.rel_types.begin(), column.rel_types.end(),
+                  edges[id].rel_type) != column.rel_types.end()) {
+      return true;
+    }
+  }
+  return false;
 }
 
 }  // namespace
@@ -89,9 +109,7 @@ Result<MaterializedPreview> MaterializePreview(
         for (size_t i = 0; i < members.size(); ++i) {
           double filled = 0.0;
           for (const MaterializedColumn& column : mat.columns) {
-            if (!ColumnValues(graph, members[i], column).empty()) {
-              filled += 1.0;
-            }
+            if (HasColumnValue(graph, members[i], column)) filled += 1.0;
           }
           scored.emplace_back(filled + rng.NextDouble() * 0.5, i);
         }
@@ -106,9 +124,11 @@ Result<MaterializedPreview> MaterializePreview(
     }
     std::sort(picked.begin(), picked.end());
 
+    mat.rows.reserve(picked.size());
     for (size_t index : picked) {
       MaterializedRow row;
       row.key = members[index];
+      row.cells.reserve(mat.columns.size());
       for (const MaterializedColumn& column : mat.columns) {
         MaterializedCell mcell;
         mcell.values = ColumnValues(graph, row.key, column);

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <set>
+#include <utility>
+#include <vector>
 
 namespace egp {
 namespace {
@@ -118,6 +121,78 @@ TEST(RngTest, ShufflePreservesElements) {
   EXPECT_EQ(shuffled, items);
 }
 
+// Floyd's algorithm spelled out, with the rule for a repeated draw as a
+// parameter: the correct rule takes j, the biased one keeps t.
+std::vector<size_t> FloydReference(Rng* rng, size_t n, size_t k,
+                                   bool take_j_on_repeat) {
+  std::vector<size_t> picked;
+  std::set<size_t> taken;
+  for (size_t j = n - k; j < n; ++j) {
+    const size_t t = rng->NextBounded(j + 1);
+    const size_t pick = taken.count(t) > 0 && take_j_on_repeat ? j : t;
+    taken.insert(pick);
+    picked.push_back(pick);
+  }
+  return picked;
+}
+
+// Pearson's chi-square of a 3-of-8 sampler against the uniform law on all
+// C(8, 3) = 56 subsets: one draw from Rng(seed) for every seed in
+// [1, 56 * 1000]. A draw that is not a 3-subset lands in none of the 56
+// cells (an index outside [0, 8) sets bit 8). Deterministic: the same
+// sampler always yields the same value (44.9 for SampleIndices).
+template <typename Sampler>
+double SubsetChiSquare(Sampler sample) {
+  constexpr int kSubsets = 56;
+  constexpr int kDraws = kSubsets * 1000;
+  std::vector<int> counts(512, 0);  // by bitmask
+  for (int seed = 1; seed <= kDraws; ++seed) {
+    Rng rng(seed);
+    unsigned mask = 0;
+    for (size_t i : sample(&rng)) mask |= 1u << std::min<size_t>(i, 8);
+    ++counts[mask];
+  }
+  const double expected = static_cast<double>(kDraws) / kSubsets;
+  double chi_square = 0.0;
+  int cells = 0;
+  for (unsigned mask = 0; mask < 256; ++mask) {
+    if (__builtin_popcount(mask) != 3) continue;
+    const double diff = counts[mask] - expected;
+    chi_square += diff * diff / expected;
+    ++cells;
+  }
+  EXPECT_EQ(cells, kSubsets);
+  return chi_square;
+}
+
+// The 0.999 quantile of chi-square with 55 degrees of freedom.
+constexpr double kChiSquare55At999 = 93.17;
+
+TEST(RngTest, SampleIndicesUniformOverAllSubsets) {
+  const double chi_square = SubsetChiSquare(
+      [](Rng* rng) { return rng->SampleIndices(8, 3); });
+  EXPECT_LT(chi_square, kChiSquare55At999);
+}
+
+TEST(RngTest, SubsetChiSquareRejectsBiasedFloyd) {
+  const double correct = SubsetChiSquare(
+      [](Rng* rng) { return FloydReference(rng, 8, 3, true); });
+  const double biased = SubsetChiSquare(
+      [](Rng* rng) { return FloydReference(rng, 8, 3, false); });
+  EXPECT_LT(correct, kChiSquare55At999);
+  EXPECT_GT(biased, kChiSquare55At999);
+}
+
+TEST(RngTest, SampleIndicesIsFloydWithExactlyKDraws) {
+  for (const auto& [n, k] : std::vector<std::pair<size_t, size_t>>{
+           {8, 3}, {100, 10}, {10689, 5}, {7, 6}, {2, 1}}) {
+    Rng a(41), b(41);
+    EXPECT_EQ(a.SampleIndices(n, k), FloydReference(&b, n, k, true))
+        << n << " " << k;
+    EXPECT_EQ(a.Next(), b.Next()) << "draw count differs at " << n << " " << k;
+  }
+}
+
 TEST(RngTest, SampleIndicesDistinctAndInRange) {
   Rng rng(41);
   const auto picked = rng.SampleIndices(100, 10);
@@ -127,10 +202,63 @@ TEST(RngTest, SampleIndicesDistinctAndInRange) {
   for (size_t i : picked) EXPECT_LT(i, 100u);
 }
 
-TEST(RngTest, SampleIndicesWhenKExceedsN) {
+TEST(RngTest, SampleIndicesEdgeCases) {
+  const std::vector<size_t> all = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
   Rng rng(43);
-  const auto picked = rng.SampleIndices(4, 10);
-  EXPECT_EQ(picked.size(), 4u);
+  EXPECT_TRUE(rng.SampleIndices(0, 0).empty());
+  EXPECT_TRUE(rng.SampleIndices(0, 3).empty());
+  EXPECT_EQ(rng.SampleIndices(10, 10), all);
+  EXPECT_EQ(rng.SampleIndices(10, 11), all);
+  EXPECT_EQ(rng.SampleIndices(4, 10), (std::vector<size_t>{0, 1, 2, 3}));
+
+  // k = 0 draws nothing.
+  Rng fresh(43);
+  Rng untouched(43);
+  EXPECT_TRUE(untouched.SampleIndices(10, 0).empty());
+  EXPECT_EQ(untouched.Next(), fresh.Next());
+
+  const auto one = rng.SampleIndices(10, 1);
+  ASSERT_EQ(one.size(), 1u);
+  EXPECT_LT(one[0], 10u);
+
+  auto all_but_one = rng.SampleIndices(10, 9);
+  ASSERT_EQ(all_but_one.size(), 9u);
+  std::sort(all_but_one.begin(), all_but_one.end());
+  EXPECT_EQ(std::adjacent_find(all_but_one.begin(), all_but_one.end()),
+            all_but_one.end());
+  EXPECT_LT(all_but_one.back(), 10u);
+}
+
+TEST(RngTest, SampleIndicesLargeKDistinctAndLinear) {
+  Rng rng(47);
+  const auto picked = rng.SampleIndices(60000, 50000);
+  ASSERT_EQ(picked.size(), 50000u);
+  std::vector<bool> seen(60000, false);
+  for (size_t i : picked) {
+    ASSERT_LT(i, 60000u);
+    ASSERT_FALSE(seen[i]) << "repeated index " << i;
+    seen[i] = true;
+  }
+
+  // Ten times the picks may cost about ten times as much; a duplicate
+  // check that scans the picks would cost a hundred times as much.
+  const auto best_seconds = [](size_t n, size_t k) {
+    double best = 1e9;
+    for (uint64_t seed = 1; seed <= 5; ++seed) {
+      Rng timed(seed);
+      const auto start = std::chrono::steady_clock::now();
+      const size_t size = timed.SampleIndices(n, k).size();
+      const std::chrono::duration<double> took =
+          std::chrono::steady_clock::now() - start;
+      EXPECT_EQ(size, k);
+      best = std::min(best, took.count());
+    }
+    return best;
+  };
+  const double small = best_seconds(6000, 5000);
+  const double large = best_seconds(60000, 50000);
+  EXPECT_LT(large, 40 * small) << "5000 picks: " << small
+                               << " s, 50000 picks: " << large << " s";
 }
 
 TEST(RngTest, ForkProducesIndependentStream) {

@@ -3,8 +3,16 @@
 // the schema-only serving mode.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "datagen/paper_example.h"
+#include "io/ntriples.h"
 #include "service/engine.h"
+
+#ifndef EGP_SAMPLE_NT
+#error "EGP_SAMPLE_NT must be defined by the build"
+#endif
 
 namespace egp {
 namespace {
@@ -339,6 +347,40 @@ TEST(EngineTest, ResponseCarriesPrepareTimings) {
   ASSERT_TRUE(again.ok());
   EXPECT_TRUE(again->prepared_cache_hit);
   EXPECT_EQ(again->prepare_timings.total_seconds, t.total_seconds);
+}
+
+// Which rows a sample seed picks is part of the response body. These are
+// the rows of one fixed request on the shipped sample dataset, so a change
+// to the sampler shows up here as a reviewed diff.
+TEST(EngineTest, SampledRowKeysArePinned) {
+  auto graph = ReadNTriplesFile(EGP_SAMPLE_NT);
+  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+  const Engine engine = Engine::FromGraph(std::move(graph).value());
+  const auto row_keys = [&engine](SamplingStrategy strategy) {
+    PreviewRequest request;
+    request.size = {2, 4};
+    request.sample_rows = 2;
+    request.sample_seed = 7;
+    request.sample_strategy = strategy;
+    const auto response = engine.Preview(request);
+    EXPECT_TRUE(response.ok()) << response.status().ToString();
+    std::vector<std::string> tables;
+    if (!response.ok()) return tables;
+    for (const MaterializedTable& table : response->materialized.tables) {
+      std::string keys = table.key_name + ":";
+      for (const MaterializedRow& row : table.rows) {
+        keys += " " + engine.graph()->EntityName(row.key);
+      }
+      tables.push_back(keys);
+    }
+    return tables;
+  };
+  EXPECT_EQ(row_keys(SamplingStrategy::kRandom),
+            (std::vector<std::string>{"RESEARCHER: carol erin",
+                                      "PAPER: p4 p5"}));
+  EXPECT_EQ(row_keys(SamplingStrategy::kFrequencyWeighted),
+            (std::vector<std::string>{"RESEARCHER: dave erin",
+                                      "PAPER: p5 p6"}));
 }
 
 }  // namespace
