@@ -2,8 +2,8 @@
 //
 // Two levels of detail: the schema-level preview (key + attribute
 // metadata and scores) and the materialized preview (with sampled
-// tuples). Output is deterministic, minified JSON with full string
-// escaping; no external JSON library is required.
+// tuples). Output is deterministic, minified JSON written through
+// JsonWriter (io/json_writer.h); no external JSON library is required.
 #ifndef EGP_IO_JSON_EXPORT_H_
 #define EGP_IO_JSON_EXPORT_H_
 
@@ -12,21 +12,24 @@
 #include "core/preview.h"
 #include "core/tuple_sampler.h"
 #include "graph/entity_graph.h"
+#include "io/json_writer.h"
 
 namespace egp {
-
-/// Escapes a string for inclusion inside JSON quotes.
-std::string JsonEscape(std::string_view text);
 
 /// {"score": ..., "tables": [{"key": ..., "keyScore": ...,
 ///   "nonkeys": [{"name": ..., "direction": "out", "target": ...,
 ///                "score": ...}, ...]}, ...]}
+void PreviewToJson(const PreparedSchema& prepared, const Preview& preview,
+                   JsonWriter* out);
 std::string PreviewToJson(const PreparedSchema& prepared,
                           const Preview& preview);
 
 /// Adds sampled rows: {"tables": [{"key": ..., "columns": [...],
 ///   "totalTuples": ..., "rows": [{"key": ..., "cells": [[...], ...]},
 ///   ...]}]}
+void MaterializedPreviewToJson(const EntityGraph& graph,
+                               const MaterializedPreview& preview,
+                               JsonWriter* out);
 std::string MaterializedPreviewToJson(const EntityGraph& graph,
                                       const MaterializedPreview& preview);
 

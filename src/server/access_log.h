@@ -20,6 +20,7 @@
 #include "common/mutex.h"
 #include "common/result.h"
 #include "common/trace.h"
+#include "io/json_writer.h"
 
 namespace egp {
 
@@ -28,6 +29,9 @@ namespace egp {
 /// the access log sets it; the flight-recorder endpoint leaves it out.
 std::string RequestTraceToJson(const RequestTrace& trace,
                                std::string_view level = {});
+/// The same document, written as the next value of `out`.
+void RequestTraceToJson(const RequestTrace& trace, std::string_view level,
+                        JsonWriter* out);
 
 struct AccessLogOptions {
   /// Destination: a file path (append mode) or the literal "stderr".

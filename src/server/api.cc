@@ -11,24 +11,30 @@
 #include "common/timer.h"
 #include "common/trace.h"
 #include "io/json_export.h"
+#include "io/json_writer.h"
 #include "server/access_log.h"
 #include "server/process_stats.h"
 
 namespace egp {
 namespace {
 
-std::string Quoted(std::string_view text) {
-  return "\"" + JsonEscape(text) + "\"";
-}
-
-std::string Number(double value) { return StrFormat("%.10g", value); }
-
 HttpResponse JsonErrorResponse(int status, std::string_view message) {
   HttpResponse response;
   response.status = status;
-  response.body = "{\"error\":{\"status\":" + std::to_string(status) +
-                  ",\"message\":" + Quoted(message) + "}}";
+  response.body = JsonErrorBody(status, message);
   return response;
+}
+
+const char* DistanceModeName(DistanceMode mode) {
+  switch (mode) {
+    case DistanceMode::kTight:
+      return "tight";
+    case DistanceMode::kDiverse:
+      return "diverse";
+    case DistanceMode::kNone:
+      break;
+  }
+  return "none";
 }
 
 /// HTTP status for an Engine/parse error. NotFound here means a bad
@@ -349,51 +355,42 @@ std::string PreviewResponseToJson(const Engine& engine,
                                   const std::string& dataset,
                                   const PreviewResponse& response,
                                   bool include_materialized) {
-  std::string out = "{\"dataset\":" + Quoted(dataset);
-  out += ",\"algorithm\":" + Quoted(response.algorithm);
-  out += ",\"constraints\":{\"k\":" + std::to_string(response.size.k);
-  out += ",\"n\":" + std::to_string(response.size.n);
-  out += ",\"distance\":{\"mode\":";
-  switch (response.distance.mode) {
-    case DistanceMode::kNone:
-      out += "\"none\"";
-      break;
-    case DistanceMode::kTight:
-      out += "\"tight\"";
-      break;
-    case DistanceMode::kDiverse:
-      out += "\"diverse\"";
-      break;
-  }
-  out += ",\"d\":" + std::to_string(response.distance.d) + "}}";
+  std::string out;
+  JsonWriter json(&out);
+  json.BeginObject().Key("dataset").String(dataset);
+  json.Key("algorithm").String(response.algorithm);
+  json.Key("constraints").BeginObject().Key("k").Uint(response.size.k);
+  json.Key("n").Uint(response.size.n);
+  json.Key("distance").BeginObject();
+  json.Key("mode").String(DistanceModeName(response.distance.mode));
+  json.Key("d").Uint(response.distance.d).EndObject().EndObject();
   if (!response.rationale.empty()) {
-    out += ",\"rationale\":" + Quoted(response.rationale);
+    json.Key("rationale").String(response.rationale);
   }
-  out += ",\"cacheHit\":";
-  out += response.prepared_cache_hit ? "true" : "false";
-  out += ",\"score\":" + Number(response.score);
-  out += ",\"preview\":" + PreviewToJson(*response.prepared,
-                                         response.preview);
+  json.Key("cacheHit").Bool(response.prepared_cache_hit);
+  json.Key("score").Double(response.score);
+  json.Key("preview");
+  PreviewToJson(*response.prepared, response.preview, &json);
   if (include_materialized && engine.graph() != nullptr) {
-    out += ",\"materialized\":" +
-           MaterializedPreviewToJson(*engine.graph(), response.materialized);
+    json.Key("materialized");
+    MaterializedPreviewToJson(*engine.graph(), response.materialized, &json);
   }
-  out += ",\"stats\":{\"subsetsEnumerated\":" +
-         std::to_string(response.stats.subsets_enumerated);
-  out += ",\"subsetsScored\":" + std::to_string(response.stats.subsets_scored);
-  out += ",\"truncated\":";
-  out += response.stats.truncated ? "true" : "false";
-  out += "}";
-  out += ",\"timings\":{\"prepareSeconds\":" +
-         Number(response.prepare_seconds);
-  out += ",\"discoverSeconds\":" + Number(response.discover_seconds);
-  out += ",\"sampleSeconds\":" + Number(response.sample_seconds);
+  json.Key("stats").BeginObject();
+  json.Key("subsetsEnumerated").Uint(response.stats.subsets_enumerated);
+  json.Key("subsetsScored").Uint(response.stats.subsets_scored);
+  json.Key("truncated").Bool(response.stats.truncated).EndObject();
+  json.Key("timings").BeginObject();
+  json.Key("prepareSeconds").Double(response.prepare_seconds);
+  json.Key("discoverSeconds").Double(response.discover_seconds);
+  json.Key("sampleSeconds").Double(response.sample_seconds);
   const PrepareTimings& phases = response.prepare_timings;
-  out += ",\"preparePhases\":{\"keySeconds\":" + Number(phases.key_seconds);
-  out += ",\"nonkeySeconds\":" + Number(phases.nonkey_seconds);
-  out += ",\"distanceSeconds\":" + Number(phases.distance_seconds);
-  out += ",\"candidateSortSeconds\":" + Number(phases.candidate_sort_seconds);
-  out += ",\"totalSeconds\":" + Number(phases.total_seconds) + "}}}";
+  json.Key("preparePhases").BeginObject();
+  json.Key("keySeconds").Double(phases.key_seconds);
+  json.Key("nonkeySeconds").Double(phases.nonkey_seconds);
+  json.Key("distanceSeconds").Double(phases.distance_seconds);
+  json.Key("candidateSortSeconds").Double(phases.candidate_sort_seconds);
+  json.Key("totalSeconds").Double(phases.total_seconds);
+  json.EndObject().EndObject().EndObject();
   return out;
 }
 
@@ -590,43 +587,37 @@ HttpResponse PreviewService::HandleSuggest(const HttpRequest& request,
                              suggestion.status().message());
   }
   HttpResponse response;
-  response.body =
-      "{\"dataset\":" + Quoted(dataset) +
-      ",\"k\":" + std::to_string(suggestion->size.k) +
-      ",\"n\":" + std::to_string(suggestion->size.n) +
-      ",\"tightD\":" + std::to_string(suggestion->tight_d) +
-      ",\"diverseD\":" + std::to_string(suggestion->diverse_d) +
-      ",\"rationale\":" + Quoted(suggestion->rationale) + "}";
+  JsonWriter json(&response.body);
+  json.BeginObject().Key("dataset").String(dataset);
+  json.Key("k").Uint(suggestion->size.k);
+  json.Key("n").Uint(suggestion->size.n);
+  json.Key("tightD").Uint(suggestion->tight_d);
+  json.Key("diverseD").Uint(suggestion->diverse_d);
+  json.Key("rationale").String(suggestion->rationale).EndObject();
   return response;
 }
 
 HttpResponse PreviewService::HandleDatasets() const {
-  std::string body = "{\"datasets\":[";
-  bool first = true;
+  HttpResponse response;
+  JsonWriter json(&response.body);
+  json.BeginObject().Key("datasets").BeginArray();
   for (const DatasetCatalog::Info& info : catalog_.infos()) {
-    if (!first) body += ",";
-    first = false;
-    body += "{\"name\":" + Quoted(info.name);
-    body += ",\"path\":" + Quoted(info.path);
-    body += ",\"storage\":" + Quoted(info.storage);
-    body += ",\"entities\":" + std::to_string(info.entities);
-    body += ",\"relationships\":" + std::to_string(info.relationships);
-    body += ",\"entityTypes\":" + std::to_string(info.entity_types);
-    body += ",\"relationshipTypes\":" +
-            std::to_string(info.relationship_types);
-    body += ",\"status\":\"loaded\"}";
+    json.BeginObject().Key("name").String(info.name);
+    json.Key("path").String(info.path);
+    json.Key("storage").String(info.storage);
+    json.Key("entities").Uint(info.entities);
+    json.Key("relationships").Uint(info.relationships);
+    json.Key("entityTypes").Uint(info.entity_types);
+    json.Key("relationshipTypes").Uint(info.relationship_types);
+    json.Key("status").String("loaded").EndObject();
   }
   for (const DatasetCatalog::FailedDataset& failed : catalog_.failed()) {
-    if (!first) body += ",";
-    first = false;
-    body += "{\"name\":" + Quoted(failed.name);
-    body += ",\"path\":" + Quoted(failed.path);
-    body += ",\"status\":\"failed\"";
-    body += ",\"error\":" + Quoted(failed.error) + "}";
+    json.BeginObject().Key("name").String(failed.name);
+    json.Key("path").String(failed.path);
+    json.Key("status").String("failed");
+    json.Key("error").String(failed.error).EndObject();
   }
-  body += "]}";
-  HttpResponse response;
-  response.body = std::move(body);
+  json.EndArray().EndObject();
   return response;
 }
 
@@ -635,25 +626,21 @@ HttpResponse PreviewService::HandleHealthz() const {
   // process is healthy and serving what it has — orchestrators should
   // not kill it. The body carries the detail.
   HttpResponse response;
-  std::string body =
-      std::string("{\"status\":") +
-      (catalog_.degraded() ? "\"degraded\"" : "\"ok\"") +
-      ",\"version\":" + Quoted(version_) +
-      ",\"datasets\":" + std::to_string(catalog_.size());
+  JsonWriter json(&response.body);
+  json.BeginObject();
+  json.Key("status").String(catalog_.degraded() ? "degraded" : "ok");
+  json.Key("version").String(version_);
+  json.Key("datasets").Uint(catalog_.size());
   if (catalog_.degraded()) {
-    body += ",\"failedDatasets\":" + std::to_string(catalog_.failed().size());
-    body += ",\"failed\":[";
-    bool first = true;
+    json.Key("failedDatasets").Uint(catalog_.failed().size());
+    json.Key("failed").BeginArray();
     for (const DatasetCatalog::FailedDataset& failed : catalog_.failed()) {
-      if (!first) body += ",";
-      first = false;
-      body += "{\"name\":" + Quoted(failed.name) +
-              ",\"error\":" + Quoted(failed.error) + "}";
+      json.BeginObject().Key("name").String(failed.name);
+      json.Key("error").String(failed.error).EndObject();
     }
-    body += "]";
+    json.EndArray();
   }
-  body += "}";
-  response.body = std::move(body);
+  json.EndObject();
   return response;
 }
 
@@ -917,18 +904,15 @@ HttpResponse PreviewService::HandleDebugRequests(
   }
   filter.dataset = std::string(QueryParam(query, "dataset"));
 
-  std::string body = "{\"recorded\":" + std::to_string(recorder->recorded());
-  body += ",\"capacity\":" + std::to_string(recorder->capacity());
-  body += ",\"requests\":[";
-  bool first = true;
-  for (const RequestTrace& trace : recorder->Snapshot(filter)) {
-    if (!first) body += ",";
-    first = false;
-    body += RequestTraceToJson(trace);
-  }
-  body += "]}";
   HttpResponse response;
-  response.body = std::move(body);
+  JsonWriter json(&response.body);
+  json.BeginObject().Key("recorded").Uint(recorder->recorded());
+  json.Key("capacity").Uint(recorder->capacity());
+  json.Key("requests").BeginArray();
+  for (const RequestTrace& trace : recorder->Snapshot(filter)) {
+    RequestTraceToJson(trace, {}, &json);
+  }
+  json.EndArray().EndObject();
   return response;
 }
 
@@ -941,60 +925,48 @@ HttpResponse PreviewService::HandleDebugLocks() const {
               }
               return a.contentions > b.contentions;
             });
-  std::string body = "{\"sites\":[";
-  bool first = true;
-  for (const LockSiteSnapshot& site : sites) {
-    if (!first) body += ",";
-    first = false;
-    body += "{\"site\":" + Quoted(site.name);
-    body += ",\"acquisitions\":" + std::to_string(site.acquisitions);
-    body += ",\"contentions\":" + std::to_string(site.contentions);
-    body += ",\"waitSeconds\":" + Number(site.wait_seconds);
-    body += ",\"maxWaitSeconds\":" + Number(site.max_wait_seconds);
-    body += ",\"holdSamples\":" + std::to_string(site.hold_samples);
-    body += ",\"holdSeconds\":" + Number(site.hold_seconds);
-    body += ",\"maxHoldSeconds\":" + Number(site.max_hold_seconds);
-    body += "}";
-  }
-  body += "]}";
   HttpResponse response;
-  response.body = std::move(body);
+  JsonWriter json(&response.body);
+  json.BeginObject().Key("sites").BeginArray();
+  for (const LockSiteSnapshot& site : sites) {
+    json.BeginObject().Key("site").String(site.name);
+    json.Key("acquisitions").Uint(site.acquisitions);
+    json.Key("contentions").Uint(site.contentions);
+    json.Key("waitSeconds").Double(site.wait_seconds);
+    json.Key("maxWaitSeconds").Double(site.max_wait_seconds);
+    json.Key("holdSamples").Uint(site.hold_samples);
+    json.Key("holdSeconds").Double(site.hold_seconds);
+    json.Key("maxHoldSeconds").Double(site.max_hold_seconds).EndObject();
+  }
+  json.EndArray().EndObject();
   return response;
 }
 
 HttpResponse PreviewService::HandleDebugCache() const {
-  std::string body = "{\"datasets\":[";
-  bool first_dataset = true;
+  HttpResponse response;
+  JsonWriter json(&response.body);
+  json.BeginObject().Key("datasets").BeginArray();
   for (const DatasetCatalog::Info& info : catalog_.infos()) {
     const Engine* engine = catalog_.Find(info.name);
     if (engine == nullptr) continue;
-    if (!first_dataset) body += ",";
-    first_dataset = false;
     const Engine::CacheStats stats = engine->cache_stats();
-    body += "{\"dataset\":" + Quoted(info.name);
-    body += ",\"hits\":" + std::to_string(stats.hits);
-    body += ",\"misses\":" + std::to_string(stats.misses);
-    body += ",\"evictions\":" + std::to_string(stats.evictions);
-    body += ",\"entries\":[";
-    bool first_entry = true;
+    json.BeginObject().Key("dataset").String(info.name);
+    json.Key("hits").Uint(stats.hits);
+    json.Key("misses").Uint(stats.misses);
+    json.Key("evictions").Uint(stats.evictions);
+    json.Key("entries").BeginArray();
     for (const Engine::CacheEntryInfo& entry : engine->cache_entries()) {
-      if (!first_entry) body += ",";
-      first_entry = false;
-      body += "{\"measures\":" + Quoted(entry.measures);
-      body += ",\"ready\":" + std::string(entry.ready ? "true" : "false");
-      body += ",\"building\":" +
-              std::string(entry.building ? "true" : "false");
-      body += ",\"hits\":" + std::to_string(entry.hits);
-      body += ",\"ageSeconds\":" + Number(entry.age_seconds);
-      body += ",\"idleSeconds\":" + Number(entry.idle_seconds);
-      body += ",\"approxBytes\":" + std::to_string(entry.approx_bytes);
-      body += "}";
+      json.BeginObject().Key("measures").String(entry.measures);
+      json.Key("ready").Bool(entry.ready);
+      json.Key("building").Bool(entry.building);
+      json.Key("hits").Uint(entry.hits);
+      json.Key("ageSeconds").Double(entry.age_seconds);
+      json.Key("idleSeconds").Double(entry.idle_seconds);
+      json.Key("approxBytes").Uint(entry.approx_bytes).EndObject();
     }
-    body += "]}";
+    json.EndArray().EndObject();
   }
-  body += "]}";
-  HttpResponse response;
-  response.body = std::move(body);
+  json.EndArray().EndObject();
   return response;
 }
 

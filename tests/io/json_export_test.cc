@@ -9,6 +9,13 @@
 namespace egp {
 namespace {
 
+/// What JsonWriter writes between the quotes of a string value.
+std::string JsonEscape(std::string_view text) {
+  std::string out;
+  JsonWriter(&out).String(text);
+  return out.substr(1, out.size() - 2);
+}
+
 TEST(JsonEscapeTest, PassthroughPlainText) {
   EXPECT_EQ(JsonEscape("Men in Black"), "Men in Black");
 }
