@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/check.h"
 #include "common/parallel.h"
 
 namespace egp {
@@ -72,12 +71,17 @@ std::vector<double> ComputeKeyCoverage(const SchemaGraph& schema) {
   return scores;
 }
 
-std::vector<double> ComputeKeyRandomWalk(const SchemaGraph& schema,
-                                         const RandomWalkOptions& options,
-                                         ThreadPool* pool) {
+Result<std::vector<double>> ComputeKeyRandomWalk(
+    const SchemaGraph& schema, const RandomWalkOptions& options,
+    ThreadPool* pool) {
+  const double s = options.smoothing;
+  if (!(s >= 0.0) || !std::isfinite(s)) {
+    return Status::InvalidArgument(
+        "random walk smoothing must be finite and >= 0");
+  }
   const size_t n = schema.num_types();
-  if (n == 0) return {};
-  if (n == 1) return {1.0};
+  if (n == 0) return std::vector<double>{};
+  if (n == 1) return std::vector<double>{1.0};
 
   // The row-stochastic transition matrix of the smoothed walk is
   //   T_ij = (w_ij + s) / r_i,   r_i = d_i + s·n,
@@ -89,11 +93,15 @@ std::vector<double> ComputeKeyRandomWalk(const SchemaGraph& schema,
   // sums its terms in that row's fixed order — deterministic at any
   // parallelism, O(E_schema + n) per iteration.
   const WeightCsr csr = BuildWeightCsr(schema);
-  const double s = options.smoothing;
   std::vector<double> inv_row_total(n);
   for (size_t i = 0; i < n; ++i) {
     const double r = csr.row_sums[i] + s * static_cast<double>(n);
-    EGP_CHECK(r > 0.0) << "zero transition row";
+    if (!(r > 0.0)) {
+      return Status::InvalidArgument(
+          "random walk smoothing must be > 0 when an entity type has no "
+          "relationships (type '" +
+          schema.TypeName(static_cast<TypeId>(i)) + "' has none)");
+    }
     inv_row_total[i] = 1.0 / r;
   }
 

@@ -10,6 +10,7 @@
 
 #include <vector>
 
+#include "common/result.h"
 #include "graph/schema_graph.h"
 
 namespace egp {
@@ -29,6 +30,9 @@ struct RandomWalkOptions {
 };
 
 /// Stationary distribution π of the smoothed random walk; sums to 1.
+/// InvalidArgument when the smoothing is negative or not finite, or is 0
+/// while some type has no relationships (its transition row would be
+/// all zeros).
 ///
 /// Sparse implementation: the weight graph is held as a CSR over the
 /// schema's type adjacency and the uniform smoothing term is folded in
@@ -37,9 +41,9 @@ struct RandomWalkOptions {
 /// (never an n×n matrix). Each π_j is accumulated in a fixed per-row
 /// order, so the result is bit-identical at any `pool` parallelism
 /// (including none).
-std::vector<double> ComputeKeyRandomWalk(const SchemaGraph& schema,
-                                         const RandomWalkOptions& options = {},
-                                         ThreadPool* pool = nullptr);
+Result<std::vector<double>> ComputeKeyRandomWalk(
+    const SchemaGraph& schema, const RandomWalkOptions& options = {},
+    ThreadPool* pool = nullptr);
 
 /// The transition probability M_ij from the paper's running example
 /// (unsmoothed): w_ij / Σ_k w_ik, or 0 if τ_i has no incident weight.

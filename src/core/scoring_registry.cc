@@ -22,8 +22,7 @@ ScoringRegistry::ScoringRegistry() {
     return Result<std::vector<double>>(ComputeKeyCoverage(context.schema));
   };
   key_measures_["randomwalk"] = [](const ScoringContext& context) {
-    return Result<std::vector<double>>(
-        ComputeKeyRandomWalk(context.schema, context.walk, context.pool));
+    return ComputeKeyRandomWalk(context.schema, context.walk, context.pool);
   };
   nonkey_measures_["coverage"] = [](const ScoringContext& context) {
     return Result<NonKeyScores>(ComputeNonKeyCoverage(context.schema));

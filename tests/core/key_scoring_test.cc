@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <numeric>
+#include <string>
 
 #include "datagen/paper_example.h"
 
@@ -45,7 +47,7 @@ TEST(TransitionProbabilityTest, RowSumsToOne) {
 
 TEST(RandomWalkTest, StationaryDistributionSumsToOne) {
   const SchemaGraph schema = PaperSchema();
-  const auto pi = ComputeKeyRandomWalk(schema);
+  const std::vector<double> pi = ComputeKeyRandomWalk(schema).value();
   EXPECT_NEAR(std::accumulate(pi.begin(), pi.end(), 0.0), 1.0, 1e-9);
   for (double p : pi) EXPECT_GT(p, 0.0);
 }
@@ -57,7 +59,7 @@ TEST(RandomWalkTest, HubDominatesStarGraph) {
     const TypeId leaf = schema.AddType("LEAF" + std::to_string(i), 1);
     schema.AddEdge("r", hub, leaf, 10);
   }
-  const auto pi = ComputeKeyRandomWalk(schema);
+  const std::vector<double> pi = ComputeKeyRandomWalk(schema).value();
   for (TypeId t = 1; t < schema.num_types(); ++t) {
     EXPECT_GT(pi[hub], pi[t]);
   }
@@ -71,7 +73,7 @@ TEST(RandomWalkTest, SymmetricGraphIsUniform) {
     schema.AddEdge("r", static_cast<TypeId>(i),
                    static_cast<TypeId>((i + 1) % 4), 5);
   }
-  const auto pi = ComputeKeyRandomWalk(schema);
+  const std::vector<double> pi = ComputeKeyRandomWalk(schema).value();
   for (double p : pi) EXPECT_NEAR(p, 0.25, 1e-6);
 }
 
@@ -83,7 +85,7 @@ TEST(RandomWalkTest, WeightsDriveStationaryMass) {
   schema.AddType("C", 1);
   schema.AddEdge("r", 0, 1, 100);
   schema.AddEdge("r", 1, 2, 1);
-  const auto pi = ComputeKeyRandomWalk(schema);
+  const std::vector<double> pi = ComputeKeyRandomWalk(schema).value();
   EXPECT_GT(pi[0], pi[2]);
   EXPECT_GT(pi[1], pi[0]);  // B touches both
 }
@@ -96,15 +98,43 @@ TEST(RandomWalkTest, DisconnectedGraphConvergesViaSmoothing) {
   schema.AddType("B", 1);
   schema.AddType("C", 1);  // isolated
   schema.AddEdge("r", 0, 1, 50);
-  const auto pi = ComputeKeyRandomWalk(schema);
+  const std::vector<double> pi = ComputeKeyRandomWalk(schema).value();
   EXPECT_NEAR(std::accumulate(pi.begin(), pi.end(), 0.0), 1.0, 1e-9);
   EXPECT_GT(pi[2], 0.0);
   EXPECT_GT(pi[0], pi[2]);
 }
 
+TEST(RandomWalkTest, UnsmoothedWalkNeedsEveryTypeConnected) {
+  SchemaGraph schema;
+  schema.AddType("A", 1);
+  schema.AddType("B", 1);
+  schema.AddType("C", 1);  // isolated
+  schema.AddEdge("r", 0, 1, 50);
+  RandomWalkOptions unsmoothed;
+  unsmoothed.smoothing = 0.0;
+  const auto isolated = ComputeKeyRandomWalk(schema, unsmoothed);
+  ASSERT_FALSE(isolated.ok());
+  EXPECT_EQ(isolated.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(isolated.status().message().find("type 'C' has none"),
+            std::string::npos)
+      << isolated.status().ToString();
+
+  schema.AddEdge("s", 1, 2, 5);  // now connected: no smoothing needed
+  const auto connected = ComputeKeyRandomWalk(schema, unsmoothed);
+  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+  EXPECT_NEAR(std::accumulate(connected->begin(), connected->end(), 0.0), 1.0,
+              1e-9);
+
+  for (const double bad : {-1e-5, std::nan("")}) {
+    RandomWalkOptions options;
+    options.smoothing = bad;
+    EXPECT_FALSE(ComputeKeyRandomWalk(schema, options).ok()) << bad;
+  }
+}
+
 TEST(RandomWalkTest, PaperExampleFilmIsCentral) {
   const SchemaGraph schema = PaperSchema();
-  const auto pi = ComputeKeyRandomWalk(schema);
+  const std::vector<double> pi = ComputeKeyRandomWalk(schema).value();
   const TypeId film = *schema.type_names().Find("FILM");
   for (TypeId t = 0; t < schema.num_types(); ++t) {
     if (t == film) continue;
@@ -119,7 +149,7 @@ TEST(RandomWalkTest, SelfLoopRetainsMass) {
   schema.AddType("C", 1);
   schema.AddEdge("r", 0, 1, 10);
   schema.AddEdge("r", 1, 2, 10);
-  const auto base = ComputeKeyRandomWalk(schema);
+  const std::vector<double> base = ComputeKeyRandomWalk(schema).value();
   SchemaGraph with_loop;
   with_loop.AddType("A", 1);
   with_loop.AddType("B", 1);
@@ -127,14 +157,14 @@ TEST(RandomWalkTest, SelfLoopRetainsMass) {
   with_loop.AddEdge("r", 0, 1, 10);
   with_loop.AddEdge("r", 1, 2, 10);
   with_loop.AddEdge("self", 0, 0, 50);
-  const auto looped = ComputeKeyRandomWalk(with_loop);
+  const std::vector<double> looped = ComputeKeyRandomWalk(with_loop).value();
   EXPECT_GT(looped[0], base[0]);
 }
 
 TEST(RandomWalkTest, SingleType) {
   SchemaGraph schema;
   schema.AddType("A", 7);
-  const auto pi = ComputeKeyRandomWalk(schema);
+  const std::vector<double> pi = ComputeKeyRandomWalk(schema).value();
   ASSERT_EQ(pi.size(), 1u);
   EXPECT_DOUBLE_EQ(pi[0], 1.0);
 }

@@ -119,7 +119,7 @@ TEST(PrepareDeterminismTest, SparseWalkMatchesDenseSemantics) {
   // key_scoring_test's worked examples).
   for (uint64_t seed : {3u, 11u}) {
     const SchemaGraph schema = testing_util::RandomSchemaGraph(seed, 50, 200);
-    const std::vector<double> pi = ComputeKeyRandomWalk(schema);
+    const std::vector<double> pi = ComputeKeyRandomWalk(schema).value();
     ASSERT_EQ(pi.size(), schema.num_types());
     double total = 0.0;
     for (double p : pi) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -14,6 +15,7 @@
 #include "common/profiler.h"
 #include "datagen/paper_example.h"
 #include "io/json_export.h"
+#include "io/ntriples.h"
 
 namespace egp {
 namespace {
@@ -229,6 +231,47 @@ TEST(PreviewServiceTest, ErrorStatuses) {
   EXPECT_EQ(service.Handle(Get("/v1/preview")).status, 405);
   EXPECT_EQ(service.Handle(Post("/healthz", "{}")).status, 405);
   EXPECT_EQ(service.Handle(Get("/wat")).status, 404);
+}
+
+// An entity type with no relationships has an all-zero transition row
+// unless the random walk is smoothed. Unsmoothed, that is a bad request
+// (400), not an abort: the server keeps serving, a repeat gets the same
+// answer, and other measure configurations still work.
+TEST(PreviewServiceTest, UnsmoothedWalkOverAnIsolatedTypeIsABadRequest) {
+  std::istringstream text(
+      "<alice> a <RESEARCHER> .\n<bob> a <RESEARCHER> .\n"
+      "<mit> a <UNIVERSITY> .\n<p1> a <PAPER> .\n"
+      "<alice> <affiliated_with> <mit> .\n<bob> <affiliated_with> <mit> .\n"
+      "<alice> <author_of> <p1> .\n<bob> <author_of> <p1> .\n"
+      "<lonely> a <ISOLATED> .\n");
+  auto graph = ReadNTriples(text);
+  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+  std::vector<std::pair<std::string, Engine>> engines;
+  engines.emplace_back("isolated", Engine::FromGraph(std::move(graph).value()));
+  auto catalog = DatasetCatalog::FromEngines(std::move(engines));
+  ASSERT_TRUE(catalog.ok());
+  PreviewService service(std::move(catalog).value(), "test");
+
+  const std::string unsmoothed =
+      R"({"k":2,"n":4,"measures":{"key":"randomwalk","walk":{"smoothing":0}}})";
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    const HttpResponse response =
+        service.Handle(Post("/v1/preview", unsmoothed));
+    EXPECT_EQ(response.status, 400) << response.body;
+    EXPECT_NE(response.body.find("smoothing must be > 0 when an entity type "
+                                 "has no relationships (type 'ISOLATED'"),
+              std::string::npos)
+        << response.body;
+  }
+  EXPECT_EQ(service.Handle(Get("/healthz")).status, 200);
+  const HttpResponse smoothed = service.Handle(Post(
+      "/v1/preview",
+      R"({"k":2,"n":4,"measures":{"key":"randomwalk","walk":{"smoothing":0.01}}})"));
+  EXPECT_EQ(smoothed.status, 200) << smoothed.body;
+  const HttpResponse coverage =
+      service.Handle(Post("/v1/preview", R"({"k":2,"n":4})"));
+  EXPECT_EQ(coverage.status, 200) << coverage.body;
+  EXPECT_EQ(service.Handle(Post("/v1/preview", unsmoothed)).status, 400);
 }
 
 TEST(PreviewServiceTest, MetricsReflectServedRequests) {
