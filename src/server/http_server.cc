@@ -325,6 +325,13 @@ void HttpServer::HandleAcceptOverload() {
                                  SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (raw >= 0) {
       UniqueFd conn(raw);
+      // Counted before the answer goes out, so a client that has read
+      // its 503 also sees the shed in stats().
+      {
+        MutexLock lock(&mu_);
+        ++stats_.rejected_connections;
+        ++stats_.overload_sheds;
+      }
       HttpResponse response;
       response.status = 503;
       response.body = JsonErrorBody(503, "server out of file descriptors");
@@ -335,11 +342,6 @@ void HttpServer::HandleAcceptOverload() {
       // slow reader would defeat the point of shedding it.
       (void)PosixSend(conn.get(), bytes.data(), bytes.size(), MSG_NOSIGNAL);
       shed = true;
-      {
-        MutexLock lock(&mu_);
-        ++stats_.rejected_connections;
-        ++stats_.overload_sheds;
-      }
     }
     emergency_fd_ = UniqueFd(PosixOpen("/dev/null", O_RDONLY | O_CLOEXEC));
   }
