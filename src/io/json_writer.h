@@ -85,7 +85,7 @@ class JsonWriter {
     const std::to_chars_result written =
         std::to_chars(buffer, buffer + sizeof(buffer), value,
                       std::chars_format::general, precision);
-    out_->append(buffer, written.ptr);
+    out_->append(buffer, static_cast<size_t>(written.ptr - buffer));
     return *this;
   }
 
@@ -96,7 +96,7 @@ class JsonWriter {
     char buffer[24];
     const std::to_chars_result written =
         std::to_chars(buffer, buffer + sizeof(buffer), value);
-    out_->append(buffer, written.ptr);
+    out_->append(buffer, static_cast<size_t>(written.ptr - buffer));
     return *this;
   }
 
@@ -113,7 +113,7 @@ class JsonWriter {
     for (const char* p = run; p != end; ++p) {
       const unsigned char c = static_cast<unsigned char>(*p);
       if (c >= 0x20 && c != '"' && c != '\\') continue;
-      out_->append(run, p);
+      out_->append(run, static_cast<size_t>(p - run));
       run = p + 1;
       switch (c) {
         case '"':
@@ -139,7 +139,7 @@ class JsonWriter {
         }
       }
     }
-    out_->append(run, end);
+    out_->append(run, static_cast<size_t>(end - run));
     out_->push_back('"');
   }
 

@@ -8,8 +8,9 @@
 namespace egp {
 namespace {
 
-/// Milliseconds with enough digits for sub-microsecond phases.
-void Millis(JsonWriter* out, std::string_view key, double seconds) {
+/// Member `key`: `seconds` in milliseconds, 6 significant digits (enough
+/// for sub-microsecond phases).
+void MillisMember(JsonWriter* out, std::string_view key, double seconds) {
   out->Key(key).Double(seconds * 1e3, 6);
 }
 
@@ -27,23 +28,23 @@ void RequestTraceToJson(const RequestTrace& trace, std::string_view level,
   out->Key("cacheHit").Bool(trace.cache_hit);
   out->Key("bytesIn").Uint(trace.bytes_in);
   out->Key("bytesOut").Uint(trace.bytes_out);
-  Millis(out, "totalMs", trace.total_seconds);
+  MillisMember(out, "totalMs", trace.total_seconds);
   out->Key("phases").BeginObject();
-  Millis(out, "readMs", trace.read_seconds);
-  Millis(out, "queueMs", trace.queue_seconds);
-  Millis(out, "admissionMs", trace.admission_seconds);
-  Millis(out, "handlerMs", trace.handler_seconds);
-  Millis(out, "serializeMs", trace.serialize_seconds);
-  Millis(out, "flushMs", trace.flush_seconds);
+  MillisMember(out, "readMs", trace.read_seconds);
+  MillisMember(out, "queueMs", trace.queue_seconds);
+  MillisMember(out, "admissionMs", trace.admission_seconds);
+  MillisMember(out, "handlerMs", trace.handler_seconds);
+  MillisMember(out, "serializeMs", trace.serialize_seconds);
+  MillisMember(out, "flushMs", trace.flush_seconds);
   out->EndObject().Key("engine").BeginObject();
-  Millis(out, "prepareMs", trace.prepare_seconds);
-  Millis(out, "discoverMs", trace.discover_seconds);
-  Millis(out, "sampleMs", trace.sample_seconds);
+  MillisMember(out, "prepareMs", trace.prepare_seconds);
+  MillisMember(out, "discoverMs", trace.discover_seconds);
+  MillisMember(out, "sampleMs", trace.sample_seconds);
   out->Key("prepare").BeginObject();
-  Millis(out, "keyMs", trace.prepare_key_seconds);
-  Millis(out, "nonkeyMs", trace.prepare_nonkey_seconds);
-  Millis(out, "distanceMs", trace.prepare_distance_seconds);
-  Millis(out, "candidateSortMs", trace.prepare_candidate_sort_seconds);
+  MillisMember(out, "keyMs", trace.prepare_key_seconds);
+  MillisMember(out, "nonkeyMs", trace.prepare_nonkey_seconds);
+  MillisMember(out, "distanceMs", trace.prepare_distance_seconds);
+  MillisMember(out, "candidateSortMs", trace.prepare_candidate_sort_seconds);
   out->EndObject().EndObject().EndObject();
 }
 

@@ -23,6 +23,13 @@ std::string Quoted(std::string_view text) {
   return out;
 }
 
+std::string InQuotes(std::string_view text) {
+  std::string out(1, '"');
+  out.append(text);
+  out.push_back('"');
+  return out;
+}
+
 std::string Printf(const char* format, double value) {
   char buffer[64];
   std::snprintf(buffer, sizeof(buffer), format, value);
@@ -64,7 +71,7 @@ TEST(JsonWriterTest, EscapesExactlyTheControlQuoteAndBackslashBytes) {
   for (int byte = 0; byte < 256; ++byte) {
     const unsigned char c = static_cast<unsigned char>(byte);
     const std::string text(1, static_cast<char>(c));
-    EXPECT_EQ(Quoted(text), "\"" + ExpectedEscape(c) + "\"") << byte;
+    EXPECT_EQ(Quoted(text), InQuotes(ExpectedEscape(c))) << byte;
     if (c < 0x80) {  // a lone byte >= 0x80 is not UTF-8, so not JSON
       const auto parsed = ParseJson(Quoted(text));
       ASSERT_TRUE(parsed.ok()) << byte << ": " << parsed.status().ToString();
@@ -77,7 +84,7 @@ TEST(JsonWriterTest, EscapesExactlyTheControlQuoteAndBackslashBytes) {
 
 TEST(JsonWriterTest, PassesMultiByteUtf8ThroughRaw) {
   const std::string text = "caf\xc3\xa9 \xe2\x82\xac \xf0\x9f\x98\x80";
-  EXPECT_EQ(Quoted(text), "\"" + text + "\"");
+  EXPECT_EQ(Quoted(text), InQuotes(text));
   const auto parsed = ParseJson(Quoted(text));
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->string_value(), text);
