@@ -264,9 +264,9 @@ TEST(PreviewServiceTest, UnsmoothedWalkOverAnIsolatedTypeIsABadRequest) {
         << response.body;
   }
   EXPECT_EQ(service.Handle(Get("/healthz")).status, 200);
-  const HttpResponse smoothed = service.Handle(Post(
-      "/v1/preview",
-      R"({"k":2,"n":4,"measures":{"key":"randomwalk","walk":{"smoothing":0.01}}})"));
+  const HttpResponse smoothed = service.Handle(
+      Post("/v1/preview", R"({"k":2,"n":4,"measures":{"key":"randomwalk",)"
+                          R"("walk":{"smoothing":0.01}}})"));
   EXPECT_EQ(smoothed.status, 200) << smoothed.body;
   const HttpResponse coverage =
       service.Handle(Post("/v1/preview", R"({"k":2,"n":4})"));

@@ -11,9 +11,8 @@
 // to api_golden.actual.tsv in its working directory.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
-#include <map>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
