@@ -1,21 +1,100 @@
 #include "core/apriori.h"
 
-#include <algorithm>
+#include <bit>
 
 #include "common/strings.h"
 #include "core/compose.h"
+#include "core/key_sets.h"
 
 namespace egp {
 namespace {
 
-/// Flat storage of fixed-arity sorted id tuples, lexicographically ordered
-/// by construction.
-struct Level {
-  uint32_t arity = 0;
-  std::vector<uint32_t> flat;  // size = arity * count
+/// The depth-first walk over L_k. keys[0..depth) is the current prefix, a
+/// member of L_depth; `cand` holds the eligible indices that extend it,
+/// all above its last key.
+class LevelWalk {
+ public:
+  LevelWalk(const std::vector<TypeId>& eligible, const CompatibilityRows& rows,
+            uint32_t k, uint64_t max_level_size, SubsetScorer* scorer)
+      : eligible_(eligible),
+        rows_(rows),
+        k_(k),
+        max_level_size_(max_level_size),
+        scorer_(scorer),
+        keys_(k),
+        cand_(static_cast<size_t>(k) * rows.words()),
+        level_size_(k + 1, 0),
+        limit_(k) {
+    best_keys_.reserve(k);
+  }
 
-  size_t count() const { return arity == 0 ? 0 : flat.size() / arity; }
-  const uint32_t* tuple(size_t idx) const { return &flat[idx * arity]; }
+  void Run() {
+    // Every eligible type extends the empty prefix.
+    const size_t count = eligible_.size();
+    for (size_t i = 0; i < count; ++i) {
+      cand_[i / 64] |= uint64_t{1} << (i % 64);
+    }
+    Walk(0, cand_.data(), 0);
+  }
+
+  /// The smallest subset size from 3 to k whose level outgrew the cap;
+  /// 0 if none did.
+  uint32_t exceeded() const { return exceeded_; }
+  uint64_t enumerated() const { return enumerated_; }
+  const std::vector<TypeId>& best_keys() const { return best_keys_; }
+
+ private:
+  void Walk(uint32_t depth, const uint64_t* cand, size_t first_word) {
+    const size_t words = rows_.words();
+    const uint32_t size = depth + 1;  // of the subsets this call visits
+    uint64_t* child = cand_.data() + static_cast<size_t>(size) * words;
+    for (size_t w = first_word; w < words; ++w) {
+      for (uint64_t word = cand[w]; word != 0; word &= word - 1) {
+        // Once some level overflows, only the smaller levels are still
+        // counted, to report the smallest one.
+        if (size > limit_) return;
+        const size_t j = w * 64 + static_cast<size_t>(std::countr_zero(word));
+        keys_[depth] = eligible_[j];
+        if (max_level_size_ != 0 && size >= 3 &&
+            ++level_size_[size] > max_level_size_) {
+          exceeded_ = size;
+          limit_ = size - 1;
+          return;
+        }
+        if (size == k_) {
+          ++enumerated_;
+          const double score = scorer_->Score(keys_.data(), k_);
+          if (score > best_score_) {
+            best_score_ = score;
+            best_keys_.assign(keys_.begin(), keys_.end());
+          }
+          continue;
+        }
+        // The extensions of keys[0..size): candidates above j that are
+        // compatible with j too.
+        const uint64_t* row = rows_.row(j);
+        uint64_t any = child[w] = (word & (word - 1)) & row[w];
+        for (size_t v = w + 1; v < words; ++v) {
+          any |= child[v] = cand[v] & row[v];
+        }
+        if (any != 0) Walk(size, child, w);
+      }
+    }
+  }
+
+  const std::vector<TypeId>& eligible_;
+  const CompatibilityRows& rows_;
+  const uint32_t k_;
+  const uint64_t max_level_size_;
+  SubsetScorer* scorer_;
+  std::vector<TypeId> keys_;
+  std::vector<uint64_t> cand_;  // one candidate set per depth
+  std::vector<uint64_t> level_size_;
+  uint32_t limit_;  // the largest subset size still walked
+  uint32_t exceeded_ = 0;
+  uint64_t enumerated_ = 0;
+  double best_score_ = -1.0;
+  std::vector<TypeId> best_keys_;
 };
 
 }  // namespace
@@ -33,102 +112,35 @@ Result<Preview> AprioriDiscover(const PreparedSchema& prepared,
                   size.n, k));
   }
 
-  std::vector<TypeId> eligible;
-  for (TypeId t = 0; t < prepared.num_types(); ++t) {
-    if (prepared.Eligible(t)) eligible.push_back(t);
-  }
+  const std::vector<TypeId> eligible = EligibleKeyTypes(prepared);
   if (eligible.size() < k) {
     return Status::NotFound(StrFormat(
         "only %zu eligible key types, need k=%u", eligible.size(), k));
   }
 
-  DiscoveryStats local_stats;
-  const SchemaDistanceMatrix& dist = prepared.distances();
-  auto pair_ok = [&](TypeId a, TypeId b) {
-    return distance.SatisfiedBy(dist.Distance(a, b));
-  };
-
-  // Build L_k level-wise. Tuples store TypeIds in increasing order; the
-  // lexicographic order of `flat` is maintained by the join.
-  Level level;
-  if (k == 1) {
-    level.arity = 1;
-    level.flat = eligible;
-  } else {
-    // L2: all constraint-satisfying pairs.
-    level.arity = 2;
-    for (size_t i = 0; i < eligible.size(); ++i) {
-      for (size_t j = i + 1; j < eligible.size(); ++j) {
-        if (pair_ok(eligible[i], eligible[j])) {
-          level.flat.push_back(eligible[i]);
-          level.flat.push_back(eligible[j]);
-        }
-      }
-    }
-    // Join L_{i-1} with itself to get L_i.
-    for (uint32_t arity = 3; arity <= k && level.count() > 0; ++arity) {
-      Level next;
-      next.arity = arity;
-      const uint32_t prefix_len = arity - 2;
-      size_t block_start = 0;
-      const size_t count = level.count();
-      while (block_start < count) {
-        // A block shares the first (arity-2) elements.
-        size_t block_end = block_start + 1;
-        while (block_end < count &&
-               std::equal(level.tuple(block_start),
-                          level.tuple(block_start) + prefix_len,
-                          level.tuple(block_end))) {
-          ++block_end;
-        }
-        for (size_t a = block_start; a < block_end; ++a) {
-          const uint32_t last_a = level.tuple(a)[arity - 2];
-          for (size_t b = a + 1; b < block_end; ++b) {
-            const uint32_t last_b = level.tuple(b)[arity - 2];
-            // Tuples are sorted, so last_a < last_b within a block.
-            if (!pair_ok(last_a, last_b)) continue;
-            next.flat.insert(next.flat.end(), level.tuple(a),
-                             level.tuple(a) + arity - 1);
-            next.flat.push_back(last_b);
-          }
-        }
-        block_start = block_end;
-        if (options.max_level_size != 0 &&
-            next.count() > options.max_level_size) {
-          return Status::OutOfRange(StrFormat(
-              "Apriori level %u exceeded max_level_size=%llu", arity,
-              static_cast<unsigned long long>(options.max_level_size)));
-        }
-      }
-      level = std::move(next);
-    }
+  // Steps 1 and 2 in one pass: each k-subset is scored as the walk
+  // reaches it.
+  const CompatibilityRows rows(prepared, distance, eligible);
+  SubsetScorer scorer(prepared, size.n);
+  LevelWalk walk(eligible, rows, k, options.max_level_size, &scorer);
+  walk.Run();
+  if (walk.exceeded() != 0) {
+    return Status::OutOfRange(StrFormat(
+        "Apriori level %u exceeded max_level_size=%llu", walk.exceeded(),
+        static_cast<unsigned long long>(options.max_level_size)));
   }
 
-  if (level.count() == 0 || level.arity != k) {
-    if (stats != nullptr) *stats = local_stats;
+  DiscoveryStats local_stats;
+  local_stats.subsets_enumerated = walk.enumerated();
+  local_stats.subsets_scored = walk.enumerated();
+  if (stats != nullptr) *stats = local_stats;
+  if (walk.enumerated() == 0) {
     return Status::NotFound("no k-subset satisfies the distance constraint");
   }
-
-  // Step 2: score every qualifying k-subset.
-  double best_score = -1.0;
-  std::vector<TypeId> best_keys;
-  std::vector<TypeId> keys(k);
-  for (size_t idx = 0; idx < level.count(); ++idx) {
-    const uint32_t* tuple = level.tuple(idx);
-    keys.assign(tuple, tuple + k);
-    ++local_stats.subsets_enumerated;
-    ++local_stats.subsets_scored;
-    const double score = ComposePreviewScore(prepared, keys, size.n);
-    if (score > best_score) {
-      best_score = score;
-      best_keys = keys;
-    }
-  }
-  if (stats != nullptr) *stats = local_stats;
-  if (best_keys.empty()) {
+  if (walk.best_keys().empty()) {
     return Status::NotFound("no preview satisfies the distance constraint");
   }
-  return ComposePreview(prepared, best_keys, size.n);
+  return ComposePreview(prepared, walk.best_keys(), size.n);
 }
 
 }  // namespace egp

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/strings.h"
+#include "core/key_sets.h"
 
 namespace egp {
 
@@ -21,10 +22,7 @@ Result<Preview> BruteForceDiscover(const PreparedSchema& prepared,
 
   // Only types with at least one candidate non-key attribute can key a
   // table (Def. 1).
-  std::vector<TypeId> eligible;
-  for (TypeId t = 0; t < prepared.num_types(); ++t) {
-    if (prepared.Eligible(t)) eligible.push_back(t);
-  }
+  const std::vector<TypeId> eligible = EligibleKeyTypes(prepared);
   if (eligible.size() < k) {
     return Status::NotFound(StrFormat(
         "only %zu eligible key types, need k=%u", eligible.size(), k));
@@ -32,6 +30,7 @@ Result<Preview> BruteForceDiscover(const PreparedSchema& prepared,
 
   DiscoveryStats local_stats;
   const SchemaDistanceMatrix& dist = prepared.distances();
+  SubsetScorer scorer(prepared, size.n);
 
   double best_score = -1.0;
   std::vector<TypeId> best_keys;
@@ -59,7 +58,7 @@ Result<Preview> BruteForceDiscover(const PreparedSchema& prepared,
     }
     if (satisfies) {
       ++local_stats.subsets_scored;
-      const double score = ComposePreviewScore(prepared, keys, size.n);
+      const double score = scorer.Score(keys);
       if (score > best_score) {
         best_score = score;
         best_keys = keys;

@@ -1,31 +1,57 @@
 #include "core/compose.h"
 
-#include <algorithm>
-#include <queue>
-
 #include "common/strings.h"
 
 namespace egp {
-namespace {
 
-/// Merge cursor over one type's sorted candidate list, starting after the
-/// mandatory top-1 attribute.
-struct Cursor {
-  size_t table_index;  // position within `keys`
-  TypeId type;
-  size_t next;         // next candidate index in Candidates(type).sorted
-  double weighted;     // S(type) * candidate score — the marginal gain
-
-  bool operator<(const Cursor& other) const {
-    // std::priority_queue is a max-heap on operator<; tie-break on
-    // (type, next) for determinism.
-    if (weighted != other.weighted) return weighted < other.weighted;
-    if (type != other.type) return type > other.type;
-    return next > other.next;
+template <typename Pick>
+double SubsetScorer::Merge(const TypeId* keys, size_t k, Pick&& pick) {
+  if (k == 0 || n_ < k) return -1.0;
+  cursors_.clear();
+  double score = 0.0;
+  for (size_t i = 0; i < k; ++i) {
+    const TypeId t = keys[i];
+    const std::vector<NonKeyCandidate>& sorted = prepared_.Candidates(t).sorted;
+    if (sorted.empty()) return -1.0;
+    const double key_score = prepared_.KeyScore(t);
+    score += key_score * sorted[0].score;  // Theorem 3 top-1
+    pick(i, 0);
+    if (sorted.size() > 1) {
+      cursors_.push_back(Cursor{key_score * sorted[1].score, key_score,
+                                sorted.data(), 1,
+                                static_cast<uint32_t>(sorted.size()), t,
+                                static_cast<uint32_t>(i)});
+    }
   }
-};
+  // Fill the remaining n−k slots with the globally best weighted
+  // candidates.
+  for (size_t slot = k; slot < n_ && !cursors_.empty(); ++slot) {
+    size_t best = 0;
+    for (size_t c = 1; c < cursors_.size(); ++c) {
+      const Cursor& a = cursors_[c];
+      const Cursor& b = cursors_[best];
+      if (a.weighted != b.weighted ? a.weighted > b.weighted
+          : a.type != b.type       ? a.type < b.type
+                                   : a.next < b.next) {
+        best = c;
+      }
+    }
+    Cursor& top = cursors_[best];
+    score += top.weighted;
+    pick(top.table, top.next);
+    if (++top.next < top.size) {
+      top.weighted = top.key_score * top.sorted[top.next].score;
+    } else {
+      top = cursors_.back();
+      cursors_.pop_back();
+    }
+  }
+  return score;
+}
 
-}  // namespace
+double SubsetScorer::Score(const TypeId* keys, size_t k) {
+  return Merge(keys, k, [](size_t, size_t) {});
+}
 
 Result<Preview> ComposePreview(const PreparedSchema& prepared,
                                const std::vector<TypeId>& keys, uint32_t n) {
@@ -35,70 +61,22 @@ Result<Preview> ComposePreview(const PreparedSchema& prepared,
     return Status::InvalidArgument(StrFormat(
         "ComposePreview: n=%u < k=%u (each table needs one attribute)", n, k));
   }
-
   Preview preview;
   preview.tables.resize(k);
-  std::priority_queue<Cursor> heap;
   for (uint32_t i = 0; i < k; ++i) {
-    const TypeId t = keys[i];
-    const TypeCandidates& cands = prepared.Candidates(t);
-    if (cands.sorted.empty()) {
+    if (!prepared.Eligible(keys[i])) {
       return Status::FailedPrecondition(
           StrFormat("type '%s' has no candidate non-key attributes",
-                    prepared.schema().TypeName(t).c_str()));
+                    prepared.schema().TypeName(keys[i]).c_str()));
     }
-    preview.tables[i].key = t;
-    preview.tables[i].nonkeys.push_back(cands.sorted[0]);  // Theorem 3 top-1
-    if (cands.sorted.size() > 1) {
-      heap.push(Cursor{i, t, 1,
-                       prepared.KeyScore(t) * cands.sorted[1].score});
-    }
+    preview.tables[i].key = keys[i];
   }
-
-  // Fill the remaining n−k slots with the globally best weighted candidates.
-  for (uint32_t slot = 0; slot < n - k && !heap.empty(); ++slot) {
-    Cursor top = heap.top();
-    heap.pop();
-    const TypeCandidates& cands = prepared.Candidates(top.type);
-    preview.tables[top.table_index].nonkeys.push_back(cands.sorted[top.next]);
-    const size_t next = top.next + 1;
-    if (next < cands.sorted.size()) {
-      heap.push(Cursor{top.table_index, top.type, next,
-                       prepared.KeyScore(top.type) * cands.sorted[next].score});
-    }
-  }
+  SubsetScorer scorer(prepared, n);
+  scorer.Merge(keys.data(), k, [&](size_t table, size_t candidate) {
+    preview.tables[table].nonkeys.push_back(
+        prepared.Candidates(keys[table]).sorted[candidate]);
+  });
   return preview;
-}
-
-double ComposePreviewScore(const PreparedSchema& prepared,
-                           const std::vector<TypeId>& keys, uint32_t n) {
-  const uint32_t k = static_cast<uint32_t>(keys.size());
-  if (k == 0 || n < k) return -1.0;
-
-  double score = 0.0;
-  std::priority_queue<Cursor> heap;
-  for (uint32_t i = 0; i < k; ++i) {
-    const TypeId t = keys[i];
-    const TypeCandidates& cands = prepared.Candidates(t);
-    if (cands.sorted.empty()) return -1.0;
-    score += prepared.KeyScore(t) * cands.sorted[0].score;
-    if (cands.sorted.size() > 1) {
-      heap.push(Cursor{i, t, 1,
-                       prepared.KeyScore(t) * cands.sorted[1].score});
-    }
-  }
-  for (uint32_t slot = 0; slot < n - k && !heap.empty(); ++slot) {
-    Cursor top = heap.top();
-    heap.pop();
-    score += top.weighted;
-    const TypeCandidates& cands = prepared.Candidates(top.type);
-    const size_t next = top.next + 1;
-    if (next < cands.sorted.size()) {
-      heap.push(Cursor{top.table_index, top.type, next,
-                       prepared.KeyScore(top.type) * cands.sorted[next].score});
-    }
-  }
-  return score;
 }
 
 }  // namespace egp

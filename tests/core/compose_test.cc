@@ -58,7 +58,7 @@ TEST_F(ComposeTest, ScoreOnlyMatchesMaterialized) {
       if (n < keys.size()) continue;
       const auto preview = ComposePreview(*prepared_, keys, n);
       ASSERT_TRUE(preview.ok());
-      EXPECT_NEAR(ComposePreviewScore(*prepared_, keys, n),
+      EXPECT_NEAR(SubsetScorer(*prepared_, n).Score(keys),
                   preview->Score(*prepared_), 1e-9);
     }
   }
@@ -101,7 +101,7 @@ TEST_F(ComposeTest, ErrorWhenNLessThanK) {
       ComposePreview(*prepared_, {Type("FILM"), Type("AWARD")}, 1);
   EXPECT_FALSE(preview.ok());
   EXPECT_EQ(preview.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_LT(ComposePreviewScore(*prepared_, {Type("FILM"), Type("AWARD")}, 1),
+  EXPECT_LT(SubsetScorer(*prepared_, 1).Score({Type("FILM"), Type("AWARD")}),
             0.0);
 }
 
@@ -137,7 +137,7 @@ TEST_F(ComposeTest, ExhaustiveCrossCheckOnSmallInstance) {
                          prepared_->KeyScore(keys[1]) * c1.TopSum(m1);
     best = std::max(best, score);
   }
-  EXPECT_NEAR(ComposePreviewScore(*prepared_, keys, n), best, 1e-9);
+  EXPECT_NEAR(SubsetScorer(*prepared_, n).Score(keys), best, 1e-9);
 }
 
 }  // namespace
