@@ -174,5 +174,43 @@ TEST_F(MusicDiscoveryTest, MatchesTheGoldenFile) {
   }
 }
 
+TEST_F(MusicDiscoveryTest, DpAnswersBeyondTheCandidateTotalAsAtIt) {
+  // No preview holds more non-keys than the schema has candidates, so any
+  // larger n gives the same preview.
+  const uint32_t total =
+      static_cast<uint32_t>(prepared_->TotalCandidates());
+  const auto at_total = DynamicProgrammingDiscover(*prepared_, {10, total});
+  const auto beyond = DynamicProgrammingDiscover(*prepared_, {10, 100000});
+  ASSERT_TRUE(at_total.ok()) << at_total.status().ToString();
+  ASSERT_TRUE(beyond.ok()) << beyond.status().ToString();
+  ASSERT_EQ(at_total->tables.size(), beyond->tables.size());
+  for (size_t t = 0; t < at_total->tables.size(); ++t) {
+    const PreviewTable& a = at_total->tables[t];
+    const PreviewTable& b = beyond->tables[t];
+    EXPECT_EQ(a.key, b.key);
+    ASSERT_EQ(a.nonkeys.size(), b.nonkeys.size());
+    for (size_t c = 0; c < a.nonkeys.size(); ++c) {
+      EXPECT_EQ(a.nonkeys[c].schema_edge, b.nonkeys[c].schema_edge);
+      EXPECT_EQ(a.nonkeys[c].direction, b.nonkeys[c].direction);
+    }
+  }
+  EXPECT_EQ(at_total->Score(*prepared_), beyond->Score(*prepared_));
+}
+
+TEST_F(MusicDiscoveryTest, DpRejectsMoreKeysThanEligibleTypes) {
+  uint32_t eligible = 0;
+  for (TypeId t = 0; t < prepared_->num_types(); ++t) {
+    eligible += prepared_->Eligible(t) ? 1 : 0;
+  }
+  for (uint32_t n : {eligible + 1, 20000u, 1u << 20}) {
+    const auto preview =
+        DynamicProgrammingDiscover(*prepared_, {eligible + 1, n});
+    EXPECT_EQ(preview.status().code(), StatusCode::kNotFound);
+    EXPECT_EQ(preview.status().message(),
+              StrFormat("fewer than k=%u eligible key types", eligible + 1));
+  }
+  EXPECT_TRUE(DynamicProgrammingDiscover(*prepared_, {eligible, eligible}).ok());
+}
+
 }  // namespace
 }  // namespace egp
