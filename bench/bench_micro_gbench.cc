@@ -5,7 +5,9 @@
 
 #include "bench/bench_util.h"
 #include "core/apriori.h"
+#include "core/beam_search.h"
 #include "core/brute_force.h"
+#include "core/compose.h"
 #include "core/discoverer.h"
 #include "core/dynamic_programming.h"
 #include "core/frontier.h"
@@ -97,6 +99,17 @@ void BM_AprioriTight(benchmark::State& state) {
 }
 BENCHMARK(BM_AprioriTight)->Arg(3)->Arg(5);
 
+void BM_BeamConcise(benchmark::State& state) {
+  const PreparedSchema prepared = PreparedMusic();
+  const SizeConstraint size{static_cast<uint32_t>(state.range(0)), 20};
+  for (auto _ : state) {
+    auto preview =
+        BeamSearchDiscover(prepared, size, DistanceConstraint::None());
+    benchmark::DoNotOptimize(preview);
+  }
+}
+BENCHMARK(BM_BeamConcise)->Arg(3)->Arg(6);
+
 void BM_BruteForceSmallK(benchmark::State& state) {
   const PreparedSchema prepared = PreparedMusic();
   const SizeConstraint size{static_cast<uint32_t>(state.range(0)), 10};
@@ -159,8 +172,9 @@ void BM_ComposePreviewScore(benchmark::State& state) {
   for (TypeId t = 0; t < prepared.num_types() && keys.size() < 6; ++t) {
     if (prepared.Eligible(t)) keys.push_back(t);
   }
+  SubsetScorer scorer(prepared, 20);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ComposePreviewScore(prepared, keys, 20));
+    benchmark::DoNotOptimize(scorer.Score(keys));
   }
 }
 BENCHMARK(BM_ComposePreviewScore);
