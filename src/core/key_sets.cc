@@ -4,6 +4,7 @@ namespace egp {
 
 std::vector<TypeId> EligibleKeyTypes(const PreparedSchema& prepared) {
   std::vector<TypeId> eligible;
+  eligible.reserve(prepared.num_types());
   for (TypeId t = 0; t < prepared.num_types(); ++t) {
     if (prepared.Eligible(t)) eligible.push_back(t);
   }
