@@ -23,8 +23,7 @@ class LevelWalk {
         scorer_(scorer),
         keys_(k),
         cand_(static_cast<size_t>(k) * rows.words()),
-        level_size_(k + 1, 0),
-        limit_(k) {
+        level_size_(k + 1, 0) {
     best_keys_.reserve(k);
   }
 
@@ -50,15 +49,14 @@ class LevelWalk {
     uint64_t* child = cand_.data() + static_cast<size_t>(size) * words;
     for (size_t w = first_word; w < words; ++w) {
       for (uint64_t word = cand[w]; word != 0; word &= word - 1) {
-        // Once some level overflows, only the smaller levels are still
-        // counted, to report the smallest one.
-        if (size > limit_) return;
         const size_t j = w * 64 + static_cast<size_t>(std::countr_zero(word));
         keys_[depth] = eligible_[j];
+        // Once a level overflows, each later node of it returns here, so
+        // no deeper level is walked again while the smaller ones keep
+        // counting: the last level to overflow is the smallest.
         if (max_level_size_ != 0 && size >= 3 &&
             ++level_size_[size] > max_level_size_) {
           exceeded_ = size;
-          limit_ = size - 1;
           return;
         }
         if (size == k_) {
@@ -90,7 +88,6 @@ class LevelWalk {
   std::vector<TypeId> keys_;
   std::vector<uint64_t> cand_;  // one candidate set per depth
   std::vector<uint64_t> level_size_;
-  uint32_t limit_;  // the largest subset size still walked
   uint32_t exceeded_ = 0;
   uint64_t enumerated_ = 0;
   double best_score_ = -1.0;
