@@ -72,6 +72,28 @@ TEST(BeamSearchTest, InvalidArguments) {
                    .ok());
 }
 
+TEST(BeamSearchTest, EqualScoresKeepTheSmallestKeys) {
+  // A ring A→B→C→D→A of identical types: every key set of a size scores
+  // the same, so a width-1 beam keeps the lexicographically smallest.
+  SchemaGraph schema;
+  for (const char* name : {"A", "B", "C", "D"}) schema.AddType(name, 5);
+  for (TypeId t = 0; t < 4; ++t) {
+    schema.AddEdge("r" + std::to_string(t), t, (t + 1) % 4, 3);
+  }
+  auto prepared = PreparedSchema::Create(schema, PreparedSchemaOptions{});
+  ASSERT_TRUE(prepared.ok());
+  BeamSearchOptions narrow;
+  narrow.beam_width = 1;
+  narrow.max_beam_width = 1;
+  for (uint32_t k : {1u, 2u, 3u}) {
+    const auto preview = BeamSearchDiscover(
+        *prepared, SizeConstraint{k, k}, DistanceConstraint::None(), narrow);
+    ASSERT_TRUE(preview.ok());
+    ASSERT_EQ(preview->tables.size(), k);
+    for (uint32_t i = 0; i < k; ++i) EXPECT_EQ(preview->tables[i].key, i);
+  }
+}
+
 struct BeamInstance {
   uint64_t seed;
   uint32_t k;

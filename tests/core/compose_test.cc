@@ -122,6 +122,23 @@ TEST_F(ComposeTest, ErrorWhenTypeHasNoCandidates) {
   EXPECT_EQ(preview.status().code(), StatusCode::kFailedPrecondition);
 }
 
+TEST(ComposeTieTest, EqualGainsGoToTheSmallerTypeFirst) {
+  // A ring A→B→C→D→A of identical types: every candidate's weighted gain
+  // ties, and a tied slot goes to the smaller type, wherever its table.
+  SchemaGraph schema;
+  for (const char* name : {"A", "B", "C", "D"}) schema.AddType(name, 5);
+  for (TypeId t = 0; t < 4; ++t) {
+    schema.AddEdge("r" + std::to_string(t), t, (t + 1) % 4, 3);
+  }
+  auto prepared = PreparedSchema::Create(schema, PreparedSchemaOptions{});
+  ASSERT_TRUE(prepared.ok());
+  const auto preview = ComposePreview(*prepared, {1, 0}, 3);
+  ASSERT_TRUE(preview.ok());
+  EXPECT_EQ(preview->tables[0].nonkeys.size(), 1u);  // B
+  EXPECT_EQ(preview->tables[1].nonkeys.size(), 2u);  // A
+  EXPECT_EQ(SubsetScorer(*prepared, 3).Score({1, 0}), 45.0);
+}
+
 TEST_F(ComposeTest, ExhaustiveCrossCheckOnSmallInstance) {
   // Brute-force all ways to split n attributes over two fixed keys and
   // verify the greedy merge is optimal.
