@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "common/profiler.h"
+#include "common/strings.h"
 #include "datagen/paper_example.h"
 #include "io/json_export.h"
 #include "io/ntriples.h"
@@ -466,6 +468,43 @@ TEST(PreviewServiceTest, DebugRequestsLimitAndDatasetFilters) {
   EXPECT_EQ(service.Handle(Get("/v1/debug/requests?limit=abc")).status, 400);
   EXPECT_EQ(service.Handle(Get("/v1/debug/requests?limit=-1")).status, 400);
   EXPECT_EQ(service.Handle(Get("/v1/debug/requests?limit=2x")).status, 400);
+}
+
+TEST(PreviewServiceTest, DebugQueryParametersAtTheirBounds) {
+  PreviewService service = MakeService();
+  FlightRecorder recorder(4);
+  service.AttachFlightRecorder(&recorder);
+  service.EnableProfiler(99);
+  const auto error = [](const std::string& message) {
+    return "{\"error\":{\"status\":400,\"message\":\"" + message + "\"}}";
+  };
+  const std::string limit = error("limit must be a non-negative integer");
+  const std::string status = error("status must be an HTTP status code");
+  const std::string min_ms = error("min_ms must be a number >= 0");
+  const std::string seconds = error("seconds must be a number in (0, 60]");
+  const std::string hz = error("hz must be an integer in [1, 1000]");
+  const std::vector<std::pair<std::string, std::string>> rejected = {
+      {"/v1/debug/requests?limit=5x", limit},
+      {"/v1/debug/requests?status=600", status},
+      {"/v1/debug/requests?min_ms=-1", min_ms},
+      {"/v1/debug/profile?seconds=0", seconds},
+      {"/v1/debug/profile?seconds=" +
+           StrFormat("%.17g", std::nextafter(Profiler::kMaxWindowSeconds,
+                                             2 * Profiler::kMaxWindowSeconds)),
+       seconds},
+      {"/v1/debug/profile?hz=" + std::to_string(Profiler::kMinHz - 1), hz},
+      {"/v1/debug/profile?hz=" + std::to_string(Profiler::kMaxHz + 1), hz},
+  };
+  for (const auto& [target, body] : rejected) {
+    const HttpResponse response = service.Handle(Get(target));
+    EXPECT_EQ(response.status, 400) << target;
+    EXPECT_EQ(response.body, body) << target;
+  }
+  for (const char* target :
+       {"/v1/debug/requests?status=100", "/v1/debug/requests?status=599",
+        "/v1/debug/requests?min_ms=0", "/v1/debug/requests?limit=0"}) {
+    EXPECT_EQ(service.Handle(Get(target)).status, 200) << target;
+  }
 }
 
 TEST(PreviewServiceTest, DebugLocksListsLabeledSites) {
