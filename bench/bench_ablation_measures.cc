@@ -6,7 +6,7 @@
 
 #include "bench/bench_util.h"
 #include "common/strings.h"
-#include "core/discoverer.h"
+#include "core/discover.h"
 #include "eval/ranking_metrics.h"
 #include "eval/user_study.h"
 
@@ -22,13 +22,11 @@ std::set<std::string> PreviewKeys(const GeneratedDomain& domain,
   auto prepared = PreparedSchema::Create(domain.schema, options,
                                          &domain.graph);
   EGP_CHECK(prepared.ok());
-  PreviewDiscoverer discoverer(std::move(prepared).value());
-  DiscoveryOptions discovery;
-  discovery.size = {6, 15};
-  auto preview = discoverer.Discover(discovery);
-  EGP_CHECK(preview.ok());
+  auto discovery = Discover(*prepared, "auto", SizeConstraint{6, 15},
+                            DistanceConstraint::None());
+  EGP_CHECK(discovery.ok());
   std::set<std::string> keys;
-  for (const PreviewTable& table : preview->tables) {
+  for (const PreviewTable& table : discovery->preview.tables) {
     keys.insert(domain.schema.TypeName(table.key));
   }
   return keys;

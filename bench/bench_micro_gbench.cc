@@ -8,7 +8,6 @@
 #include "core/beam_search.h"
 #include "core/brute_force.h"
 #include "core/compose.h"
-#include "core/discoverer.h"
 #include "core/dynamic_programming.h"
 #include "core/frontier.h"
 #include "graph/frozen_graph.h"

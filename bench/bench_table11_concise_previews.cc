@@ -4,7 +4,7 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "core/discoverer.h"
+#include "core/discover.h"
 #include "core/tuple_sampler.h"
 #include "io/preview_renderer.h"
 
@@ -20,23 +20,19 @@ void ShowPreview(const char* domain_name, KeyMeasure km, NonKeyMeasure nm) {
   auto prepared = PreparedSchema::Create(domain.schema, options,
                                          &domain.graph);
   EGP_CHECK(prepared.ok()) << prepared.status().ToString();
-  PreviewDiscoverer discoverer(std::move(prepared).value());
-
-  DiscoveryOptions discovery;
-  discovery.size = {5, 10};
-  auto preview = discoverer.Discover(discovery);
-  EGP_CHECK(preview.ok()) << preview.status().ToString();
+  auto discovery = Discover(*prepared, "auto", SizeConstraint{5, 10},
+                            DistanceConstraint::None());
+  EGP_CHECK(discovery.ok()) << discovery.status().ToString();
+  const Preview& preview = discovery->preview;
 
   std::printf("\ndomain=%s, KS=%s, NKS=%s, k=5, n=10 (score %.4g)\n",
               domain_name, KeyMeasureName(km), NonKeyMeasureName(nm),
-              preview->Score(discoverer.prepared()));
-  std::printf("%s",
-              DescribePreview(*preview, discoverer.prepared()).c_str());
+              preview.Score(*prepared));
+  std::printf("%s", DescribePreview(preview, *prepared).c_str());
 
   TupleSamplerOptions sampler;
   sampler.rows_per_table = 3;
-  auto mat = MaterializePreview(domain.graph, discoverer.prepared(),
-                                *preview, sampler);
+  auto mat = MaterializePreview(domain.graph, *prepared, preview, sampler);
   EGP_CHECK(mat.ok());
   RenderOptions render;
   render.max_cell_width = 28;

@@ -11,7 +11,7 @@
 #include <string>
 
 #include "common/result.h"
-#include "core/discoverer.h"
+#include "core/constraints.h"
 #include "core/tuple_sampler.h"
 #include "graph/entity_graph.h"
 
@@ -20,7 +20,9 @@ namespace egp {
 struct ReportOptions {
   std::string title = "Dataset preview";
   PreparedSchemaOptions measures;
-  DiscoveryOptions discovery = {{3, 9}, {}, Algorithm::kAuto};
+  /// The preview's constraints; discovery runs the "auto" algorithm.
+  SizeConstraint size{3, 9};
+  DistanceConstraint distance;
   TupleSamplerOptions sampler;
   size_t top_keys = 8;       // ranking table length
   bool include_dot = false;  // appendix with Graphviz source

@@ -11,9 +11,6 @@
 #include "common/parallel.h"
 #include "common/timer.h"
 #include "common/trace.h"
-#include "core/apriori.h"
-#include "core/beam_search.h"
-#include "core/dynamic_programming.h"
 
 namespace egp {
 namespace {
@@ -55,17 +52,6 @@ std::string MeasureDisplay(const MeasureSelection& measures) {
 }
 
 }  // namespace
-
-Result<std::string> CanonicalAlgorithmName(const std::string& name) {
-  if (name == "auto" || name == "bf" || name == "dp" || name == "apriori" ||
-      name == "beam") {
-    return name;
-  }
-  if (name == "bruteforce") return std::string("bf");
-  return Status::InvalidArgument(
-      "unknown algorithm '" + name +
-      "' (available: auto, bf, dp, apriori, beam)");
-}
 
 struct Engine::State {
   // Set for FromGraph engines; schema-only engines serve without it.
@@ -367,39 +353,17 @@ Result<PreviewResponse> Engine::Preview(const PreviewRequest& request) const {
     }
   }
 
-  // Dispatch discovery. "auto" mirrors PreviewDiscoverer: DP solves the
-  // concise space, Apriori the distance-constrained ones.
-  std::string algorithm = response.algorithm;
-  if (algorithm == "auto") {
-    algorithm =
-        response.distance.mode == DistanceMode::kNone ? "dp" : "apriori";
-    response.algorithm = algorithm;
-  }
   Timer discover_timer;
-  Result<egp::Preview> preview = Status::Internal("unset");
+  Result<Discovery> discovery = Status::Internal("unset");
   {
     const ScopedTracePhase profiled_phase(TracePhase::kDiscover);
-    if (algorithm == "bf") {
-      preview = BruteForceDiscover(*prepared, response.size, response.distance,
-                                   BruteForceOptions{}, &response.stats);
-    } else if (algorithm == "dp") {
-      if (response.distance.mode != DistanceMode::kNone) {
-        return Status::InvalidArgument(
-            "the dynamic-programming algorithm only solves the concise "
-            "space; distance constraints lack its optimal substructure");
-      }
-      preview = DynamicProgrammingDiscover(*prepared, response.size);
-    } else if (algorithm == "apriori") {
-      preview = AprioriDiscover(*prepared, response.size, response.distance,
-                                AprioriOptions{}, &response.stats);
-    } else {
-      preview = BeamSearchDiscover(*prepared, response.size, response.distance,
-                                   BeamSearchOptions{}, &response.stats);
-    }
+    discovery = Discover(*prepared, response.algorithm, response.size,
+                         response.distance, &response.stats);
   }
-  if (!preview.ok()) return preview.status();
+  if (!discovery.ok()) return discovery.status();
   response.discover_seconds = discover_timer.ElapsedSeconds();
-  response.preview = std::move(preview).value();
+  response.algorithm = std::move(discovery->algorithm);
+  response.preview = std::move(discovery->preview);
   response.score = response.preview.Score(*prepared);
 
   if (request.sample_rows > 0) {

@@ -1,10 +1,14 @@
-// Unit tests of the three discovery algorithms on the paper's running
-// example and hand-checkable schema graphs.
+// Unit tests of the discovery algorithms and their one dispatch,
+// Discover(), on the paper's running example and hand-checkable schema
+// graphs.
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "core/apriori.h"
+#include "core/beam_search.h"
 #include "core/brute_force.h"
-#include "core/discoverer.h"
+#include "core/discover.h"
 #include "core/dynamic_programming.h"
 #include "datagen/paper_example.h"
 
@@ -71,16 +75,12 @@ TEST_F(DiscoveryTest, TightOptimumMatchesConciseHere) {
 }
 
 TEST_F(DiscoveryTest, SingleTablePreviews) {
-  for (auto algorithm : {Algorithm::kBruteForce,
-                         Algorithm::kDynamicProgramming}) {
-    PreviewDiscoverer discoverer(*prepared_);
-    DiscoveryOptions options;
-    options.size = {1, 3};
-    options.algorithm = algorithm;
-    const auto preview = discoverer.Discover(options);
-    ASSERT_TRUE(preview.ok());
+  for (const char* algorithm : {"bf", "dp"}) {
+    const auto discovery = Discover(*prepared_, algorithm, SizeConstraint{1, 3},
+                                    DistanceConstraint::None());
+    ASSERT_TRUE(discovery.ok()) << algorithm;
     // Best single table: FILM with top-3 = 4·15 = 60.
-    EXPECT_DOUBLE_EQ(preview->Score(*prepared_), 60.0);
+    EXPECT_DOUBLE_EQ(discovery->preview.Score(*prepared_), 60.0);
   }
 }
 
@@ -147,38 +147,88 @@ TEST_F(DiscoveryTest, TruncationStopsEnumeration) {
 }
 
 TEST_F(DiscoveryTest, AutoDispatch) {
-  PreviewDiscoverer discoverer(*prepared_);
-  DiscoveryOptions concise;
-  concise.size = {2, 6};
-  const auto p1 = discoverer.Discover(concise);
-  ASSERT_TRUE(p1.ok());
-  EXPECT_DOUBLE_EQ(p1->Score(discoverer.prepared()), 84.0);
+  const auto concise = Discover(*prepared_, "auto", SizeConstraint{2, 6},
+                                DistanceConstraint::None());
+  ASSERT_TRUE(concise.ok());
+  EXPECT_EQ(concise->algorithm, "dp");
+  EXPECT_DOUBLE_EQ(concise->preview.Score(*prepared_), 84.0);
 
-  DiscoveryOptions diverse;
-  diverse.size = {2, 6};
-  diverse.distance = DistanceConstraint::Diverse(2);
-  const auto p2 = discoverer.Discover(diverse);
-  ASSERT_TRUE(p2.ok());
-  EXPECT_DOUBLE_EQ(p2->Score(discoverer.prepared()), 78.0);
+  const auto diverse = Discover(*prepared_, "auto", SizeConstraint{2, 6},
+                                DistanceConstraint::Diverse(2));
+  ASSERT_TRUE(diverse.ok());
+  EXPECT_EQ(diverse->algorithm, "apriori");
+  EXPECT_DOUBLE_EQ(diverse->preview.Score(*prepared_), 78.0);
 }
 
 TEST_F(DiscoveryTest, DpRejectsDistanceConstraint) {
-  PreviewDiscoverer discoverer(*prepared_);
-  DiscoveryOptions options;
-  options.size = {2, 6};
-  options.distance = DistanceConstraint::Tight(2);
-  options.algorithm = Algorithm::kDynamicProgramming;
-  const auto preview = discoverer.Discover(options);
-  EXPECT_FALSE(preview.ok());
-  EXPECT_EQ(preview.status().code(), StatusCode::kInvalidArgument);
+  const auto discovery = Discover(*prepared_, "dp", SizeConstraint{2, 6},
+                                  DistanceConstraint::Tight(2));
+  EXPECT_FALSE(discovery.ok());
+  EXPECT_EQ(discovery.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(discovery.status().message(),
+            "the dynamic-programming algorithm only solves the concise "
+            "space; distance constraints lack its optimal substructure");
 }
 
-TEST_F(DiscoveryTest, AlgorithmNames) {
-  EXPECT_STREQ(AlgorithmName(Algorithm::kAuto), "Auto");
-  EXPECT_STREQ(AlgorithmName(Algorithm::kBruteForce), "BruteForce");
-  EXPECT_STREQ(AlgorithmName(Algorithm::kDynamicProgramming),
-               "DynamicProgramming");
-  EXPECT_STREQ(AlgorithmName(Algorithm::kApriori), "Apriori");
+/// The per-algorithm function that Discover() should run for `algorithm`
+/// (a canonical name, "auto" resolved), called directly.
+Result<Preview> DirectDiscover(const PreparedSchema& prepared,
+                               const std::string& algorithm,
+                               const SizeConstraint& size,
+                               const DistanceConstraint& distance,
+                               DiscoveryStats* stats) {
+  if (algorithm == "bf") {
+    return BruteForceDiscover(prepared, size, distance, {}, stats);
+  }
+  if (algorithm == "dp") return DynamicProgrammingDiscover(prepared, size);
+  if (algorithm == "apriori") {
+    return AprioriDiscover(prepared, size, distance, {}, stats);
+  }
+  return BeamSearchDiscover(prepared, size, distance, {}, stats);
+}
+
+TEST_F(DiscoveryTest, DiscoverMatchesTheAlgorithmItNames) {
+  const SizeConstraint size{2, 6};
+  for (const std::string name :
+       {"auto", "bf", "bruteforce", "dp", "apriori", "beam"}) {
+    for (const DistanceConstraint distance :
+         {DistanceConstraint::None(), DistanceConstraint::Tight(1),
+          DistanceConstraint::Diverse(2)}) {
+      const bool concise = distance.mode == DistanceMode::kNone;
+      std::string expected = name == "bruteforce" ? "bf" : name;
+      if (name == "auto") expected = concise ? "dp" : "apriori";
+      SCOPED_TRACE(name + " d=" + std::to_string(distance.d));
+
+      DiscoveryStats stats;
+      const auto discovery = Discover(*prepared_, name, size, distance, &stats);
+      if (expected == "dp" && !concise) {
+        EXPECT_EQ(discovery.status().code(), StatusCode::kInvalidArgument);
+        continue;
+      }
+      ASSERT_TRUE(discovery.ok()) << discovery.status().ToString();
+      EXPECT_EQ(discovery->algorithm, expected);
+
+      DiscoveryStats direct_stats;
+      const auto direct =
+          DirectDiscover(*prepared_, expected, size, distance, &direct_stats);
+      ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+      EXPECT_EQ(discovery->preview.Keys(), direct->Keys());
+      EXPECT_EQ(std::bit_cast<uint64_t>(discovery->preview.Score(*prepared_)),
+                std::bit_cast<uint64_t>(direct->Score(*prepared_)));
+      EXPECT_EQ(stats.subsets_enumerated, direct_stats.subsets_enumerated);
+      EXPECT_EQ(stats.subsets_scored, direct_stats.subsets_scored);
+      EXPECT_EQ(stats.truncated, direct_stats.truncated);
+    }
+  }
+}
+
+TEST_F(DiscoveryTest, DiscoverRejectsAnUnknownName) {
+  const auto discovery = Discover(*prepared_, "nope", SizeConstraint{2, 6},
+                                  DistanceConstraint::None());
+  const Status expected = CanonicalAlgorithmName("nope").status();
+  EXPECT_EQ(expected.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(discovery.status().code(), expected.code());
+  EXPECT_EQ(discovery.status().message(), expected.message());
 }
 
 TEST(DiscoveryEdgeCaseTest, PreviewMayUseFewerThanNAttributes) {

@@ -7,7 +7,7 @@
 #include <tuple>
 #include <vector>
 
-#include "core/discoverer.h"
+#include "core/discover.h"
 #include "datagen/paper_example.h"
 #include "graph/entity_graph_builder.h"
 
@@ -117,12 +117,10 @@ class TupleSamplerTest : public ::testing::Test {
         SchemaGraph::FromEntityGraph(graph_), PreparedSchemaOptions{});
     ASSERT_TRUE(prepared.ok());
     prepared_ = std::make_unique<PreparedSchema>(std::move(prepared).value());
-    PreviewDiscoverer discoverer(*prepared_);
-    DiscoveryOptions options;
-    options.size = {2, 6};
-    auto preview = discoverer.Discover(options);
-    ASSERT_TRUE(preview.ok());
-    preview_ = std::move(preview).value();
+    auto discovery = Discover(*prepared_, "auto", SizeConstraint{2, 6},
+                              DistanceConstraint::None());
+    ASSERT_TRUE(discovery.ok());
+    preview_ = std::move(discovery->preview);
   }
 
   EntityGraph graph_;

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/discoverer.h"
+#include "core/discover.h"
 #include "datagen/paper_example.h"
 
 namespace egp {
@@ -53,12 +53,10 @@ TEST_F(GraphvizTest, CountsToggle) {
 TEST_F(GraphvizTest, PreviewHighlightsKeysAndAttributes) {
   auto prepared = PreparedSchema::Create(schema_, PreparedSchemaOptions{});
   ASSERT_TRUE(prepared.ok());
-  PreviewDiscoverer discoverer(std::move(prepared).value());
-  DiscoveryOptions options;
-  options.size = {2, 6};
-  auto preview = discoverer.Discover(options);
-  ASSERT_TRUE(preview.ok());
-  const std::string dot = PreviewToDot(discoverer.prepared(), *preview);
+  auto discovery = Discover(*prepared, "auto", SizeConstraint{2, 6},
+                            DistanceConstraint::None());
+  ASSERT_TRUE(discovery.ok());
+  const std::string dot = PreviewToDot(*prepared, discovery->preview);
   EXPECT_NE(dot.find("fillcolor=lightblue"), std::string::npos);
   EXPECT_NE(dot.find("penwidth=2.5"), std::string::npos);
   // Exactly k key nodes are highlighted.

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/discoverer.h"
+#include "core/discover.h"
 #include "datagen/paper_example.h"
 
 namespace egp {
@@ -16,14 +16,13 @@ class RendererTest : public ::testing::Test {
         SchemaGraph::FromEntityGraph(graph_), PreparedSchemaOptions{});
     ASSERT_TRUE(prepared.ok());
     prepared_ = std::make_unique<PreparedSchema>(std::move(prepared).value());
-    PreviewDiscoverer discoverer(*prepared_);
-    DiscoveryOptions options;
-    options.size = {2, 6};
-    auto preview = discoverer.Discover(options);
-    ASSERT_TRUE(preview.ok());
+    auto discovery = Discover(*prepared_, "auto", SizeConstraint{2, 6},
+                              DistanceConstraint::None());
+    ASSERT_TRUE(discovery.ok());
     TupleSamplerOptions sampler;
     sampler.rows_per_table = 4;
-    auto mat = MaterializePreview(graph_, *prepared_, *preview, sampler);
+    auto mat =
+        MaterializePreview(graph_, *prepared_, discovery->preview, sampler);
     ASSERT_TRUE(mat.ok());
     materialized_ = std::move(mat).value();
   }
@@ -95,12 +94,10 @@ TEST_F(RendererTest, SampledRowNoteShown) {
   TupleSamplerOptions sampler;
   sampler.rows_per_table = 1;
   auto preview = materialized_;
-  PreviewDiscoverer discoverer(*prepared_);
-  DiscoveryOptions options;
-  options.size = {1, 2};
-  auto p = discoverer.Discover(options);
+  auto p = Discover(*prepared_, "auto", SizeConstraint{1, 2},
+                    DistanceConstraint::None());
   ASSERT_TRUE(p.ok());
-  auto mat = MaterializePreview(graph_, *prepared_, *p, sampler);
+  auto mat = MaterializePreview(graph_, *prepared_, p->preview, sampler);
   ASSERT_TRUE(mat.ok());
   const std::string text = RenderPreview(graph_, *mat);
   EXPECT_NE(text.find("of 4 tuples shown"), std::string::npos);

@@ -11,7 +11,7 @@ TEST(ReportTest, ContainsAllSections) {
   const EntityGraph graph = BuildPaperExampleGraph();
   ReportOptions options;
   options.title = "Film excerpt";
-  options.discovery.size = {2, 6};
+  options.size = {2, 6};
   const auto report = GeneratePreviewReport(graph, options);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_NE(report->find("# Film excerpt"), std::string::npos);
@@ -35,8 +35,8 @@ TEST(ReportTest, StatisticsValuesPresent) {
 TEST(ReportTest, DistanceConstraintNoted) {
   const EntityGraph graph = BuildPaperExampleGraph();
   ReportOptions options;
-  options.discovery.size = {2, 6};
-  options.discovery.distance = DistanceConstraint::Diverse(2);
+  options.size = {2, 6};
+  options.distance = DistanceConstraint::Diverse(2);
   const auto report = GeneratePreviewReport(graph, options);
   ASSERT_TRUE(report.ok());
   EXPECT_NE(report->find("diverse d=2"), std::string::npos);
@@ -46,7 +46,7 @@ TEST(ReportTest, DistanceConstraintNoted) {
 TEST(ReportTest, DotAppendixOptIn) {
   const EntityGraph graph = BuildPaperExampleGraph();
   ReportOptions without;
-  without.discovery.size = {2, 6};
+  without.size = {2, 6};
   ReportOptions with = without;
   with.include_dot = true;
   const auto a = GeneratePreviewReport(graph, without);
@@ -59,7 +59,7 @@ TEST(ReportTest, DotAppendixOptIn) {
 TEST(ReportTest, InfeasibleDiscoveryPropagates) {
   const EntityGraph graph = BuildPaperExampleGraph();
   ReportOptions options;
-  options.discovery.size = {9, 12};  // more tables than types
+  options.size = {9, 12};  // more tables than types
   const auto report = GeneratePreviewReport(graph, options);
   EXPECT_FALSE(report.ok());
   EXPECT_EQ(report.status().code(), StatusCode::kNotFound);
@@ -70,7 +70,7 @@ TEST(ReportTest, RandomWalkEntropyMeasures) {
   ReportOptions options;
   options.measures.key_measure = KeyMeasure::kRandomWalk;
   options.measures.nonkey_measure = NonKeyMeasure::kEntropy;
-  options.discovery.size = {2, 5};
+  options.size = {2, 5};
   const auto report = GeneratePreviewReport(graph, options);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_NE(report->find("RandomWalk"), std::string::npos);

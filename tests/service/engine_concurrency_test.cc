@@ -1,7 +1,7 @@
 // Engine concurrency: many threads issuing mixed requests against one
 // Engine must produce exactly the results the single-threaded internal
-// layer (PreparedSchema::Create + PreviewDiscoverer) produces, with no
-// data races. Run under ASan/UBSan in the sanitize CI job and under
+// layer (PreparedSchema::Create + the per-algorithm functions) produces,
+// with no data races. Run under ASan/UBSan in the sanitize CI job and under
 // ThreadSanitizer in the tsan job (EGP_SANITIZE=thread).
 #include <gtest/gtest.h>
 
@@ -9,8 +9,9 @@
 #include <thread>
 #include <vector>
 
+#include "core/apriori.h"
 #include "core/beam_search.h"
-#include "core/discoverer.h"
+#include "core/dynamic_programming.h"
 #include "datagen/generator.h"
 #include "datagen/paper_example.h"
 #include "service/engine.h"
@@ -25,7 +26,8 @@ struct RequestCase {
 };
 
 /// Computes the golden score for one request the single-threaded way,
-/// through the internal layer the Engine wraps.
+/// calling the algorithm the request names directly, so the oracle does
+/// not share the Engine's dispatch.
 double GoldenScore(const EntityGraph& graph, const PreviewRequest& request) {
   PreparedSchemaOptions options;
   options.key_measure = request.measures.key == "randomwalk"
@@ -37,24 +39,18 @@ double GoldenScore(const EntityGraph& graph, const PreviewRequest& request) {
   auto prepared = PreparedSchema::Create(SchemaGraph::FromEntityGraph(graph),
                                          options, &graph);
   EXPECT_TRUE(prepared.ok()) << prepared.status().ToString();
-  if (request.algorithm == "beam") {
-    const auto preview = BeamSearchDiscover(*prepared, request.size,
-                                            request.distance);
-    EXPECT_TRUE(preview.ok());
-    return preview->Score(*prepared);
-  }
-  PreviewDiscoverer discoverer(std::move(prepared).value());
-  DiscoveryOptions discovery;
-  discovery.size = request.size;
-  discovery.distance = request.distance;
+  Result<Preview> preview = Status::Internal("unset");
   if (request.algorithm == "bf") {
-    discovery.algorithm = Algorithm::kBruteForce;
-  } else if (request.algorithm == "apriori") {
-    discovery.algorithm = Algorithm::kApriori;
+    preview = BruteForceDiscover(*prepared, request.size, request.distance);
+  } else if (request.algorithm == "beam") {
+    preview = BeamSearchDiscover(*prepared, request.size, request.distance);
+  } else if (request.distance.mode == DistanceMode::kNone) {  // "auto"
+    preview = DynamicProgrammingDiscover(*prepared, request.size);
+  } else {
+    preview = AprioriDiscover(*prepared, request.size, request.distance);
   }
-  const auto preview = discoverer.Discover(discovery);
   EXPECT_TRUE(preview.ok()) << preview.status().ToString();
-  return preview->Score(discoverer.prepared());
+  return preview->Score(*prepared);
 }
 
 /// The mixed request matrix: sizes × distance constraints × measures ×

@@ -383,8 +383,7 @@ int CmdReport(const std::string& path, const Flags& flags) {
   ReportOptions options;
   options.title = flags.Get("title", "Dataset preview: " + path);
   const Status constraints =
-      ParseConstraintFlags(flags, 3, 9, &options.discovery.size,
-                           &options.discovery.distance);
+      ParseConstraintFlags(flags, 3, 9, &options.size, &options.distance);
   if (!constraints.ok()) return UsageError(constraints.message());
   // The report layer still takes the built-in measures by enum.
   const std::string key = flags.Get("key", "coverage");

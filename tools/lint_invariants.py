@@ -3,7 +3,7 @@
 
 Scope: first-party C++ under src/, tools/, bench/ (tests are exempt —
 they deliberately poke at internals, e.g. raw sockets for misbehaving
-clients). Six rule families, each born from a real bug class here:
+clients). Seven rule families, each born from a real bug class here:
 
   blocking-io   The event-loop serving core must never block on a
                 socket. The convenience blocking wrappers (SendAll,
@@ -40,6 +40,18 @@ clients). Six rule families, each born from a real bug class here:
                 (core/ including server/, say) couples the algorithm
                 layer to the serving layer and eventually deadlocks the
                 build graph. The matrix below is the whole truth.
+
+  single-dispatch
+                Library code picks a discovery algorithm through one
+                function, Discover() in src/core/discover.h, so the
+                auto policy (DP concise, Apriori tight/diverse) and the
+                DP-with-distance rejection live in one place. Calls to
+                BruteForceDiscover / DynamicProgrammingDiscover /
+                AprioriDiscover / BeamSearchDiscover under src/ are
+                allowed only in src/core/ (the dispatch and the
+                algorithms themselves) and src/reduction/ (its
+                NP-hardness check runs brute force). Benches and tools
+                call the algorithms directly to reproduce the paper.
 
 Exit status 0 when clean; 1 with `path:line: [rule] message` findings
 otherwise. Run from anywhere: paths resolve against the repo root.
@@ -107,6 +119,14 @@ NAKED_STDERR_RE = re.compile(r"\bfprintf\s*\(\s*stderr\b|\bstd::cerr\b")
 NAKED_STDERR_ALLOWED = {
     "src/common/logging.cc",  # the logger is the single stderr writer
 }
+
+# ---------------------------------------------------------------------------
+# Rule: single-dispatch
+# ---------------------------------------------------------------------------
+DIRECT_DISCOVER_RE = re.compile(
+    r"\b(BruteForceDiscover|DynamicProgrammingDiscover|AprioriDiscover"
+    r"|BeamSearchDiscover)\s*\(")
+DIRECT_DISCOVER_ALLOWED_DIRS = ("src/core/", "src/reduction/")
 
 # ---------------------------------------------------------------------------
 # Rule: layering
@@ -184,6 +204,14 @@ def scan_file(rel_path: str, findings: list) -> None:
                 f"{rel_path}:{lineno}: [no-naked-stderr] direct stderr "
                 f"write in library code bypasses the level gate — use "
                 f"EGP_LOG from common/logging.h")
+        if (rel_path.startswith("src/")
+                and not rel_path.startswith(DIRECT_DISCOVER_ALLOWED_DIRS)):
+            m = DIRECT_DISCOVER_RE.search(line)
+            if m:
+                findings.append(
+                    f"{rel_path}:{lineno}: [single-dispatch] direct "
+                    f"{m.group(1)}() call — dispatch through Discover() "
+                    f"from core/discover.h")
         if module is not None:
             for inc in QUOTED_INCLUDE_RE.findall(line):
                 target = inc.split("/", 1)[0]
