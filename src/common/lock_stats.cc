@@ -8,19 +8,12 @@ namespace egp {
 namespace {
 
 // Fixed table: global Mutex objects register during static
-// initialization, so this must be constant-initializable (zero atomics)
+// initialization, so this must be constant-initialized (zero atomics)
 // with no dynamic allocation and no guard variable.
 constexpr size_t kMaxLockSites = 128;
-LockSite g_sites[kMaxLockSites];
+constinit LockSite g_sites[kMaxLockSites];
 std::atomic<size_t> g_site_count{0};
 std::atomic<bool> g_enabled{true};
-
-size_t WaitBucketIndex(double seconds) {
-  for (size_t i = 0; i < kLockWaitBucketCount - 1; ++i) {
-    if (seconds <= kLockWaitBounds[i]) return i;
-  }
-  return kLockWaitBucketCount - 1;  // +Inf
-}
 
 void UpdateMax(std::atomic<uint64_t>& slot, uint64_t value) {
   uint64_t seen = slot.load(std::memory_order_relaxed);
@@ -73,10 +66,8 @@ void RecordLockWait(LockSite* site, int64_t wait_nanos) {
   if (wait_nanos < 0) wait_nanos = 0;
   const auto nanos = static_cast<uint64_t>(wait_nanos);
   site->contentions.fetch_add(1, std::memory_order_relaxed);
-  site->wait_nanos.fetch_add(nanos, std::memory_order_relaxed);
+  site->wait.ObserveNanos(nanos);
   UpdateMax(site->max_wait_nanos, nanos);
-  const size_t bucket = WaitBucketIndex(static_cast<double>(wait_nanos) * 1e-9);
-  site->wait_buckets[bucket].fetch_add(1, std::memory_order_relaxed);
 }
 
 void RecordLockHold(LockSite* site, int64_t hold_nanos) {
@@ -105,16 +96,11 @@ std::vector<LockSiteSnapshot> SnapshotLockSites() {
     snap.name = name;
     snap.acquisitions = site.acquisitions.load(std::memory_order_relaxed);
     snap.contentions = site.contentions.load(std::memory_order_relaxed);
-    snap.wait_seconds =
-        static_cast<double>(site.wait_nanos.load(std::memory_order_relaxed)) *
-        1e-9;
+    snap.wait = site.wait.snapshot();
     snap.max_wait_seconds =
         static_cast<double>(
             site.max_wait_nanos.load(std::memory_order_relaxed)) *
         1e-9;
-    for (size_t b = 0; b < kLockWaitBucketCount; ++b) {
-      snap.wait_buckets[b] = site.wait_buckets[b].load(std::memory_order_relaxed);
-    }
     snap.hold_samples = site.hold_samples.load(std::memory_order_relaxed);
     snap.hold_seconds =
         static_cast<double>(site.hold_nanos.load(std::memory_order_relaxed)) *

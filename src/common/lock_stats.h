@@ -7,7 +7,7 @@
 // per site:
 //
 //   - contentions: acquisitions that found the lock held and had to wait,
-//     with the wait time in a fixed-bound histogram (egp_mutex_wait_seconds)
+//     with the wait time in a Histogram (egp_mutex_wait_seconds)
 //   - sampled hold times: 1 in kHoldSamplePeriod acquisitions measure
 //     lock-held duration, so the cost on the hot path is a counter bump
 //
@@ -23,9 +23,10 @@
 #define EGP_COMMON_LOCK_STATS_H_
 
 #include <atomic>
-#include <cstddef>
 #include <cstdint>
 #include <vector>
+
+#include "common/histogram.h"
 
 namespace egp {
 
@@ -34,8 +35,6 @@ namespace egp {
 /// server is in trouble" (a second-long convoy). +Inf is implicit.
 inline constexpr double kLockWaitBounds[] = {1e-6, 1e-5, 1e-4,
                                              1e-3, 1e-2, 1e-1, 1.0};
-inline constexpr size_t kLockWaitBucketCount =
-    sizeof(kLockWaitBounds) / sizeof(kLockWaitBounds[0]) + 1;  // + Inf
 
 /// One acquisition in kHoldSamplePeriod measures hold time.
 inline constexpr uint64_t kHoldSamplePeriod = 64;
@@ -48,9 +47,8 @@ struct LockSite {
   std::atomic<const char*> name{nullptr};
   std::atomic<uint64_t> acquisitions{0};  // all Lock()/TryLock() successes
   std::atomic<uint64_t> contentions{0};   // acquisitions that waited
-  std::atomic<uint64_t> wait_nanos{0};    // total nanos spent waiting
+  Histogram wait{kLockWaitBounds};        // wait times and their total
   std::atomic<uint64_t> max_wait_nanos{0};
-  std::atomic<uint64_t> wait_buckets[kLockWaitBucketCount] = {};
   std::atomic<uint64_t> hold_samples{0};  // acquisitions with timed hold
   std::atomic<uint64_t> hold_nanos{0};    // total nanos across samples
   std::atomic<uint64_t> max_hold_nanos{0};
@@ -85,9 +83,8 @@ struct LockSiteSnapshot {
   const char* name = nullptr;
   uint64_t acquisitions = 0;
   uint64_t contentions = 0;
-  double wait_seconds = 0;
+  Histogram::Snapshot wait;  // wait.sum_seconds is the total wait
   double max_wait_seconds = 0;
-  uint64_t wait_buckets[kLockWaitBucketCount] = {};  // per-bucket counts
   uint64_t hold_samples = 0;
   double hold_seconds = 0;
   double max_hold_seconds = 0;

@@ -1,9 +1,12 @@
 #include "server/api.h"
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
+#include <type_traits>
 
 #include "common/lock_stats.h"
 #include "common/profiler.h"
@@ -196,6 +199,13 @@ Status ParseMeasures(const JsonValue& doc, MeasureSelection* measures) {
   return Status::OK();
 }
 
+/// A Prometheus label pair, `name="value"`.
+std::string Label(std::string_view name, std::string_view value) {
+  std::string label(name);
+  label.append("=\"").append(value).append("\"");
+  return label;
+}
+
 /// Value of `key` in an application/x-www-form-urlencoded query string,
 /// or empty. No percent-decoding: the debug endpoint's parameters are
 /// plain numbers.
@@ -212,6 +222,30 @@ std::string_view QueryParam(std::string_view query, std::string_view key) {
     query.remove_prefix(amp + 1);
   }
   return {};
+}
+
+/// Reads query parameter `key` into `*value` when it is present: the
+/// whole value must parse (strtod for double, base-10 strtol for long)
+/// to a number in [min, max]. False for a malformed or out-of-range
+/// value; an absent one leaves `*value` as it is.
+template <typename T>
+bool QueryNumber(std::string_view query, std::string_view key, T min, T max,
+                 T* value) {
+  const std::string_view raw = QueryParam(query, key);
+  if (raw.empty()) return true;
+  const std::string text(raw);
+  char* end = nullptr;
+  T parsed;
+  if constexpr (std::is_same_v<T, double>) {
+    parsed = std::strtod(text.c_str(), &end);
+  } else {
+    parsed = std::strtol(text.c_str(), &end, 10);
+  }
+  if (end != text.c_str() + text.size() || !(parsed >= min && parsed <= max)) {
+    return false;
+  }
+  *value = parsed;
+  return true;
 }
 
 Result<DisplayBudget> ParseBudget(const JsonValue& field) {
@@ -646,213 +680,143 @@ HttpResponse PreviewService::HandleHealthz() const {
 
 HttpResponse PreviewService::HandleMetrics() const {
   std::string out = metrics_.PrometheusText();
+  MetricsWriter metrics(&out);
 
-  AppendMetricHeader(&out, "egp_prepared_cache_hits_total", "counter",
-                     "Prepared-schema cache hits, by dataset.");
+  // One cache_stats() read per dataset: a scrape's hits, misses,
+  // evictions and entries come from the same moment.
+  std::vector<std::pair<std::string, Engine::CacheStats>> caches;
   for (const DatasetCatalog::Info& info : catalog_.infos()) {
-    const Engine* engine = catalog_.Find(info.name);
-    const Engine::CacheStats stats = engine->cache_stats();
-    AppendMetric(&out, "egp_prepared_cache_hits_total",
-                 "dataset=\"" + info.name + "\"", stats.hits);
+    caches.emplace_back(Label("dataset", info.name),
+                        catalog_.Find(info.name)->cache_stats());
   }
-  AppendMetricHeader(&out, "egp_prepared_cache_misses_total", "counter",
-                     "Prepared-schema cache misses, by dataset.");
-  for (const DatasetCatalog::Info& info : catalog_.infos()) {
-    const Engine::CacheStats stats =
-        catalog_.Find(info.name)->cache_stats();
-    AppendMetric(&out, "egp_prepared_cache_misses_total",
-                 "dataset=\"" + info.name + "\"", stats.misses);
+  metrics.Family("egp_prepared_cache_hits_total", "counter",
+                 "Prepared-schema cache hits, by dataset.");
+  for (const auto& [labels, stats] : caches) metrics.Sample(stats.hits, labels);
+  metrics.Family("egp_prepared_cache_misses_total", "counter",
+                 "Prepared-schema cache misses, by dataset.");
+  for (const auto& [labels, stats] : caches) {
+    metrics.Sample(stats.misses, labels);
   }
-  AppendMetricHeader(&out, "egp_prepared_cache_evictions_total", "counter",
-                     "Prepared-schema cache evictions, by dataset.");
-  for (const DatasetCatalog::Info& info : catalog_.infos()) {
-    const Engine::CacheStats stats =
-        catalog_.Find(info.name)->cache_stats();
-    AppendMetric(&out, "egp_prepared_cache_evictions_total",
-                 "dataset=\"" + info.name + "\"", stats.evictions);
+  metrics.Family("egp_prepared_cache_evictions_total", "counter",
+                 "Prepared-schema cache evictions, by dataset.");
+  for (const auto& [labels, stats] : caches) {
+    metrics.Sample(stats.evictions, labels);
   }
-  AppendMetricHeader(&out, "egp_prepared_cache_entries", "gauge",
-                     "Prepared schemas currently cached, by dataset.");
-  for (const DatasetCatalog::Info& info : catalog_.infos()) {
-    const Engine::CacheStats stats =
-        catalog_.Find(info.name)->cache_stats();
-    AppendMetric(&out, "egp_prepared_cache_entries",
-                 "dataset=\"" + info.name + "\"",
-                 static_cast<uint64_t>(stats.entries));
+  metrics.Family("egp_prepared_cache_entries", "gauge",
+                 "Prepared schemas currently cached, by dataset.");
+  for (const auto& [labels, stats] : caches) {
+    metrics.Sample(stats.entries, labels);
   }
 
-  AppendMetricHeader(&out, "egp_catalog_datasets_loaded", "gauge",
-                     "Datasets serving from the catalog.");
-  AppendMetric(&out, "egp_catalog_datasets_loaded", "",
-               static_cast<uint64_t>(catalog_.size()));
-  AppendMetricHeader(&out, "egp_catalog_datasets_failed", "gauge",
-                     "Datasets that failed to load.");
-  AppendMetric(&out, "egp_catalog_datasets_failed", "",
-               static_cast<uint64_t>(catalog_.failed().size()));
-
-  {
-    const AdmissionStats admission = admission_.stats();
-    AppendMetricHeader(&out, "egp_admission_hot_total", "counter",
-                       "Previews admitted on the hot (cached) path.");
-    AppendMetric(&out, "egp_admission_hot_total", "", admission.hot_admitted);
-    AppendMetricHeader(&out, "egp_admission_cold_admitted_total", "counter",
-                       "Cold previews granted a build slot.");
-    AppendMetric(&out, "egp_admission_cold_admitted_total", "",
-                 admission.cold_admitted);
-    AppendMetricHeader(&out, "egp_admission_cold_queued_total", "counter",
-                       "Cold previews that waited in the build queue.");
-    AppendMetric(&out, "egp_admission_cold_queued_total", "",
-                 admission.cold_queued);
-    AppendMetricHeader(&out, "egp_admission_cold_shed_total", "counter",
-                       "Cold previews shed with 503.");
-    AppendMetric(&out, "egp_admission_cold_shed_total", "",
-                 admission.cold_shed);
-    AppendMetricHeader(&out, "egp_admission_cold_inflight", "gauge",
-                       "Cold builds currently holding a slot.");
-    AppendMetric(&out, "egp_admission_cold_inflight", "",
-                 static_cast<uint64_t>(admission.cold_inflight));
-    AppendMetricHeader(&out, "egp_admission_cold_queue_depth", "gauge",
-                       "Cold builds currently queued for a slot.");
-    AppendMetric(&out, "egp_admission_cold_queue_depth", "",
-                 static_cast<uint64_t>(admission.cold_queue_depth));
-  }
+  const AdmissionStats admission = admission_.stats();
+  metrics.Scalars({
+      {"egp_catalog_datasets_loaded", "gauge",
+       "Datasets serving from the catalog.", catalog_.size()},
+      {"egp_catalog_datasets_failed", "gauge", "Datasets that failed to load.",
+       catalog_.failed().size()},
+      {"egp_admission_hot_total", "counter",
+       "Previews admitted on the hot (cached) path.", admission.hot_admitted},
+      {"egp_admission_cold_admitted_total", "counter",
+       "Cold previews granted a build slot.", admission.cold_admitted},
+      {"egp_admission_cold_queued_total", "counter",
+       "Cold previews that waited in the build queue.", admission.cold_queued},
+      {"egp_admission_cold_shed_total", "counter",
+       "Cold previews shed with 503.", admission.cold_shed},
+      {"egp_admission_cold_inflight", "gauge",
+       "Cold builds currently holding a slot.", admission.cold_inflight},
+      {"egp_admission_cold_queue_depth", "gauge",
+       "Cold builds currently queued for a slot.", admission.cold_queue_depth},
+  });
 
   if (const HttpServer* server = server_.load(std::memory_order_acquire)) {
     const HttpServerStats stats = server->stats();
-    AppendMetricHeader(&out, "egp_http_connections_accepted_total",
-                       "counter", "Connections accepted.");
-    AppendMetric(&out, "egp_http_connections_accepted_total", "",
-                 stats.accepted_connections);
-    AppendMetricHeader(&out, "egp_http_connections_rejected_total",
-                       "counter", "Connections 503'd at the cap.");
-    AppendMetric(&out, "egp_http_connections_rejected_total", "",
-                 stats.rejected_connections);
-    AppendMetricHeader(&out, "egp_http_connections_timed_out_total",
-                       "counter", "Connections closed by an I/O deadline.");
-    AppendMetric(&out, "egp_http_connections_timed_out_total", "",
-                 stats.timed_out_connections);
-    AppendMetricHeader(&out, "egp_http_parse_errors_total", "counter",
-                       "Requests rejected by the HTTP parser.");
-    AppendMetric(&out, "egp_http_parse_errors_total", "",
-                 stats.parse_errors);
-    AppendMetricHeader(&out, "egp_http_accept_overloads_total", "counter",
-                       "Accept failures from fd or memory exhaustion.");
-    AppendMetric(&out, "egp_http_accept_overloads_total", "",
-                 stats.accept_overloads);
-    AppendMetricHeader(&out, "egp_http_overload_sheds_total", "counter",
-                       "Connections shed via the emergency descriptor.");
-    AppendMetric(&out, "egp_http_overload_sheds_total", "",
-                 stats.overload_sheds);
-
+    metrics.Scalars({
+        {"egp_http_connections_accepted_total", "counter",
+         "Connections accepted.", stats.accepted_connections},
+        {"egp_http_connections_rejected_total", "counter",
+         "Connections 503'd at the cap.", stats.rejected_connections},
+        {"egp_http_connections_timed_out_total", "counter",
+         "Connections closed by an I/O deadline.", stats.timed_out_connections},
+        {"egp_http_parse_errors_total", "counter",
+         "Requests rejected by the HTTP parser.", stats.parse_errors},
+        {"egp_http_accept_overloads_total", "counter",
+         "Accept failures from fd or memory exhaustion.",
+         stats.accept_overloads},
+        {"egp_http_overload_sheds_total", "counter",
+         "Connections shed via the emergency descriptor.",
+         stats.overload_sheds},
+    });
     const HttpServerRuntimeStats runtime = server->runtime_stats();
-    AppendHistogram(
-        &out, "egp_loop_lag_seconds",
-        "Event-loop pass duration (epoll wake until back to waiting).",
-        runtime.loop_lag);
-    AppendMetricHeader(&out, "egp_connections", "gauge",
-                       "Open connections by lifecycle phase.");
-    AppendMetric(&out, "egp_connections", "phase=\"reading\"",
-                 static_cast<uint64_t>(runtime.connections_reading));
-    AppendMetric(&out, "egp_connections", "phase=\"handling\"",
-                 static_cast<uint64_t>(runtime.connections_handling));
-    AppendMetric(&out, "egp_connections", "phase=\"writing\"",
-                 static_cast<uint64_t>(runtime.connections_writing));
-    AppendMetricHeader(&out, "egp_timer_heap_depth", "gauge",
-                       "Deadline-timer heap entries (incl. stale).");
-    AppendMetric(&out, "egp_timer_heap_depth", "",
-                 static_cast<uint64_t>(runtime.timer_heap_depth));
-    AppendMetricHeader(&out, "egp_completion_queue_depth", "gauge",
-                       "Handler results awaiting the event loop.");
-    AppendMetric(&out, "egp_completion_queue_depth", "",
-                 static_cast<uint64_t>(runtime.completion_queue_depth));
+    metrics
+        .Family("egp_loop_lag_seconds", "histogram",
+                "Event-loop pass duration (epoll wake until back to "
+                "waiting).")
+        .Sample(runtime.loop_lag);
+    metrics
+        .Family("egp_connections", "gauge",
+                "Open connections by lifecycle phase.")
+        .Sample(runtime.connections_reading, "phase=\"reading\"")
+        .Sample(runtime.connections_handling, "phase=\"handling\"")
+        .Sample(runtime.connections_writing, "phase=\"writing\"");
+    metrics.Scalars({
+        {"egp_timer_heap_depth", "gauge",
+         "Deadline-timer heap entries (incl. stale).",
+         runtime.timer_heap_depth},
+        {"egp_completion_queue_depth", "gauge",
+         "Handler results awaiting the event loop.",
+         runtime.completion_queue_depth},
+    });
   }
 
   if (const FlightRecorder* recorder =
           recorder_.load(std::memory_order_acquire)) {
-    AppendMetricHeader(&out, "egp_flight_recorder_traces_total", "counter",
-                       "Request traces recorded (ring overwrites count).");
-    AppendMetric(&out, "egp_flight_recorder_traces_total", "",
-                 recorder->recorded());
+    metrics.Scalars({{"egp_flight_recorder_traces_total", "counter",
+                      "Request traces recorded (ring overwrites count).",
+                      recorder->recorded()}});
   }
 
-  {
-    const std::vector<LockSiteSnapshot> sites = SnapshotLockSites();
-    if (!sites.empty()) {
-      AppendMetricHeader(&out, "egp_mutex_acquisitions_total", "counter",
-                         "Labeled-mutex acquisitions, by site.");
-      for (const LockSiteSnapshot& site : sites) {
-        AppendMetric(&out, "egp_mutex_acquisitions_total",
-                     "site=\"" + std::string(site.name) + "\"",
-                     site.acquisitions);
-      }
-      AppendMetricHeader(&out, "egp_mutex_contentions_total", "counter",
-                         "Acquisitions that found the lock held, by site.");
-      for (const LockSiteSnapshot& site : sites) {
-        AppendMetric(&out, "egp_mutex_contentions_total",
-                     "site=\"" + std::string(site.name) + "\"",
-                     site.contentions);
-      }
-      // Hand-rolled histogram: lock-wait bounds differ from the request
-      // LatencyHistogram's, so AppendHistogramSamples does not apply.
-      AppendMetricHeader(&out, "egp_mutex_wait_seconds", "histogram",
-                         "Contended lock-wait time, by site.");
-      for (const LockSiteSnapshot& site : sites) {
-        const std::string prefix = "site=\"" + std::string(site.name) + "\"";
-        uint64_t cumulative = 0;
-        for (size_t i = 0; i + 1 < kLockWaitBucketCount; ++i) {
-          cumulative += site.wait_buckets[i];
-          AppendMetric(&out, "egp_mutex_wait_seconds_bucket",
-                       prefix + ",le=\"" +
-                           StrFormat("%g", kLockWaitBounds[i]) + "\"",
-                       cumulative);
-        }
-        // +Inf and _count derive from the bucket sums (not the separate
-        // contentions counter) so a scrape racing RecordLockWait still
-        // sees a self-consistent, monotone histogram.
-        cumulative += site.wait_buckets[kLockWaitBucketCount - 1];
-        AppendMetric(&out, "egp_mutex_wait_seconds_bucket",
-                     prefix + ",le=\"+Inf\"", cumulative);
-        AppendMetric(&out, "egp_mutex_wait_seconds_sum", prefix,
-                     site.wait_seconds);
-        AppendMetric(&out, "egp_mutex_wait_seconds_count", prefix,
-                     cumulative);
-      }
+  const std::vector<LockSiteSnapshot> sites = SnapshotLockSites();
+  if (!sites.empty()) {
+    metrics.Family("egp_mutex_acquisitions_total", "counter",
+                   "Labeled-mutex acquisitions, by site.");
+    for (const LockSiteSnapshot& site : sites) {
+      metrics.Sample(site.acquisitions, Label("site", site.name));
+    }
+    metrics.Family("egp_mutex_contentions_total", "counter",
+                   "Acquisitions that found the lock held, by site.");
+    for (const LockSiteSnapshot& site : sites) {
+      metrics.Sample(site.contentions, Label("site", site.name));
+    }
+    metrics.Family("egp_mutex_wait_seconds", "histogram",
+                   "Contended lock-wait time, by site.");
+    for (const LockSiteSnapshot& site : sites) {
+      metrics.Sample(site.wait, Label("site", site.name));
     }
   }
 
-  {
-    const ProfilerStats prof = Profiler::Global().stats();
-    AppendMetricHeader(&out, "egp_profiler_windows_total", "counter",
-                       "Completed profiling windows.");
-    AppendMetric(&out, "egp_profiler_windows_total", "", prof.windows_total);
-    AppendMetricHeader(&out, "egp_profiler_samples_total", "counter",
-                       "Stack samples captured across all windows.");
-    AppendMetric(&out, "egp_profiler_samples_total", "", prof.samples_total);
-    AppendMetricHeader(&out, "egp_profiler_dropped_total", "counter",
-                       "Samples dropped to full per-thread rings.");
-    AppendMetric(&out, "egp_profiler_dropped_total", "", prof.dropped_total);
-    AppendMetricHeader(&out, "egp_profiler_active", "gauge",
-                       "1 while a profiling window is collecting.");
-    AppendMetric(&out, "egp_profiler_active", "",
-                 static_cast<uint64_t>(prof.active ? 1 : 0));
-    AppendMetricHeader(&out, "egp_profiler_threads", "gauge",
-                       "Threads registered for profiling signals.");
-    AppendMetric(&out, "egp_profiler_threads", "",
-                 static_cast<uint64_t>(prof.registered_threads));
-  }
-
+  const ProfilerStats prof = Profiler::Global().stats();
   const ProcessStats process = ReadProcessStats();
-  AppendMetricHeader(&out, "egp_process_resident_bytes", "gauge",
-                     "Resident set size from /proc/self/statm.");
-  AppendMetric(&out, "egp_process_resident_bytes", "",
-               process.resident_bytes);
-  AppendMetricHeader(&out, "egp_process_open_fds", "gauge",
-                     "Open file descriptors.");
-  AppendMetric(&out, "egp_process_open_fds", "", process.open_fds);
-  AppendMetricHeader(&out, "egp_process_uptime_seconds", "gauge",
-                     "Seconds since process start.");
-  AppendMetric(&out, "egp_process_uptime_seconds", "",
-               process.uptime_seconds);
+  metrics.Scalars({
+      {"egp_profiler_windows_total", "counter", "Completed profiling windows.",
+       prof.windows_total},
+      {"egp_profiler_samples_total", "counter",
+       "Stack samples captured across all windows.", prof.samples_total},
+      {"egp_profiler_dropped_total", "counter",
+       "Samples dropped to full per-thread rings.", prof.dropped_total},
+      {"egp_profiler_active", "gauge",
+       "1 while a profiling window is collecting.", prof.active},
+      {"egp_profiler_threads", "gauge",
+       "Threads registered for profiling signals.",
+       static_cast<uint64_t>(prof.registered_threads)},
+      {"egp_process_resident_bytes", "gauge",
+       "Resident set size from /proc/self/statm.", process.resident_bytes},
+      {"egp_process_open_fds", "gauge", "Open file descriptors.",
+       process.open_fds},
+  });
+  metrics
+      .Family("egp_process_uptime_seconds", "gauge",
+              "Seconds since process start.")
+      .Sample(process.uptime_seconds);
 
   HttpResponse response;
   response.content_type = "text/plain; version=0.0.4; charset=utf-8";
@@ -868,40 +832,20 @@ HttpResponse PreviewService::HandleDebugRequests(
     return JsonErrorResponse(503, "flight recorder not attached");
   }
   const std::string_view query = request.Query();
-  double min_ms = 0.0;
-  int status = 0;
-  if (const std::string_view raw = QueryParam(query, "min_ms");
-      !raw.empty()) {
-    const std::string text(raw);
-    char* end = nullptr;
-    min_ms = std::strtod(text.c_str(), &end);
-    if (end != text.c_str() + text.size() || !(min_ms >= 0)) {
-      return JsonErrorResponse(400, "min_ms must be a number >= 0");
-    }
-  }
-  if (const std::string_view raw = QueryParam(query, "status");
-      !raw.empty()) {
-    const std::string text(raw);
-    char* end = nullptr;
-    const long parsed = std::strtol(text.c_str(), &end, 10);
-    if (end != text.c_str() + text.size() || parsed < 100 || parsed > 599) {
-      return JsonErrorResponse(400, "status must be an HTTP status code");
-    }
-    status = static_cast<int>(parsed);
-  }
   FlightRecorder::Filter filter;
-  filter.min_ms = min_ms;
-  filter.status = status;
-  if (const std::string_view raw = QueryParam(query, "limit");
-      !raw.empty()) {
-    const std::string text(raw);
-    char* end = nullptr;
-    const long parsed = std::strtol(text.c_str(), &end, 10);
-    if (end != text.c_str() + text.size() || parsed < 0) {
-      return JsonErrorResponse(400, "limit must be a non-negative integer");
-    }
-    filter.limit = static_cast<size_t>(parsed);
+  if (!QueryNumber(query, "min_ms", 0.0, HUGE_VAL, &filter.min_ms)) {
+    return JsonErrorResponse(400, "min_ms must be a number >= 0");
   }
+  long status = 0;
+  if (!QueryNumber(query, "status", 100L, 599L, &status)) {
+    return JsonErrorResponse(400, "status must be an HTTP status code");
+  }
+  filter.status = static_cast<int>(status);
+  long limit = 0;
+  if (!QueryNumber(query, "limit", 0L, LONG_MAX, &limit)) {
+    return JsonErrorResponse(400, "limit must be a non-negative integer");
+  }
+  filter.limit = static_cast<size_t>(limit);
   filter.dataset = std::string(QueryParam(query, "dataset"));
 
   HttpResponse response;
@@ -920,8 +864,8 @@ HttpResponse PreviewService::HandleDebugLocks() const {
   std::vector<LockSiteSnapshot> sites = SnapshotLockSites();
   std::sort(sites.begin(), sites.end(),
             [](const LockSiteSnapshot& a, const LockSiteSnapshot& b) {
-              if (a.wait_seconds != b.wait_seconds) {
-                return a.wait_seconds > b.wait_seconds;
+              if (a.wait.sum_seconds != b.wait.sum_seconds) {
+                return a.wait.sum_seconds > b.wait.sum_seconds;
               }
               return a.contentions > b.contentions;
             });
@@ -932,7 +876,7 @@ HttpResponse PreviewService::HandleDebugLocks() const {
     json.BeginObject().Key("site").String(site.name);
     json.Key("acquisitions").Uint(site.acquisitions);
     json.Key("contentions").Uint(site.contentions);
-    json.Key("waitSeconds").Double(site.wait_seconds);
+    json.Key("waitSeconds").Double(site.wait.sum_seconds);
     json.Key("maxWaitSeconds").Double(site.max_wait_seconds);
     json.Key("holdSamples").Uint(site.hold_samples);
     json.Key("holdSeconds").Double(site.hold_seconds);
@@ -977,37 +921,28 @@ HttpResponse PreviewService::HandleDebugProfile(
         503, "profiler disabled; start the server with --profiler");
   }
   const std::string_view query = request.Query();
+  // (0, kMaxWindowSeconds]: the smallest positive double is the least
+  // accepted value.
   double seconds = 2.0;
-  if (const std::string_view raw = QueryParam(query, "seconds");
-      !raw.empty()) {
-    const std::string text(raw);
-    char* end = nullptr;
-    seconds = std::strtod(text.c_str(), &end);
-    if (end != text.c_str() + text.size() || !(seconds > 0) ||
-        seconds > Profiler::kMaxWindowSeconds) {
-      return JsonErrorResponse(
-          400, StrFormat("seconds must be a number in (0, %g]",
-                         Profiler::kMaxWindowSeconds));
-    }
+  if (!QueryNumber(query, "seconds", std::numeric_limits<double>::denorm_min(),
+                   Profiler::kMaxWindowSeconds, &seconds)) {
+    return JsonErrorResponse(
+        400, StrFormat("seconds must be a number in (0, %g]",
+                       Profiler::kMaxWindowSeconds));
   }
-  int hz = profiler_default_hz_.load(std::memory_order_relaxed);
-  if (const std::string_view raw = QueryParam(query, "hz"); !raw.empty()) {
-    const std::string text(raw);
-    char* end = nullptr;
-    const long parsed = std::strtol(text.c_str(), &end, 10);
-    if (end != text.c_str() + text.size() || parsed < Profiler::kMinHz ||
-        parsed > Profiler::kMaxHz) {
-      return JsonErrorResponse(
-          400, StrFormat("hz must be an integer in [%d, %d]",
-                         Profiler::kMinHz, Profiler::kMaxHz));
-    }
-    hz = static_cast<int>(parsed);
+  long hz = profiler_default_hz_.load(std::memory_order_relaxed);
+  if (!QueryNumber(query, "hz", long{Profiler::kMinHz},
+                   long{Profiler::kMaxHz}, &hz)) {
+    return JsonErrorResponse(400,
+                             StrFormat("hz must be an integer in [%d, %d]",
+                                       Profiler::kMinHz, Profiler::kMaxHz));
   }
 
   // Collect blocks this handler thread for the whole window; the event
   // loop keeps serving other requests meanwhile. Concurrent collections
   // are refused inside Collect (Unavailable → 503).
-  const auto result = Profiler::Global().Collect(seconds, hz);
+  const auto result =
+      Profiler::Global().Collect(seconds, static_cast<int>(hz));
   if (!result.ok()) {
     return JsonErrorResponse(HttpStatusFor(result.status()),
                              result.status().message());

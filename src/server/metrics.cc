@@ -4,55 +4,6 @@
 
 namespace egp {
 
-void LatencyHistogram::Observe(double seconds) {
-  if (seconds < 0) seconds = 0;
-  size_t bucket = kBounds.size();  // +Inf
-  for (size_t i = 0; i < kBounds.size(); ++i) {
-    if (seconds <= kBounds[i]) {
-      bucket = i;
-      break;
-    }
-  }
-  buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
-  sum_nanos_.fetch_add(static_cast<uint64_t>(seconds * 1e9),
-                       std::memory_order_relaxed);
-}
-
-LatencyHistogram::Snapshot LatencyHistogram::snapshot() const {
-  Snapshot snap;
-  uint64_t running = 0;
-  for (size_t i = 0; i < kBounds.size(); ++i) {
-    running += buckets_[i].load(std::memory_order_relaxed);
-    snap.cumulative[i] = running;
-  }
-  snap.count =
-      running + buckets_[kBounds.size()].load(std::memory_order_relaxed);
-  snap.sum_seconds =
-      static_cast<double>(sum_nanos_.load(std::memory_order_relaxed)) * 1e-9;
-  return snap;
-}
-
-double LatencyHistogram::Snapshot::Quantile(double q) const {
-  if (count == 0) return 0.0;
-  if (q < 0) q = 0;
-  if (q > 1) q = 1;
-  const double rank = q * static_cast<double>(count);
-  uint64_t previous = 0;
-  for (size_t i = 0; i < kBounds.size(); ++i) {
-    if (static_cast<double>(cumulative[i]) >= rank) {
-      const uint64_t in_bucket = cumulative[i] - previous;
-      const double lower = i == 0 ? 0.0 : kBounds[i - 1];
-      const double upper = kBounds[i];
-      if (in_bucket == 0) return upper;
-      const double frac =
-          (rank - static_cast<double>(previous)) / static_cast<double>(in_bucket);
-      return lower + (upper - lower) * frac;
-    }
-    previous = cumulative[i];
-  }
-  return kBounds.back();  // fell in +Inf: report the largest finite bound
-}
-
 void ServerMetrics::RecordRequest(std::string_view endpoint, int status,
                                   double seconds) {
   latency_.Observe(seconds);
@@ -62,12 +13,12 @@ void ServerMetrics::RecordRequest(std::string_view endpoint, int status,
 
 void ServerMetrics::RecordDataset(std::string_view dataset, int status,
                                   double seconds) {
-  LatencyHistogram* histogram = nullptr;
+  Histogram* histogram = nullptr;
   {
     MutexLock lock(&mu_);
     ++dataset_counts_[{std::string(dataset), status}];
     auto& slot = dataset_latency_[std::string(dataset)];
-    if (slot == nullptr) slot = std::make_unique<LatencyHistogram>();
+    if (slot == nullptr) slot = std::make_unique<Histogram>(kLatencyBounds);
     histogram = slot.get();
   }
   histogram->Observe(seconds);  // atomics only; no need to hold mu_
@@ -84,10 +35,10 @@ std::vector<ServerMetrics::DatasetCount> ServerMetrics::dataset_counts()
   return out;
 }
 
-std::vector<std::pair<std::string, LatencyHistogram::Snapshot>>
+std::vector<std::pair<std::string, Histogram::Snapshot>>
 ServerMetrics::dataset_latency() const {
   MutexLock lock(&mu_);
-  std::vector<std::pair<std::string, LatencyHistogram::Snapshot>> out;
+  std::vector<std::pair<std::string, Histogram::Snapshot>> out;
   out.reserve(dataset_latency_.size());
   for (const auto& [dataset, histogram] : dataset_latency_) {
     out.emplace_back(dataset, histogram->snapshot());
@@ -113,91 +64,86 @@ uint64_t ServerMetrics::total_requests() const {
   return total;
 }
 
-void AppendMetricHeader(std::string* out, std::string_view name,
-                        std::string_view type, std::string_view help) {
-  out->append("# HELP ").append(name).append(" ").append(help).append("\n");
-  out->append("# TYPE ").append(name).append(" ").append(type).append("\n");
+MetricsWriter& MetricsWriter::Family(std::string_view name,
+                                     std::string_view type,
+                                     std::string_view help) {
+  family_ = name;
+  out_->append("# HELP ").append(name).append(" ").append(help).append("\n");
+  out_->append("# TYPE ").append(name).append(" ").append(type).append("\n");
+  return *this;
 }
 
-void AppendMetric(std::string* out, std::string_view name,
-                  std::string_view labels, double value) {
-  out->append(name);
-  if (!labels.empty()) out->append("{").append(labels).append("}");
-  out->append(" ").append(StrFormat("%.9g", value)).append("\n");
+void MetricsWriter::Line(std::string_view suffix, std::string_view labels,
+                         std::string_view value) {
+  out_->append(family_).append(suffix);
+  if (!labels.empty()) out_->append("{").append(labels).append("}");
+  out_->append(" ").append(value).append("\n");
 }
 
-void AppendMetric(std::string* out, std::string_view name,
-                  std::string_view labels, uint64_t value) {
-  out->append(name);
-  if (!labels.empty()) out->append("{").append(labels).append("}");
-  out->append(" ").append(std::to_string(value)).append("\n");
+MetricsWriter& MetricsWriter::Sample(uint64_t value, std::string_view labels) {
+  Line("", labels, std::to_string(value));
+  return *this;
 }
 
-void AppendHistogram(std::string* out, std::string_view name,
-                     std::string_view help,
-                     const LatencyHistogram::Snapshot& snap) {
-  AppendMetricHeader(out, name, "histogram", help);
-  AppendHistogramSamples(out, name, "", snap);
+MetricsWriter& MetricsWriter::Sample(double value, std::string_view labels) {
+  Line("", labels, StrFormat("%.9g", value));
+  return *this;
 }
 
-void AppendHistogramSamples(std::string* out, std::string_view name,
-                            std::string_view label_prefix,
-                            const LatencyHistogram::Snapshot& snap) {
-  const std::string bucket_name = std::string(name) + "_bucket";
+MetricsWriter& MetricsWriter::Sample(const Histogram::Snapshot& histogram,
+                                     std::string_view labels) {
   const std::string prefix =
-      label_prefix.empty() ? std::string() : std::string(label_prefix) + ",";
-  for (size_t i = 0; i < LatencyHistogram::kBounds.size(); ++i) {
-    AppendMetric(out, bucket_name,
-                 prefix + "le=\"" + StrFormat("%g", LatencyHistogram::kBounds[i]) +
-                     "\"",
-                 snap.cumulative[i]);
+      labels.empty() ? std::string() : std::string(labels) + ",";
+  for (size_t i = 0; i < histogram.bounds.size(); ++i) {
+    Line("_bucket", prefix + StrFormat("le=\"%g\"", histogram.bounds[i]),
+         std::to_string(histogram.cumulative[i]));
   }
-  AppendMetric(out, bucket_name, prefix + "le=\"+Inf\"", snap.count);
-  AppendMetric(out, std::string(name) + "_sum", label_prefix,
-               snap.sum_seconds);
-  AppendMetric(out, std::string(name) + "_count", label_prefix, snap.count);
+  Line("_bucket", prefix + "le=\"+Inf\"", std::to_string(histogram.count));
+  Line("_sum", labels, StrFormat("%.9g", histogram.sum_seconds));
+  Line("_count", labels, std::to_string(histogram.count));
+  return *this;
+}
+
+void MetricsWriter::Scalars(std::initializer_list<Scalar> families) {
+  for (const Scalar& family : families) {
+    Family(family.name, family.type, family.help).Sample(family.value);
+  }
 }
 
 std::string ServerMetrics::PrometheusText() const {
   std::string out;
   out.reserve(2048);
+  MetricsWriter metrics(&out);
 
-  AppendMetricHeader(&out, "egp_http_requests_total", "counter",
-                     "Requests served, by endpoint and status.");
+  metrics.Family("egp_http_requests_total", "counter",
+                 "Requests served, by endpoint and status.");
   for (const RequestCount& rc : request_counts()) {
-    AppendMetric(&out, "egp_http_requests_total",
-                 "endpoint=\"" + rc.endpoint +
-                     "\",status=\"" + std::to_string(rc.status) + "\"",
-                 rc.count);
+    metrics.Sample(rc.count, "endpoint=\"" + rc.endpoint + "\",status=\"" +
+                                 std::to_string(rc.status) + "\"");
   }
-
-  AppendHistogram(&out, "egp_http_request_duration_seconds",
-                  "End-to-end request handling latency.",
-                  latency_.snapshot());
+  metrics
+      .Family("egp_http_request_duration_seconds", "histogram",
+              "End-to-end request handling latency.")
+      .Sample(latency_.snapshot());
 
   // Dataset-scoped series appear once the first dataset request lands;
-  // a headed histogram family with zero series would fail the
-  // exposition-grammar check, so both families are emitted only when
-  // non-empty.
+  // a headed family with zero series would fail the exposition-grammar
+  // check, so both families are written only when non-empty.
   const auto by_dataset = dataset_counts();
   if (!by_dataset.empty()) {
-    AppendMetricHeader(&out, "egp_requests_total", "counter",
-                       "Dataset-scoped requests, by dataset and status.");
+    metrics.Family("egp_requests_total", "counter",
+                   "Dataset-scoped requests, by dataset and status.");
     for (const DatasetCount& dc : by_dataset) {
-      AppendMetric(&out, "egp_requests_total",
-                   "dataset=\"" + dc.dataset +
-                       "\",status=\"" + std::to_string(dc.status) + "\"",
-                   dc.count);
+      metrics.Sample(dc.count, "dataset=\"" + dc.dataset + "\",status=\"" +
+                                   std::to_string(dc.status) + "\"");
     }
   }
   const auto dataset_histograms = dataset_latency();
   if (!dataset_histograms.empty()) {
-    AppendMetricHeader(&out, "egp_dataset_request_duration_seconds",
-                       "histogram",
-                       "Dataset-scoped request latency, by dataset.");
-    for (const auto& [dataset, snap] : dataset_histograms) {
-      AppendHistogramSamples(&out, "egp_dataset_request_duration_seconds",
-                             "dataset=\"" + dataset + "\"", snap);
+    metrics.Family("egp_dataset_request_duration_seconds", "histogram",
+                   "Dataset-scoped request latency, by dataset.");
+    for (const auto& [dataset, histogram] : dataset_histograms) {
+      metrics.Sample(histogram, "dataset=\"" + dataset + "\"");
     }
   }
   return out;

@@ -1,17 +1,16 @@
-// Request metrics for the serving subsystem: per-endpoint counters and a
-// fixed-bucket latency histogram, exported in the Prometheus text
-// exposition format on GET /metrics.
+// Request metrics for the serving subsystem: per-endpoint counters and
+// latency histograms, and the writer that renders every /metrics family
+// in the Prometheus text exposition format.
 //
-// Lock-light by design: Observe() on the histogram is a couple of
+// Lock-light by design: Observe() on a histogram is a couple of
 // relaxed atomic increments (serving-path cost ~nothing); only the
 // per-(endpoint, status) counter map takes a mutex, and that map is tiny
 // and hit once per request.
 #ifndef EGP_SERVER_METRICS_H_
 #define EGP_SERVER_METRICS_H_
 
-#include <array>
-#include <atomic>
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <string>
@@ -19,38 +18,57 @@
 #include <utility>
 #include <vector>
 
+#include "common/histogram.h"
 #include "common/mutex.h"
 
 namespace egp {
 
-/// Cumulative histogram over fixed latency bucket bounds (seconds),
-/// Prometheus-style: bucket i counts observations <= bounds[i], plus an
-/// implicit +Inf bucket, a total count, and a sum.
-class LatencyHistogram {
+/// Upper bounds (seconds) of the request-latency and event-loop-lag
+/// histograms: 500µs .. 10s in roughly 2.5× steps — wide enough for a
+/// cache-hit preview (sub-ms) and a cold multi-second prepare on a big
+/// graph.
+inline constexpr double kLatencyBounds[] = {
+    0.0005, 0.001, 0.0025, 0.005, 0.010, 0.025,
+    0.050,  0.100, 0.250,  0.500, 1.0,   10.0};
+
+/// Writes Prometheus text exposition families into a string: a family's
+/// name is given once, to Family(), which writes its HELP and TYPE lines;
+/// the Sample() calls that follow write its samples under them. The
+/// exposition-grammar ctest rejects samples missing either header.
+class MetricsWriter {
  public:
-  /// 500µs .. 10s in roughly 2.5× steps — wide enough for a cache-hit
-  /// preview (sub-ms) and a cold multi-second prepare on a big graph.
-  static constexpr std::array<double, 12> kBounds = {
-      0.0005, 0.001, 0.0025, 0.005, 0.010, 0.025,
-      0.050,  0.100, 0.250,  0.500, 1.0,   10.0};
+  explicit MetricsWriter(std::string* out) : out_(out) {}
 
-  void Observe(double seconds);
+  /// Starts family `name` of `type` ("counter", "gauge", "histogram").
+  MetricsWriter& Family(std::string_view name, std::string_view type,
+                        std::string_view help);
 
-  struct Snapshot {
-    std::array<uint64_t, kBounds.size()> cumulative{};  // counts <= bound
-    uint64_t count = 0;
-    double sum_seconds = 0.0;
+  /// One sample of the current family. `labels` is the label list
+  /// without braces (`dataset="paper"`), or empty. A histogram writes
+  /// one series: a `_bucket` sample per bound and +Inf, then `_sum` and
+  /// `_count`, all carrying `labels`.
+  MetricsWriter& Sample(uint64_t value, std::string_view labels = {});
+  MetricsWriter& Sample(double value, std::string_view labels = {});
+  MetricsWriter& Sample(const Histogram::Snapshot& histogram,
+                        std::string_view labels = {});
 
-    /// Latency below which `q` (0..1) of observations fall, estimated by
-    /// linear interpolation inside the winning bucket; an empty
-    /// histogram gives 0.
-    double Quantile(double q) const;
+  /// A family with one unlabeled integer sample.
+  struct Scalar {
+    std::string_view name;
+    std::string_view type;
+    std::string_view help;
+    uint64_t value = 0;
   };
-  Snapshot snapshot() const;
+  /// Writes each family in order, header then sample.
+  void Scalars(std::initializer_list<Scalar> families);
 
  private:
-  std::array<std::atomic<uint64_t>, kBounds.size() + 1> buckets_{};
-  std::atomic<uint64_t> sum_nanos_{0};
+  /// `<family><suffix>{<labels>} <value>`, braces only around labels.
+  void Line(std::string_view suffix, std::string_view labels,
+            std::string_view value);
+
+  std::string* out_;
+  std::string family_;
 };
 
 /// All metrics the server exports. One instance per server, shared by
@@ -80,15 +98,15 @@ class ServerMetrics {
     uint64_t count = 0;
   };
   std::vector<DatasetCount> dataset_counts() const;
-  std::vector<std::pair<std::string, LatencyHistogram::Snapshot>>
-  dataset_latency() const;
+  std::vector<std::pair<std::string, Histogram::Snapshot>> dataset_latency()
+      const;
 
-  LatencyHistogram::Snapshot latency() const { return latency_.snapshot(); }
+  Histogram::Snapshot latency() const { return latency_.snapshot(); }
   uint64_t total_requests() const;
 
-  /// The Prometheus exposition text for everything recorded here.
-  /// Caller appends its own gauges (Engine cache stats, connection
-  /// counters) via PrometheusText's helpers below.
+  /// The Prometheus exposition text for everything recorded here. The
+  /// caller appends its own families (Engine cache stats, connection
+  /// counters) with a MetricsWriter.
   std::string PrometheusText() const;
 
  private:
@@ -96,38 +114,13 @@ class ServerMetrics {
   std::map<std::pair<std::string, int>, uint64_t> counts_ EGP_GUARDED_BY(mu_);
   std::map<std::pair<std::string, int>, uint64_t> dataset_counts_
       EGP_GUARDED_BY(mu_);
-  // unique_ptr: LatencyHistogram is an array of atomics (immovable), and
+  // unique_ptr: a Histogram is an array of atomics (immovable), and
   // Observe() must run outside mu_ — the pointer is stable across
   // rehashing inserts of other datasets.
-  std::map<std::string, std::unique_ptr<LatencyHistogram>> dataset_latency_
+  std::map<std::string, std::unique_ptr<Histogram>> dataset_latency_
       EGP_GUARDED_BY(mu_);
-  LatencyHistogram latency_;
+  Histogram latency_{kLatencyBounds};
 };
-
-/// Appends "# HELP name help" and "# TYPE name type" headers; tiny
-/// helpers so ad-hoc gauges (cache stats, uptime) format consistently.
-/// The exposition-grammar ctest rejects series missing either header.
-void AppendMetricHeader(std::string* out, std::string_view name,
-                        std::string_view type, std::string_view help);
-void AppendMetric(std::string* out, std::string_view name,
-                  std::string_view labels, double value);
-void AppendMetric(std::string* out, std::string_view name,
-                  std::string_view labels, uint64_t value);
-
-/// Appends one full histogram family (headers, per-bound `_bucket`
-/// samples, `+Inf`, `_sum`, `_count`) from a snapshot.
-void AppendHistogram(std::string* out, std::string_view name,
-                     std::string_view help,
-                     const LatencyHistogram::Snapshot& snap);
-
-/// Appends one labeled series of an already-headed histogram family:
-/// `_bucket{<label_prefix>,le=...}` samples plus `_sum`/`_count` carrying
-/// `label_prefix` (e.g. `dataset="paper"`). For families with one series
-/// per dataset/site: emit the header once (AppendMetricHeader, type
-/// histogram), then call this per label set.
-void AppendHistogramSamples(std::string* out, std::string_view name,
-                            std::string_view label_prefix,
-                            const LatencyHistogram::Snapshot& snap);
 
 }  // namespace egp
 

@@ -166,13 +166,10 @@ TEST(LockStatsTest, ContentionRecordsWaitHistogram) {
   }
   holder.join();
   EXPECT_GE(site->contentions.load(), contentions_before + 1);
-  EXPECT_GT(site->wait_nanos.load(), 0u);
+  const Histogram::Snapshot wait = site->wait.snapshot();
+  EXPECT_GT(wait.sum_seconds, 0.0);
   // The wait landed in exactly one histogram bucket per contention.
-  uint64_t bucket_total = 0;
-  for (size_t i = 0; i < kLockWaitBucketCount; ++i) {
-    bucket_total += site->wait_buckets[i].load();
-  }
-  EXPECT_EQ(bucket_total, site->contentions.load());
+  EXPECT_EQ(wait.count, site->contentions.load());
 }
 
 TEST(LockStatsTest, SnapshotCarriesSiteNames) {

@@ -1,4 +1,5 @@
-// ServerMetrics: histogram bucketing/quantiles and Prometheus rendering.
+// ServerMetrics: latency-histogram bucketing/quantiles and Prometheus
+// rendering.
 #include "server/metrics.h"
 
 #include <gtest/gtest.h>
@@ -10,7 +11,7 @@ namespace egp {
 namespace {
 
 TEST(LatencyHistogramTest, BucketsAndCount) {
-  LatencyHistogram histogram;
+  Histogram histogram(kLatencyBounds);
   histogram.Observe(0.0001);  // <= 0.0005, first bucket
   histogram.Observe(0.003);   // <= 0.005
   histogram.Observe(0.003);
@@ -24,17 +25,17 @@ TEST(LatencyHistogramTest, BucketsAndCount) {
 }
 
 TEST(LatencyHistogramTest, QuantilesInterpolate) {
-  LatencyHistogram histogram;
+  Histogram histogram(kLatencyBounds);
   for (int i = 0; i < 100; ++i) histogram.Observe(0.002);  // (0.001, 0.0025]
   const auto snap = histogram.snapshot();
   const double p50 = snap.Quantile(0.5);
   EXPECT_GT(p50, 0.001);
   EXPECT_LE(p50, 0.0025);
-  EXPECT_EQ(LatencyHistogram::Snapshot{}.Quantile(0.5), 0.0);
+  EXPECT_EQ(Histogram::Snapshot{}.Quantile(0.5), 0.0);
 }
 
 TEST(LatencyHistogramTest, ConcurrentObserversDontLose) {
-  LatencyHistogram histogram;
+  Histogram histogram(kLatencyBounds);
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&histogram] {
