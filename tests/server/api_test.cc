@@ -487,7 +487,9 @@ TEST(PreviewServiceTest, DebugQueryParametersAtTheirBounds) {
       {"/v1/debug/requests?limit=5x", limit},
       {"/v1/debug/requests?status=600", status},
       {"/v1/debug/requests?min_ms=-1", min_ms},
+      {"/v1/debug/requests?min_ms=nan", min_ms},
       {"/v1/debug/profile?seconds=0", seconds},
+      {"/v1/debug/profile?seconds=nan", seconds},
       {"/v1/debug/profile?seconds=" +
            StrFormat("%.17g", std::nextafter(Profiler::kMaxWindowSeconds,
                                              2 * Profiler::kMaxWindowSeconds)),
