@@ -101,7 +101,6 @@ class ServerMetrics {
   std::vector<std::pair<std::string, Histogram::Snapshot>> dataset_latency()
       const;
 
-  Histogram::Snapshot latency() const { return latency_.snapshot(); }
   uint64_t total_requests() const;
 
   /// The Prometheus exposition text for everything recorded here. The
