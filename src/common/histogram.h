@@ -48,8 +48,10 @@ class Histogram {
     /// histogram gives 0.
     double Quantile(double q) const;
   };
-  /// Buckets, count and sum as of now; reads race recording, so a
-  /// snapshot taken under load may be a few observations behind.
+  /// Buckets, count and sum as of now. Reads race recording, but the
+  /// count is the sum of the buckets read, so a scrape always sees a
+  /// monotone histogram whose +Inf bucket equals its count; only the sum
+  /// may be a few observations off.
   Snapshot snapshot() const;
 
  private:

@@ -235,7 +235,7 @@ bool QueryNumber(std::string_view query, std::string_view key, T min, T max,
   if (raw.empty()) return true;
   const std::string text(raw);
   char* end = nullptr;
-  T parsed;
+  T parsed{};
   if constexpr (std::is_same_v<T, double>) {
     parsed = std::strtod(text.c_str(), &end);
   } else {

@@ -122,7 +122,6 @@ TEST(MetricsGoldenTest, ExpositionTextMatchesGolden) {
   EXPECT_EQ(actual, golden.str())
       << "masked /metrics differs from " << EGP_METRICS_GOLDEN_FILE
       << "; got metrics_golden.actual.txt";
-  (*server)->Shutdown();
 }
 
 TEST(MetricsGoldenTest, LockWaitHistogramLines) {
