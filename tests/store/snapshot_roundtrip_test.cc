@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "datagen/generator.h"
+#include "datagen/paper_example.h"
 #include "graph/entity_graph_builder.h"
 #include "graph/frozen_graph.h"
 #include "io/graph_io.h"
@@ -156,46 +157,70 @@ TEST(SnapshotRoundtripTest, DatagenDomainSurvives) {
 }
 
 TEST(SnapshotRoundtripTest, PreviewBitIdentityAllMeasures) {
+  // sample.nt plus the paper's Fig. 1 graph, whose two "Award Winners"
+  // relationship types merge into one AWARD column.
   auto parsed = ReadNTriplesFile(EGP_SAMPLE_NT);
   ASSERT_TRUE(parsed.ok());
-  const std::string path = TempPath("sample_identity.egps");
-  ASSERT_TRUE(CompileSnapshotFile(*parsed, path).ok());
+  const EntityGraph graphs[] = {std::move(parsed).value(),
+                                BuildPaperExampleGraph()};
 
-  PreviewRequest request;
-  request.size = {2, 4};
-  request.sample_rows = 3;
-  request.sample_seed = 7;
-  request.measures.key = "randomwalk";
-  request.measures.nonkey = "entropy";  // exercises the prebuilt CSR path
+  PreviewRequest base;
+  base.size = {2, 4};
+  base.sample_rows = 3;
+  base.sample_seed = 7;
+  base.measures.key = "randomwalk";
+  base.measures.nonkey = "entropy";  // exercises the prebuilt CSR path
+  // Each sampler path: random rows; the frequency-weighted strategy's
+  // non-empty-cell test; the union over a merged column's types.
+  std::vector<PreviewRequest> requests(3, base);
+  requests[1].sample_strategy = SamplingStrategy::kFrequencyWeighted;
+  requests[1].sample_rows = 50;
+  requests[2].merge_multiway_columns = true;
+  requests[2].size = {5, 12};  // wide enough to pick both into AWARD,
+  requests[2].measures.nonkey = "coverage";  // which entropy ranks low
 
-  const Engine golden_engine = Engine::FromGraph(EntityGraph(*parsed));
-  const auto golden = golden_engine.Preview(request);
-  ASSERT_TRUE(golden.ok()) << golden.status().ToString();
-  const std::string golden_preview =
-      PreviewToJson(*golden->prepared, golden->preview);
-  const std::string golden_tuples = MaterializedPreviewToJson(
-      *golden_engine.graph(), golden->materialized);
+  size_t merged_columns = 0;
+  for (const EntityGraph& graph : graphs) {
+    const std::string path = TempPath("sample_identity.egps");
+    ASSERT_TRUE(CompileSnapshotFile(graph, path).ok());
+    const Engine golden_engine = Engine::FromGraph(EntityGraph(graph));
+    for (const PreviewRequest& request : requests) {
+      const auto golden = golden_engine.Preview(request);
+      ASSERT_TRUE(golden.ok()) << golden.status().ToString();
+      const std::string golden_preview =
+          PreviewToJson(*golden->prepared, golden->preview);
+      const std::string golden_tuples = MaterializedPreviewToJson(
+          *golden_engine.graph(), golden->materialized);
+      for (const MaterializedTable& table : golden->materialized.tables) {
+        for (const MaterializedColumn& column : table.columns) {
+          if (column.rel_types.size() > 1) ++merged_columns;
+        }
+      }
 
-  for (const auto mode : {SnapshotOpenOptions::Mode::kStream,
-                          SnapshotOpenOptions::Mode::kMmap}) {
-    SCOPED_TRACE(mode == SnapshotOpenOptions::Mode::kMmap ? "mmap"
-                                                          : "stream");
-    SnapshotOpenOptions options;
-    options.mode = mode;
-    auto stored = OpenSnapshot(path, options);
-    ASSERT_TRUE(stored.ok()) << stored.status().ToString();
-    const Engine engine = Engine::FromFrozen(std::move(stored->graph),
-                                             std::move(stored->frozen));
-    ASSERT_NE(engine.frozen(), nullptr);
-    const auto served = engine.Preview(request);
-    ASSERT_TRUE(served.ok()) << served.status().ToString();
-    EXPECT_EQ(golden->score, served->score);
-    EXPECT_EQ(golden_preview,
-              PreviewToJson(*served->prepared, served->preview));
-    EXPECT_EQ(golden_tuples, MaterializedPreviewToJson(*engine.graph(),
-                                                       served->materialized));
+      for (const auto mode : {SnapshotOpenOptions::Mode::kStream,
+                              SnapshotOpenOptions::Mode::kMmap}) {
+        SCOPED_TRACE(mode == SnapshotOpenOptions::Mode::kMmap ? "mmap"
+                                                              : "stream");
+        SnapshotOpenOptions options;
+        options.mode = mode;
+        auto stored = OpenSnapshot(path, options);
+        ASSERT_TRUE(stored.ok()) << stored.status().ToString();
+        const Engine engine = Engine::FromFrozen(std::move(stored->graph),
+                                                 std::move(stored->frozen));
+        ASSERT_NE(engine.frozen(), nullptr);
+        const auto served = engine.Preview(request);
+        ASSERT_TRUE(served.ok()) << served.status().ToString();
+        EXPECT_EQ(golden->score, served->score);
+        EXPECT_EQ(golden_preview,
+                  PreviewToJson(*served->prepared, served->preview));
+        EXPECT_EQ(golden_tuples, MaterializedPreviewToJson(
+                                     *engine.graph(), served->materialized));
+      }
+    }
+    std::remove(path.c_str());
   }
-  std::remove(path.c_str());
+  // The merged request reached a column over several relationship types.
+  EXPECT_GT(merged_columns, 0u);
 }
 
 TEST(SnapshotRoundtripTest, AutoLoaderDetectsByMagicNotExtension) {
