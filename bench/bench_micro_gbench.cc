@@ -130,35 +130,13 @@ void BM_ScoreFrontier(benchmark::State& state) {
 }
 BENCHMARK(BM_ScoreFrontier)->Arg(5)->Arg(10);
 
-void BM_FreezeGraph(benchmark::State& state) {
-  for (auto _ : state) {
-    FrozenGraph frozen = FrozenGraph::Freeze(MusicDomain().graph);
-    benchmark::DoNotOptimize(frozen.num_arcs());
-  }
-}
-BENCHMARK(BM_FreezeGraph);
-
-void BM_NeighborScanEntityGraph(benchmark::State& state) {
-  const EntityGraph& graph = MusicDomain().graph;
-  const RelTypeId rel = 0;
-  for (auto _ : state) {
-    size_t total = 0;
-    for (EntityId e = 0; e < graph.num_entities(); e += 13) {
-      total += graph.NeighborSet(e, rel, Direction::kOutgoing).size();
-    }
-    benchmark::DoNotOptimize(total);
-  }
-}
-BENCHMARK(BM_NeighborScanEntityGraph);
-
 void BM_NeighborScanFrozenGraph(benchmark::State& state) {
-  static const FrozenGraph* frozen =
-      new FrozenGraph(FrozenGraph::Freeze(MusicDomain().graph));
+  const FrozenGraph& frozen = MusicDomain().graph.adjacency();
   const RelTypeId rel = 0;
   for (auto _ : state) {
     size_t total = 0;
-    for (EntityId e = 0; e < frozen->num_entities(); e += 13) {
-      total += frozen->NeighborSet(e, rel, Direction::kOutgoing).size();
+    for (EntityId e = 0; e < frozen.num_entities(); e += 13) {
+      total += frozen.NeighborSet(e, rel, Direction::kOutgoing).size();
     }
     benchmark::DoNotOptimize(total);
   }

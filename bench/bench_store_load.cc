@@ -136,7 +136,7 @@ int Run(const BenchOptions& options) {
       return 1;
     }
     Timer compile_timer;
-    const Status compiled = CompileSnapshotFile(*parsed, egps_path);
+    const Status compiled = WriteSnapshotFile(*parsed, egps_path);
     if (!compiled.ok()) {
       std::fprintf(stderr, "error: %s\n", compiled.ToString().c_str());
       return 1;
@@ -179,8 +179,7 @@ int Run(const BenchOptions& options) {
                      stored.status().ToString().c_str());
         return 1;
       }
-      auto print = Fingerprint(Engine::FromFrozen(
-          std::move(stored->graph), std::move(stored->frozen)));
+      auto print = Fingerprint(Engine::FromGraph(std::move(stored->graph)));
       if (!print.ok()) {
         std::fprintf(stderr, "error: %s\n",
                      print.status().ToString().c_str());

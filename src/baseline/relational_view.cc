@@ -13,18 +13,19 @@ namespace {
 double ColumnEntropy(const EntityGraph& graph, RelTypeId rel,
                      Direction direction, uint64_t* distinct,
                      uint64_t* occurrences) {
+  // Edges in id order: the histogram's insertion order, and so the order
+  // its counts are summed in, is fixed by the edge array.
   std::unordered_map<EntityId, uint64_t> histogram;
-  const auto& edge_ids = graph.EdgesOfRelType(rel);
-  for (EdgeId id : edge_ids) {
-    const EdgeRecord& e = graph.Edge(id);
-    const EntityId value = direction == Direction::kOutgoing ? e.dst : e.src;
-    ++histogram[value];
+  *occurrences = 0;
+  for (const EdgeRecord& e : graph.edges()) {
+    if (e.rel_type != rel) continue;
+    ++histogram[direction == Direction::kOutgoing ? e.dst : e.src];
+    ++*occurrences;
   }
   std::vector<uint64_t> counts;
   counts.reserve(histogram.size());
   for (const auto& [value, count] : histogram) counts.push_back(count);
   *distinct = histogram.size();
-  *occurrences = edge_ids.size();
   return EntropyLog2(counts);
 }
 

@@ -29,8 +29,7 @@ const char* NonKeyMeasureRegistryName(NonKeyMeasure m) {
 Result<PreparedSchema> PreparedSchema::Create(SchemaGraph schema,
                                               const MeasureSelection& measures,
                                               const EntityGraph* graph,
-                                              ThreadPool* pool,
-                                              const FrozenGraph* frozen) {
+                                              ThreadPool* pool) {
   const Timer total_timer;
   Timer phase_timer;
   PreparedSchema prepared;
@@ -45,7 +44,7 @@ Result<PreparedSchema> PreparedSchema::Create(SchemaGraph schema,
                                          : NonKeyMeasure::kCoverage;
   prepared.options_.walk = measures.walk;
 
-  const ScoringContext context{schema, graph, measures.walk, pool, frozen};
+  const ScoringContext context{schema, graph, measures.walk, pool};
   ScoringRegistry& registry = ScoringRegistry::Global();
 
   KeyScorerFn key_scorer;
@@ -122,12 +121,12 @@ Result<PreparedSchema> PreparedSchema::Create(SchemaGraph schema,
 
 Result<PreparedSchema> PreparedSchema::Create(
     SchemaGraph schema, const PreparedSchemaOptions& options,
-    const EntityGraph* graph, ThreadPool* pool, const FrozenGraph* frozen) {
+    const EntityGraph* graph, ThreadPool* pool) {
   MeasureSelection measures;
   measures.key = KeyMeasureRegistryName(options.key_measure);
   measures.nonkey = NonKeyMeasureRegistryName(options.nonkey_measure);
   measures.walk = options.walk;
-  return Create(std::move(schema), measures, graph, pool, frozen);
+  return Create(std::move(schema), measures, graph, pool);
 }
 
 size_t PreparedSchema::TotalCandidates() const {

@@ -89,21 +89,17 @@ class PreparedSchema {
   ///
   /// When `pool` is given, the whole build — scoring, distances, Γτ sorts
   /// — runs across it; results are bit-identical to a serial (null-pool)
-  /// build at any parallelism. `frozen`, when given, must be the CSR
-  /// snapshot of `graph` (e.g. opened from an .egps file); adjacency-
-  /// scanning measures then skip their re-freeze.
+  /// build at any parallelism.
   static Result<PreparedSchema> Create(SchemaGraph schema,
                                        const MeasureSelection& measures,
                                        const EntityGraph* graph = nullptr,
-                                       ThreadPool* pool = nullptr,
-                                       const FrozenGraph* frozen = nullptr);
+                                       ThreadPool* pool = nullptr);
 
   /// Legacy enum spelling; forwards to the registry-based overload.
   static Result<PreparedSchema> Create(SchemaGraph schema,
                                        const PreparedSchemaOptions& options,
                                        const EntityGraph* graph = nullptr,
-                                       ThreadPool* pool = nullptr,
-                                       const FrozenGraph* frozen = nullptr);
+                                       ThreadPool* pool = nullptr);
 
   const SchemaGraph& schema() const { return schema_; }
   /// The measure names this instance was prepared with.

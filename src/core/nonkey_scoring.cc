@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <span>
 
 #include "common/math_util.h"
@@ -42,36 +41,15 @@ NonKeyScores ComputeNonKeyCoverage(const SchemaGraph& schema) {
   return scores;
 }
 
-double RelationshipEntropy(const EntityGraph& graph, RelTypeId rel_type,
-                           Direction direction) {
-  const RelTypeInfo& info = graph.RelType(rel_type);
-  const TypeId key_type =
-      direction == Direction::kOutgoing ? info.src_type : info.dst_type;
-
-  // Group tuples by their full value set (multi-valued cells are equal iff
-  // equal as sets; NeighborSet returns sorted, deduplicated vectors).
-  std::map<std::vector<EntityId>, uint64_t> groups;
-  for (EntityId e : graph.EntitiesOfType(key_type)) {
-    std::vector<EntityId> value_set = graph.NeighborSet(e, rel_type, direction);
-    if (value_set.empty()) continue;  // |t.γ| counts non-empty tuples only.
-    ++groups[std::move(value_set)];
-  }
-  std::vector<uint64_t> counts;
-  counts.reserve(groups.size());
-  for (const auto& [values, count] : groups) counts.push_back(count);
-  return EntropyLog10(counts);
-}
-
 /// Batched entropy for one relationship type and direction, off the CSR.
 /// Each key entity's γ-run is a contiguous, neighbor-sorted span of the
-/// frozen adjacency (forward index for outgoing, reverse for incoming),
-/// so value sets stream into an arena with one adjacent-dedup pass — no
+/// adjacency (forward index for outgoing, reverse for incoming), so
+/// value sets stream into an arena with one adjacent-dedup pass — no
 /// per-tuple allocation, no edge-list copy, no global edge sort. A sort
 /// over the per-tuple spans then counts set-equality classes.
 /// O(values + tuples·log(tuples)·set̄) per call.
-double RelationshipEntropyCsr(const FrozenGraph& frozen,
-                              const EntityGraph& graph, RelTypeId rel_type,
-                              Direction direction) {
+double RelationshipEntropy(const EntityGraph& graph, RelTypeId rel_type,
+                           Direction direction) {
   const RelTypeInfo& info = graph.RelType(rel_type);
   const TypeId key_type =
       direction == Direction::kOutgoing ? info.src_type : info.dst_type;
@@ -80,7 +58,7 @@ double RelationshipEntropyCsr(const FrozenGraph& frozen,
   std::vector<ValueSpan> spans;
   for (EntityId e : graph.EntitiesOfType(key_type)) {
     const std::span<const FrozenGraph::Arc> run =
-        frozen.RelArcs(e, rel_type, direction);
+        graph.adjacency().RelArcs(e, rel_type, direction);
     if (run.empty()) continue;  // |t.γ| counts non-empty tuples only.
     const size_t begin = arena.size();
     uint64_t hash = kFnvOffset;
@@ -147,8 +125,7 @@ double RelationshipEntropyCsr(const FrozenGraph& frozen,
 
 Result<NonKeyScores> ComputeNonKeyEntropy(const EntityGraph& graph,
                                           const SchemaGraph& schema,
-                                          ThreadPool* pool,
-                                          const FrozenGraph* prebuilt) {
+                                          ThreadPool* pool) {
   for (uint32_t i = 0; i < schema.num_edges(); ++i) {
     if (schema.RelTypeOfEdge(i) == kInvalidId) {
       return Status::FailedPrecondition(
@@ -156,14 +133,6 @@ Result<NonKeyScores> ComputeNonKeyEntropy(const EntityGraph& graph,
           "graph (schema edge lacks relationship-type mapping)");
     }
   }
-
-  // One freeze serves every (relationship, direction) job: outgoing reads
-  // the forward CSR index, incoming the reverse — the single pass over
-  // the edges happens here, not per direction. A caller-supplied CSR
-  // (snapshot-loaded graphs) skips even that; copying the handle is
-  // cheap (shared backing).
-  const FrozenGraph frozen =
-      prebuilt != nullptr ? *prebuilt : FrozenGraph::Freeze(graph, pool);
 
   NonKeyScores scores;
   scores.outgoing.resize(schema.num_edges());
@@ -178,12 +147,10 @@ Result<NonKeyScores> ComputeNonKeyEntropy(const EntityGraph& graph,
     const RelTypeId rel_type = schema.RelTypeOfEdge(edge);
     if ((job & 1) == 0) {
       scores.outgoing[edge] =
-          RelationshipEntropyCsr(frozen, graph, rel_type,
-                                 Direction::kOutgoing);
+          RelationshipEntropy(graph, rel_type, Direction::kOutgoing);
     } else {
       scores.incoming[edge] =
-          RelationshipEntropyCsr(frozen, graph, rel_type,
-                                 Direction::kIncoming);
+          RelationshipEntropy(graph, rel_type, Direction::kIncoming);
     }
   });
   return scores;

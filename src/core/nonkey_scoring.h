@@ -12,7 +12,6 @@
 
 #include "common/result.h"
 #include "graph/entity_graph.h"
-#include "graph/frozen_graph.h"
 #include "graph/schema_graph.h"
 
 namespace egp {
@@ -33,30 +32,20 @@ NonKeyScores ComputeNonKeyCoverage(const SchemaGraph& schema);
 /// Entropy scores. Requires `schema` to have been derived from `graph`
 /// (schema edges must map to relationship types); fails otherwise.
 ///
-/// Freezes the graph to CSR once and reads every (relationship,
-/// direction) pair's value sets straight out of the adjacency spans —
-/// both orientations come from the forward and reverse CSR index, so no
-/// per-direction edge-list copy or global edge sort is ever made. The
-/// independent (relationship, direction) jobs run on `pool` when one is
-/// given, with bit-identical scores at any parallelism. When `frozen`
-/// (the prebuilt CSR of `graph`, e.g. loaded from an .egps snapshot) is
-/// given, the freeze is skipped entirely.
+/// Reads every (relationship, direction) pair's value sets straight out
+/// of the graph's CSR adjacency — outgoing from the forward index,
+/// incoming from the reverse — so no edge-list copy or global edge sort
+/// is ever made. The independent (relationship, direction) jobs run on
+/// `pool` when one is given, with bit-identical scores at any
+/// parallelism.
 Result<NonKeyScores> ComputeNonKeyEntropy(const EntityGraph& graph,
                                           const SchemaGraph& schema,
-                                          ThreadPool* pool = nullptr,
-                                          const FrozenGraph* frozen = nullptr);
+                                          ThreadPool* pool = nullptr);
 
 /// Entropy of a single relationship type from the perspective of one
-/// endpoint (exposed for tests of the paper's worked example). Reference
-/// implementation: one NeighborSet allocation per key entity.
+/// endpoint: the per-job kernel of ComputeNonKeyEntropy.
 double RelationshipEntropy(const EntityGraph& graph, RelTypeId rel_type,
                            Direction direction);
-
-/// The CSR fast path behind ComputeNonKeyEntropy, for one relationship
-/// type and direction. Same result as RelationshipEntropy.
-double RelationshipEntropyCsr(const FrozenGraph& frozen,
-                              const EntityGraph& graph, RelTypeId rel_type,
-                              Direction direction);
 
 }  // namespace egp
 

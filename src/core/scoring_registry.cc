@@ -33,8 +33,7 @@ ScoringRegistry::ScoringRegistry() {
           "the 'entropy' non-key measure requires the entity graph, but "
           "only a schema graph is available"));
     }
-    return ComputeNonKeyEntropy(*context.graph, context.schema, context.pool,
-                                context.frozen);
+    return ComputeNonKeyEntropy(*context.graph, context.schema, context.pool);
   };
 }
 

@@ -30,16 +30,12 @@ class ThreadPool;
 /// measures that need the data graph must fail cleanly in that case.
 /// `pool` is the thread pool the surrounding PreparedSchema build runs
 /// on, or null for a serial build; scorers may ParallelFor over it but
-/// must produce results independent of its parallelism. `frozen`, when
-/// set, is the CSR snapshot of `graph` (e.g. opened zero-copy from an
-/// .egps file); scorers that scan adjacency use it instead of
-/// re-freezing.
+/// must produce results independent of its parallelism.
 struct ScoringContext {
   const SchemaGraph& schema;
   const EntityGraph* graph = nullptr;
   RandomWalkOptions walk;
   ThreadPool* pool = nullptr;
-  const FrozenGraph* frozen = nullptr;
 };
 
 /// S(τ) for every type; indexed by TypeId.

@@ -11,31 +11,28 @@ namespace {
 /// types (one for plain columns, several for merged multi-way columns).
 std::vector<EntityId> ColumnValues(const EntityGraph& graph, EntityId entity,
                                    const MaterializedColumn& column) {
+  const FrozenGraph& adjacency = graph.adjacency();
   if (column.rel_types.size() == 1) {
-    return graph.NeighborSet(entity, column.rel_types[0], column.direction);
+    return adjacency.NeighborSet(entity, column.rel_types[0],
+                                 column.direction);
   }
   std::vector<EntityId> values;
   for (RelTypeId rel : column.rel_types) {
-    std::vector<EntityId> part =
-        graph.NeighborSet(entity, rel, column.direction);
-    values.insert(values.end(), part.begin(), part.end());
+    for (const FrozenGraph::Arc& arc :
+         adjacency.RelArcs(entity, rel, column.direction)) {
+      values.push_back(arc.neighbor);
+    }
   }
   std::sort(values.begin(), values.end());
   values.erase(std::unique(values.begin(), values.end()), values.end());
   return values;
 }
 
-/// Whether ColumnValues would be non-empty: the first incident edge of one
-/// of the column's relationship types decides, and no set is built.
+/// Whether ColumnValues would be non-empty, without building the set.
 bool HasColumnValue(const EntityGraph& graph, EntityId entity,
                     const MaterializedColumn& column) {
-  const std::vector<EdgeId>& incident =
-      column.direction == Direction::kOutgoing ? graph.OutEdges(entity)
-                                               : graph.InEdges(entity);
-  const std::vector<EdgeRecord>& edges = graph.edges();
-  for (EdgeId id : incident) {
-    if (std::find(column.rel_types.begin(), column.rel_types.end(),
-                  edges[id].rel_type) != column.rel_types.end()) {
+  for (RelTypeId rel : column.rel_types) {
+    if (!graph.adjacency().RelArcs(entity, rel, column.direction).empty()) {
       return true;
     }
   }

@@ -42,39 +42,9 @@ const std::string& EntityGraph::RelSurfaceName(RelTypeId r) const {
   return surface_names_.Get(RelType(r).surface_name);
 }
 
-const std::vector<EdgeId>& EntityGraph::EdgesOfRelType(RelTypeId r) const {
-  EGP_CHECK(r < rel_type_edges_.size()) << "bad rel type id " << r;
-  return rel_type_edges_[r];
-}
-
 const EdgeRecord& EntityGraph::Edge(EdgeId id) const {
   EGP_CHECK(id < edges_.size()) << "bad edge id " << id;
   return edges_[id];
-}
-
-const std::vector<EdgeId>& EntityGraph::OutEdges(EntityId e) const {
-  EGP_CHECK(e < out_edges_.size()) << "bad entity id " << e;
-  return out_edges_[e];
-}
-
-const std::vector<EdgeId>& EntityGraph::InEdges(EntityId e) const {
-  EGP_CHECK(e < in_edges_.size()) << "bad entity id " << e;
-  return in_edges_[e];
-}
-
-std::vector<EntityId> EntityGraph::NeighborSet(EntityId e, RelTypeId rel_type,
-                                               Direction direction) const {
-  std::vector<EntityId> out;
-  const auto& incident =
-      direction == Direction::kOutgoing ? OutEdges(e) : InEdges(e);
-  for (EdgeId id : incident) {
-    const EdgeRecord& rec = edges_[id];
-    if (rec.rel_type != rel_type) continue;
-    out.push_back(direction == Direction::kOutgoing ? rec.dst : rec.src);
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
 }
 
 }  // namespace egp

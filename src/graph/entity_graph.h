@@ -6,6 +6,9 @@
 // triple (surface name, source entity type, destination entity type): two
 // relationship types may share a surface name (e.g. the paper's two
 // "Award Winners" types) but are distinct identifiers.
+//
+// The edges are indexed once, by the CSR adjacency (adjacency()): each
+// entity's arcs per direction, grouped by relationship type.
 #ifndef EGP_GRAPH_ENTITY_GRAPH_H_
 #define EGP_GRAPH_ENTITY_GRAPH_H_
 
@@ -15,16 +18,10 @@
 #include <vector>
 
 #include "common/string_pool.h"
+#include "graph/frozen_graph.h"
 #include "graph/ids.h"
 
 namespace egp {
-
-/// One directed relationship instance e(src, dst) with its type.
-struct EdgeRecord {
-  EntityId src;
-  EntityId dst;
-  RelTypeId rel_type;
-};
 
 /// Descriptor of a relationship type γ(src_type, dst_type).
 struct RelTypeInfo {
@@ -61,20 +58,13 @@ class EntityGraph {
   // --- Relationship types ------------------------------------------------
   const RelTypeInfo& RelType(RelTypeId r) const;
   const std::string& RelSurfaceName(RelTypeId r) const;
-  /// All data edges of a relationship type; |.| is Sτ_cov(γ).
-  const std::vector<EdgeId>& EdgesOfRelType(RelTypeId r) const;
 
   // --- Edges ---------------------------------------------------------------
   const EdgeRecord& Edge(EdgeId id) const;
   const std::vector<EdgeRecord>& edges() const { return edges_; }
-  /// Edge ids leaving / entering an entity.
-  const std::vector<EdgeId>& OutEdges(EntityId e) const;
-  const std::vector<EdgeId>& InEdges(EntityId e) const;
-
-  /// t.γ(τ,τ') / t.γ(τ',τ): the set of neighbour entities of `e` through
-  /// edges of `rel_type` in the given direction. Deduplicated, sorted.
-  std::vector<EntityId> NeighborSet(EntityId e, RelTypeId rel_type,
-                                    Direction direction) const;
+  /// The edges as CSR adjacency, per entity and direction; built once by
+  /// EntityGraphBuilder::Build() or viewed from an .egps snapshot.
+  const FrozenGraph& adjacency() const { return adjacency_; }
 
   // --- Name pools ----------------------------------------------------------
   const StringPool& entity_names() const { return entity_names_; }
@@ -95,9 +85,7 @@ class EntityGraph {
   std::vector<std::vector<TypeId>> entity_types_;     // per entity
   std::vector<std::vector<EntityId>> type_members_;   // per type
   std::vector<EdgeRecord> edges_;
-  std::vector<std::vector<EdgeId>> out_edges_;        // per entity
-  std::vector<std::vector<EdgeId>> in_edges_;         // per entity
-  std::vector<std::vector<EdgeId>> rel_type_edges_;   // per rel type
+  FrozenGraph adjacency_;
 };
 
 }  // namespace egp

@@ -28,7 +28,6 @@ RelTypeId EntityGraphBuilder::AddRelationshipType(std::string_view surface_name,
   if (it != rel_type_index_.end()) return it->second;
   const RelTypeId id = static_cast<RelTypeId>(graph_.rel_types_.size());
   graph_.rel_types_.push_back(RelTypeInfo{surface, src_type, dst_type});
-  graph_.rel_type_edges_.emplace_back();
   rel_type_index_.emplace(key, id);
   return id;
 }
@@ -38,8 +37,6 @@ EntityId EntityGraphBuilder::AddEntity(std::string_view name) {
   if (existing) return *existing;
   const EntityId id = graph_.entity_names_.Intern(name);
   graph_.entity_types_.emplace_back();
-  graph_.out_edges_.emplace_back();
-  graph_.in_edges_.emplace_back();
   return id;
 }
 
@@ -78,11 +75,7 @@ Status EntityGraphBuilder::AddEdge(EntityId src, RelTypeId rel_type,
         graph_.TypeName(info.dst_type).c_str(),
         graph_.RelSurfaceName(rel_type).c_str()));
   }
-  const EdgeId id = static_cast<EdgeId>(graph_.edges_.size());
   graph_.edges_.push_back(EdgeRecord{src, dst, rel_type});
-  graph_.out_edges_[src].push_back(id);
-  graph_.in_edges_[dst].push_back(id);
-  graph_.rel_type_edges_[rel_type].push_back(id);
   return Status::OK();
 }
 
@@ -102,6 +95,8 @@ Result<EntityGraph> EntityGraphBuilder::Build() {
   if (graph_.num_entities() == 0) {
     return Status::FailedPrecondition("Build: graph has no entities");
   }
+  graph_.adjacency_ =
+      FrozenGraph::Freeze(graph_.num_entities(), graph_.edges_);
   EntityGraph out = std::move(graph_);
   graph_ = EntityGraph();
   rel_type_index_.clear();

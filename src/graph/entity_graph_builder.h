@@ -46,8 +46,9 @@ class EntityGraphBuilder {
   size_t num_entities() const { return graph_.num_entities(); }
   size_t num_edges() const { return graph_.num_edges(); }
 
-  /// Finalizes and returns the graph; the builder is left empty. Fails if
-  /// the graph has no entities.
+  /// Finalizes and returns the graph, freezing its edges into the CSR
+  /// adjacency; the builder is left empty. Fails if the graph has no
+  /// entities.
   Result<EntityGraph> Build();
 
  private:

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/parallel.h"
 #include "common/strings.h"
 
 namespace egp {
@@ -25,6 +24,20 @@ bool ArcLess(const FrozenGraph::Arc& a, const FrozenGraph::Arc& b) {
     if (a.rel_type != b.rel_type) return a.rel_type < b.rel_type;
     return a.neighbor < b.neighbor;
   }
+}
+
+uint64_t SplitMix64(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+/// Order-independent fingerprint contribution of one adjacency triple;
+/// summed with wraparound so any multiset difference shifts the total.
+uint64_t MixTriple(uint32_t entity, uint32_t neighbor, uint32_t rel_type) {
+  return SplitMix64((static_cast<uint64_t>(entity) << 32 | neighbor) ^
+                    SplitMix64(rel_type));
 }
 
 /// Shape + bounds check of one direction's (offsets, arcs) pair; `label`
@@ -78,13 +91,14 @@ Status ValidateCsrSide(const char* label, size_t num_entities,
 
 }  // namespace
 
-FrozenGraph FrozenGraph::Freeze(const EntityGraph& graph, ThreadPool* pool) {
+FrozenGraph FrozenGraph::Freeze(size_t num_entities,
+                                std::span<const EdgeRecord> edges) {
   auto arrays = std::make_shared<OwnedArrays>();
-  const size_t n = graph.num_entities();
+  const size_t n = num_entities;
   arrays->out_offsets.assign(n + 1, 0);
   arrays->in_offsets.assign(n + 1, 0);
 
-  for (const EdgeRecord& e : graph.edges()) {
+  for (const EdgeRecord& e : edges) {
     ++arrays->out_offsets[e.src + 1];
     ++arrays->in_offsets[e.dst + 1];
   }
@@ -93,31 +107,25 @@ FrozenGraph FrozenGraph::Freeze(const EntityGraph& graph, ThreadPool* pool) {
     arrays->in_offsets[i + 1] += arrays->in_offsets[i];
   }
 
-  arrays->out_arcs.resize(graph.num_edges());
-  arrays->in_arcs.resize(graph.num_edges());
+  arrays->out_arcs.resize(edges.size());
+  arrays->in_arcs.resize(edges.size());
   std::vector<uint64_t> out_cursor(arrays->out_offsets.begin(),
                                    arrays->out_offsets.end() - 1);
   std::vector<uint64_t> in_cursor(arrays->in_offsets.begin(),
                                   arrays->in_offsets.end() - 1);
-  for (const EdgeRecord& e : graph.edges()) {
+  for (const EdgeRecord& e : edges) {
     arrays->out_arcs[out_cursor[e.src]++] = Arc{e.dst, e.rel_type};
     arrays->in_arcs[in_cursor[e.dst]++] = Arc{e.src, e.rel_type};
   }
 
   // Sort each entity's run by (rel_type, neighbor): per-relationship
-  // slices become contiguous and pre-sorted. Runs are disjoint, so the
-  // per-entity sorts parallelize without affecting the result.
-  ParallelFor(
-      pool, 0, n,
-      [&arrays](size_t i) {
-        std::sort(arrays->out_arcs.begin() + arrays->out_offsets[i],
-                  arrays->out_arcs.begin() + arrays->out_offsets[i + 1],
-                  ArcLess);
-        std::sort(arrays->in_arcs.begin() + arrays->in_offsets[i],
-                  arrays->in_arcs.begin() + arrays->in_offsets[i + 1],
-                  ArcLess);
-      },
-      /*grain=*/64);
+  // slices become contiguous and pre-sorted.
+  for (size_t i = 0; i < n; ++i) {
+    std::sort(arrays->out_arcs.begin() + arrays->out_offsets[i],
+              arrays->out_arcs.begin() + arrays->out_offsets[i + 1], ArcLess);
+    std::sort(arrays->in_arcs.begin() + arrays->in_offsets[i],
+              arrays->in_arcs.begin() + arrays->in_offsets[i + 1], ArcLess);
+  }
 
   FrozenGraph frozen;
   frozen.num_entities_ = n;
@@ -188,6 +196,28 @@ std::vector<EntityId> FrozenGraph::NeighborSet(EntityId e, RelTypeId rel_type,
     }
   }
   return out;
+}
+
+bool FrozenGraph::MatchesEdges(size_t num_entities,
+                               std::span<const EdgeRecord> edges) const {
+  if (num_entities != num_entities_ || edges.size() != num_arcs()) {
+    return false;
+  }
+  uint64_t out_expected = 0, in_expected = 0;
+  for (const EdgeRecord& e : edges) {
+    out_expected += MixTriple(e.src, e.dst, e.rel_type);
+    in_expected += MixTriple(e.dst, e.src, e.rel_type);
+  }
+  uint64_t out_actual = 0, in_actual = 0;
+  for (EntityId e = 0; e < num_entities_; ++e) {
+    for (const Arc& arc : OutArcs(e)) {
+      out_actual += MixTriple(e, arc.neighbor, arc.rel_type);
+    }
+    for (const Arc& arc : InArcs(e)) {
+      in_actual += MixTriple(e, arc.neighbor, arc.rel_type);
+    }
+  }
+  return out_actual == out_expected && in_actual == in_expected;
 }
 
 size_t FrozenGraph::MemoryBytes() const {

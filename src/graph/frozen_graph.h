@@ -1,12 +1,9 @@
-// FrozenGraph: a compact CSR (compressed sparse row) snapshot of an
-// entity graph for scan-heavy workloads.
+// FrozenGraph: the CSR (compressed sparse row) adjacency of an entity
+// graph, and EntityGraph's only index over its edges.
 //
-// EntityGraph stores adjacency as per-entity vectors of edge ids — ideal
-// while building, wasteful to scan: every neighbour access chases an
-// EdgeId into the global edge array. FrozenGraph lays out (neighbour,
-// relationship-type) pairs contiguously per entity, in both directions,
-// for one-allocation storage and sequential scans. It is a read-only
-// view for algorithms; derive it once after ingestion.
+// (neighbour, relationship-type) pairs lie contiguously per entity, in
+// both directions, sorted so each relationship's run is contiguous and
+// neighbour-sorted: the paper's t.γ value sets (§2, §3.2) are slices.
 //
 // Storage is reference-counted: the four CSR arrays live behind a shared
 // backing object, so copying a FrozenGraph is a cheap handle copy. The
@@ -22,11 +19,9 @@
 #include <vector>
 
 #include "common/result.h"
-#include "graph/entity_graph.h"
+#include "graph/ids.h"
 
 namespace egp {
-
-class ThreadPool;
 
 class FrozenGraph {
  public:
@@ -39,11 +34,11 @@ class FrozenGraph {
 
   FrozenGraph() = default;
 
-  /// O(V + E): counts, prefix sums, one fill pass per direction. The
-  /// per-entity adjacency sorts (the dominant cost) run on `pool` when
-  /// one is given; the result is identical at any parallelism.
-  static FrozenGraph Freeze(const EntityGraph& graph,
-                            ThreadPool* pool = nullptr);
+  /// O(V + E): counts, prefix sums, one fill pass per direction, then
+  /// one sort per entity run. `edges` endpoints must be below
+  /// `num_entities`.
+  static FrozenGraph Freeze(size_t num_entities,
+                            std::span<const EdgeRecord> edges);
 
   /// Wraps externally owned CSR arrays without copying (the mmap'd .egps
   /// open path). `backing` keeps the memory the spans point into alive
@@ -73,8 +68,8 @@ class FrozenGraph {
   size_t OutDegree(EntityId e) const { return OutArcs(e).size(); }
   size_t InDegree(EntityId e) const { return InArcs(e).size(); }
 
-  /// Deduplicated neighbour set through one relationship type — the
-  /// CSR-backed equivalent of EntityGraph::NeighborSet (same result).
+  /// t.γ(τ,τ') / t.γ(τ',τ): the neighbours of `e` through edges of
+  /// `rel_type` in the given direction. Deduplicated, sorted.
   std::vector<EntityId> NeighborSet(EntityId e, RelTypeId rel_type,
                                     Direction direction) const;
 
@@ -84,6 +79,13 @@ class FrozenGraph {
   /// loops read value sets straight out of the CSR through this.
   std::span<const Arc> RelArcs(EntityId e, RelTypeId rel_type,
                                Direction direction) const;
+
+  /// Whether the arcs are exactly `edges`, both directions, over
+  /// `num_entities` entities. O(E), by an order-independent fingerprint
+  /// of the (entity, neighbor, rel_type) multisets, so a structurally
+  /// valid CSR that describes some other edge array is caught.
+  bool MatchesEdges(size_t num_entities,
+                    std::span<const EdgeRecord> edges) const;
 
   /// Resident footprint of the CSR arrays, in bytes (for a FromCsr view
   /// this counts the backing bytes viewed, e.g. mapped file pages).

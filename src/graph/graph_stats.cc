@@ -14,13 +14,14 @@ EntityGraphStats ComputeEntityGraphStats(const EntityGraph& graph) {
   stats.num_edges = graph.num_edges();
   stats.num_types = graph.num_types();
   stats.num_rel_types = graph.num_rel_types();
+  const FrozenGraph& adjacency = graph.adjacency();
   uint64_t degree_sum = 0;
   for (EntityId e = 0; e < graph.num_entities(); ++e) {
-    const uint64_t out = graph.OutEdges(e).size();
+    const uint64_t out = adjacency.OutDegree(e);
     degree_sum += out;
     stats.max_out_degree = std::max(stats.max_out_degree, out);
     if (graph.TypesOf(e).size() > 1) ++stats.multi_typed_entities;
-    if (out + graph.InEdges(e).size() == 0) ++stats.isolated_entities;
+    if (out + adjacency.InDegree(e) == 0) ++stats.isolated_entities;
   }
   stats.avg_out_degree =
       stats.num_entities == 0

@@ -1,4 +1,5 @@
-// Dense id aliases used throughout the library.
+// Dense id aliases, and the edge record made of them, used throughout
+// the library.
 //
 // Entities, entity types, relationship types and edges all get dense
 // 32-bit ids assigned in insertion order; names live in StringPools.
@@ -20,6 +21,13 @@ inline constexpr uint32_t kInvalidId = std::numeric_limits<uint32_t>::max();
 /// Orientation of a non-key attribute relative to a table's key type τ:
 /// kOutgoing corresponds to γ(τ, τ') and kIncoming to γ(τ', τ).
 enum class Direction : uint8_t { kOutgoing = 0, kIncoming = 1 };
+
+/// One directed relationship instance e(src, dst) with its type.
+struct EdgeRecord {
+  EntityId src;
+  EntityId dst;
+  RelTypeId rel_type;
+};
 
 inline const char* DirectionName(Direction d) {
   return d == Direction::kOutgoing ? "out" : "in";

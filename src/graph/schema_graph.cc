@@ -11,13 +11,14 @@ SchemaGraph SchemaGraph::FromEntityGraph(const EntityGraph& graph) {
   for (TypeId t = 0; t < graph.num_types(); ++t) {
     schema.AddType(graph.TypeName(t), graph.TypeEntityCount(t));
   }
+  std::vector<uint64_t> support(graph.num_rel_types(), 0);
+  for (const EdgeRecord& e : graph.edges()) ++support[e.rel_type];
   for (RelTypeId r = 0; r < graph.num_rel_types(); ++r) {
-    const size_t support = graph.EdgesOfRelType(r).size();
-    if (support == 0) continue;  // Es membership requires a data edge (§2).
+    if (support[r] == 0) continue;  // Es membership requires a data edge (§2).
     const RelTypeInfo& info = graph.RelType(r);
     const uint32_t index =
         schema.AddEdge(graph.RelSurfaceName(r), info.src_type, info.dst_type,
-                       support);
+                       support[r]);
     schema.edge_rel_type_[index] = r;
   }
   return schema;

@@ -15,7 +15,7 @@ ValidationReport ValidateEntityGraph(const EntityGraph& graph) {
     }
   };
 
-  // Edge endpoint typing + adjacency index membership.
+  // Edge endpoint typing.
   for (EdgeId id = 0; id < graph.num_edges(); ++id) {
     const EdgeRecord& e = graph.Edge(id);
     if (e.src >= graph.num_entities() || e.dst >= graph.num_entities()) {
@@ -37,40 +37,10 @@ ValidationReport ValidateEntityGraph(const EntityGraph& graph) {
                         graph.EntityName(e.dst).c_str(),
                         graph.TypeName(info.dst_type).c_str()));
     }
-    const auto& out = graph.OutEdges(e.src);
-    if (std::find(out.begin(), out.end(), id) == out.end()) {
-      violate(StrFormat("edge %u missing from source's out index", id));
-    }
-    const auto& in = graph.InEdges(e.dst);
-    if (std::find(in.begin(), in.end(), id) == in.end()) {
-      violate(StrFormat("edge %u missing from destination's in index", id));
-    }
-    const auto& by_rel = graph.EdgesOfRelType(e.rel_type);
-    if (std::find(by_rel.begin(), by_rel.end(), id) == by_rel.end()) {
-      violate(StrFormat("edge %u missing from relationship index", id));
-    }
   }
 
-  // Index sizes partition the edge set.
-  size_t out_total = 0, in_total = 0, rel_total = 0;
-  for (EntityId v = 0; v < graph.num_entities(); ++v) {
-    out_total += graph.OutEdges(v).size();
-    in_total += graph.InEdges(v).size();
-  }
-  for (RelTypeId r = 0; r < graph.num_rel_types(); ++r) {
-    rel_total += graph.EdgesOfRelType(r).size();
-  }
-  if (out_total != graph.num_edges()) {
-    violate(StrFormat("out indexes cover %zu of %zu edges", out_total,
-                      graph.num_edges()));
-  }
-  if (in_total != graph.num_edges()) {
-    violate(StrFormat("in indexes cover %zu of %zu edges", in_total,
-                      graph.num_edges()));
-  }
-  if (rel_total != graph.num_edges()) {
-    violate(StrFormat("relationship indexes cover %zu of %zu edges",
-                      rel_total, graph.num_edges()));
+  if (!graph.adjacency().MatchesEdges(graph.num_entities(), graph.edges())) {
+    violate("CSR adjacency disagrees with the edge array");
   }
 
   // Membership symmetry: TypesOf(v) <-> EntitiesOfType(t).

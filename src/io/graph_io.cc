@@ -113,9 +113,7 @@ Result<LoadedGraph> LoadGraphFileAuto(
     StoredGraph stored;
     EGP_ASSIGN_OR_RETURN(stored, OpenSnapshot(path, snapshot_options));
     loaded.graph = std::move(stored.graph);
-    loaded.frozen = std::move(stored.frozen);
     loaded.storage = GraphStorage::kSnapshot;
-    loaded.zero_copy = stored.zero_copy;
     return loaded;
   }
   if (EndsWith(path, ".egps")) {

@@ -13,12 +13,10 @@
 #define EGP_IO_GRAPH_IO_H_
 
 #include <iosfwd>
-#include <optional>
 #include <string>
 
 #include "common/result.h"
 #include "graph/entity_graph.h"
-#include "graph/frozen_graph.h"
 #include "store/snapshot_reader.h"
 
 namespace egp {
@@ -45,11 +43,7 @@ const char* GraphStorageName(GraphStorage storage);
 
 struct LoadedGraph {
   EntityGraph graph;
-  /// The prebuilt CSR; set iff storage == kSnapshot (possibly viewing
-  /// the mapped file zero-copy — see StoredGraph::zero_copy).
-  std::optional<FrozenGraph> frozen;
   GraphStorage storage = GraphStorage::kEgt;
-  bool zero_copy = false;
 };
 
 /// Loads a graph with content sniffing: a file starting with the EGPS

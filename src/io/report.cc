@@ -16,8 +16,7 @@ Result<std::string> GeneratePreviewReport(const EntityGraph& graph,
   const SchemaGraph schema = SchemaGraph::FromEntityGraph(graph);
   EGP_ASSIGN_OR_RETURN(
       PreparedSchema prepared,
-      PreparedSchema::Create(schema, options.measures, &graph,
-                             /*pool=*/nullptr, options.frozen));
+      PreparedSchema::Create(schema, options.measures, &graph));
 
   std::ostringstream out;
   out << "# " << options.title << "\n\n";

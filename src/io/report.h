@@ -26,9 +26,6 @@ struct ReportOptions {
   TupleSamplerOptions sampler;
   size_t top_keys = 8;       // ranking table length
   bool include_dot = false;  // appendix with Graphviz source
-  /// Prebuilt CSR of the graph (e.g. from an .egps snapshot); scoring
-  /// reuses it instead of re-freezing. Must outlive the call.
-  const FrozenGraph* frozen = nullptr;
 };
 
 /// Renders the full report; fails if discovery is infeasible under the

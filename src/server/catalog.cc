@@ -100,11 +100,7 @@ Result<DatasetCatalog> DatasetCatalog::Load(
       return;
     }
     slot.storage = GraphStorageName(loaded->storage);
-    slot.engine =
-        loaded->frozen
-            ? Engine::FromFrozen(std::move(loaded->graph),
-                                 std::move(*loaded->frozen), options.engine)
-            : Engine::FromGraph(std::move(loaded->graph), options.engine);
+    slot.engine = Engine::FromGraph(std::move(loaded->graph), options.engine);
     slot.load_seconds = timer.ElapsedSeconds();
     EGP_LOG(Info) << "dataset '" << specs[i].name << "' loaded path="
                   << specs[i].path << " storage=" << slot.storage

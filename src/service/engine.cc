@@ -56,9 +56,6 @@ std::string MeasureDisplay(const MeasureSelection& measures) {
 struct Engine::State {
   // Set for FromGraph engines; schema-only engines serve without it.
   std::optional<EntityGraph> graph;
-  // Set for FromFrozen engines: the prebuilt (possibly mmap-backed) CSR
-  // snapshot of `graph`, reused by every prepared build.
-  std::optional<FrozenGraph> frozen;
   SchemaGraph schema;
   EngineOptions options;
 
@@ -117,26 +114,6 @@ Engine Engine::FromGraph(EntityGraph graph, const EngineOptions& options) {
   return Engine(std::move(state));
 }
 
-Engine Engine::FromFrozen(EntityGraph graph, FrozenGraph frozen,
-                          const EngineOptions& options) {
-  // Catch a mismatched pair at construction, not as a mid-request abort
-  // deep inside CSR scans (snapshot opens cross-validate this already;
-  // a failure here is a caller mixing up graphs).
-  EGP_CHECK(frozen.num_entities() == graph.num_entities() &&
-            frozen.num_arcs() == graph.num_edges())
-      << "FromFrozen: frozen graph (" << frozen.num_entities()
-      << " entities, " << frozen.num_arcs()
-      << " arcs) was not frozen from this entity graph ("
-      << graph.num_entities() << " entities, " << graph.num_edges()
-      << " edges)";
-  auto state = std::make_shared<State>();
-  state->schema = SchemaGraph::FromEntityGraph(graph);
-  state->graph = std::move(graph);
-  state->frozen = std::move(frozen);
-  state->options = options;
-  return Engine(std::move(state));
-}
-
 Engine Engine::FromSchema(SchemaGraph schema, const EngineOptions& options) {
   auto state = std::make_shared<State>();
   state->schema = std::move(schema);
@@ -149,10 +126,6 @@ const EntityGraph* Engine::graph() const {
 }
 
 const SchemaGraph& Engine::schema() const { return state_->schema; }
-
-const FrozenGraph* Engine::frozen() const {
-  return state_->frozen ? &*state_->frozen : nullptr;
-}
 
 Engine::CacheStats Engine::cache_stats() const {
   MutexLock lock(&state_->mu);
@@ -271,7 +244,7 @@ Result<std::shared_ptr<const PreparedSchema>> Engine::PreparedInternal(
     Timer build_timer;
     auto built = PreparedSchema::Create(
         state.schema, measures, state.graph ? &*state.graph : nullptr,
-        state.BuildPool(), state.frozen ? &*state.frozen : nullptr);
+        state.BuildPool());
     if (RequestTrace* trace = CurrentRequestTrace()) {
       EGP_LOG(Debug) << "cold prepared-schema build key=" << key
                      << " trace=" << trace->id << " seconds="

@@ -34,7 +34,6 @@
 #include "core/scoring_registry.h"
 #include "core/tuple_sampler.h"
 #include "graph/entity_graph.h"
-#include "graph/frozen_graph.h"
 #include "graph/schema_graph.h"
 
 namespace egp {
@@ -127,14 +126,6 @@ class Engine {
   static Engine FromGraph(EntityGraph graph,
                           const EngineOptions& options = {});
 
-  /// Serves a graph together with its prebuilt CSR snapshot — the cold-
-  /// start path for .egps snapshots (src/store/), whose FrozenGraph may
-  /// view a file mapping zero-copy. `frozen` must be the Freeze() result
-  /// of `graph` (snapshot opens guarantee this); prepared builds then
-  /// skip the re-freeze. Previews are bit-identical to FromGraph.
-  static Engine FromFrozen(EntityGraph graph, FrozenGraph frozen,
-                           const EngineOptions& options = {});
-
   /// Serves a schema graph only (synthetic workloads, incremental
   /// re-serving of maintained statistics). Requests needing the data
   /// graph — "entropy" scoring, sample_rows > 0 — fail with
@@ -171,8 +162,6 @@ class Engine {
   /// The entity graph, or nullptr for a schema-only engine.
   const EntityGraph* graph() const;
   const SchemaGraph& schema() const;
-  /// The prebuilt CSR snapshot, or nullptr unless built via FromFrozen.
-  const FrozenGraph* frozen() const;
 
   /// Prepared-schema cache introspection (served on /metrics by the
   /// HTTP subsystem and printed by `egp_cli --verbose`). Counters are

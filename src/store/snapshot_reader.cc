@@ -16,22 +16,22 @@
 
 #include "common/fault.h"
 #include "common/strings.h"
+#include "graph/frozen_graph.h"
 #include "store/format.h"
 #include "store/mapped_file.h"
 
 namespace egp {
 
 /// Fills EntityGraph's private members from validated snapshot sections
-/// (a friend of EntityGraph). The inverted edge indexes are derived —
-/// they are a pure function of the edge array in edge-id order, exactly
-/// as EntityGraphBuilder::AddEdge appends them.
+/// (a friend of EntityGraph).
 struct GraphAssembler {
   static EntityGraph Assemble(StringPool entity_names, StringPool type_names,
                               StringPool surface_names,
                               std::vector<RelTypeInfo> rel_types,
                               std::vector<std::vector<TypeId>> entity_types,
                               std::vector<std::vector<EntityId>> type_members,
-                              std::vector<EdgeRecord> edges) {
+                              std::vector<EdgeRecord> edges,
+                              FrozenGraph adjacency) {
     EntityGraph graph;
     graph.entity_names_ = std::move(entity_names);
     graph.type_names_ = std::move(type_names);
@@ -40,15 +40,7 @@ struct GraphAssembler {
     graph.entity_types_ = std::move(entity_types);
     graph.type_members_ = std::move(type_members);
     graph.edges_ = std::move(edges);
-    graph.out_edges_.resize(graph.entity_types_.size());
-    graph.in_edges_.resize(graph.entity_types_.size());
-    graph.rel_type_edges_.resize(graph.rel_types_.size());
-    for (EdgeId id = 0; id < graph.edges_.size(); ++id) {
-      const EdgeRecord& e = graph.edges_[id];
-      graph.out_edges_[e.src].push_back(id);
-      graph.in_edges_[e.dst].push_back(id);
-      graph.rel_type_edges_[e.rel_type].push_back(id);
-    }
+    graph.adjacency_ = std::move(adjacency);
     return graph;
   }
 };
@@ -63,20 +55,6 @@ uint64_t ReadU64(const uint8_t* p) {
   uint64_t v;
   std::memcpy(&v, p, sizeof(v));
   return v;
-}
-
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-/// Order-independent fingerprint contribution of one adjacency triple;
-/// summed with wraparound so any multiset difference shifts the total.
-uint64_t MixTriple(uint32_t entity, uint32_t neighbor, uint32_t rel_type) {
-  return SplitMix64((static_cast<uint64_t>(entity) << 32 | neighbor) ^
-                    SplitMix64(rel_type));
 }
 
 /// One section's payload bytes.
@@ -535,43 +513,23 @@ Result<StoredGraph> OpenSnapshotBytes(std::span<const uint8_t> bytes,
   EGP_ASSIGN_OR_RETURN(out_arcs, csr_arcs(kSectionOutArcs, "out arcs"));
   EGP_ASSIGN_OR_RETURN(in_arcs, csr_arcs(kSectionInArcs, "in arcs"));
 
-  StoredGraph stored;
+  FrozenGraph adjacency;
   EGP_ASSIGN_OR_RETURN(
-      stored.frozen,
+      adjacency,
       FrozenGraph::FromCsr(num_entities, num_rel_types, out_offsets,
                            in_offsets, out_arcs, in_arcs,
                            std::move(backing)));
-
-  // --- CSR <-> edge consistency ------------------------------------------
   // FromCsr proved the arrays well-formed; they must also describe *this*
-  // graph — Engine::FromFrozen's contract is frozen == Freeze(graph).
-  // Compare the multiset of (entity, neighbor, rel_type) triples per
-  // direction via an order-independent fingerprint: O(E), no sorts, and
-  // it catches structurally valid arc content that disagrees with the
-  // edge array (e.g. a resealed file with swapped neighbors).
-  uint64_t out_expected = 0, in_expected = 0;
-  for (const EdgeRecord& e : edges) {
-    out_expected += MixTriple(e.src, e.dst, e.rel_type);
-    in_expected += MixTriple(e.dst, e.src, e.rel_type);
-  }
-  uint64_t out_actual = 0, in_actual = 0;
-  for (uint64_t e = 0; e < num_entities; ++e) {
-    for (uint64_t a = out_offsets[e]; a < out_offsets[e + 1]; ++a) {
-      out_actual += MixTriple(static_cast<uint32_t>(e),
-                              out_arcs[a].neighbor, out_arcs[a].rel_type);
-    }
-    for (uint64_t a = in_offsets[e]; a < in_offsets[e + 1]; ++a) {
-      in_actual += MixTriple(static_cast<uint32_t>(e),
-                             in_arcs[a].neighbor, in_arcs[a].rel_type);
-    }
-  }
-  if (out_actual != out_expected || in_actual != in_expected) {
+  // graph's edges (e.g. not a resealed file with swapped neighbors).
+  if (!adjacency.MatchesEdges(num_entities, edges)) {
     return Corrupt("CSR adjacency disagrees with the edge array");
   }
+  StoredGraph stored;
   stored.graph = GraphAssembler::Assemble(
       std::move(entity_names), std::move(type_names),
       std::move(surface_names), std::move(rel_types),
-      std::move(entity_types), std::move(type_members), std::move(edges));
+      std::move(entity_types), std::move(type_members), std::move(edges),
+      std::move(adjacency));
   return stored;
 }
 

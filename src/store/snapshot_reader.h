@@ -2,19 +2,19 @@
 //
 // Two open paths:
 //   - kStream: one sequential read of the file into a heap buffer; the
-//     graph and CSR are served from that buffer. No mmap involved —
-//     works on filesystems/containers where mapping is undesirable.
-//   - kMmap: the file is mapped read-only and the FrozenGraph CSR spans
+//     graph's CSR adjacency is served from that buffer. No mmap involved
+//     — works on filesystems/containers where mapping is undesirable.
+//   - kMmap: the file is mapped read-only and the CSR adjacency spans
 //     point straight into the mapping (zero-copy): pages fault in on
 //     demand, live in the shared page cache, and any number of server
 //     processes serving the same snapshot share one physical copy.
 //
-// Either way the EntityGraph side (names, type membership, edge list) is
-// materialized into ordinary structures, and every section is validated
-// — magic, version, endianness, size, checksums, offsets, id bounds,
-// CSR monotonicity and sortedness — before anything is trusted, so a
-// corrupt, truncated or wrong-version file yields a clean Status, never
-// undefined behaviour.
+// Either way the rest of the EntityGraph (names, type membership, edge
+// list) is materialized into ordinary structures, and every section is
+// validated — magic, version, endianness, size, checksums, offsets, id
+// bounds, CSR monotonicity and sortedness — before anything is trusted,
+// so a corrupt, truncated or wrong-version file yields a clean Status,
+// never undefined behaviour.
 #ifndef EGP_STORE_SNAPSHOT_READER_H_
 #define EGP_STORE_SNAPSHOT_READER_H_
 
@@ -24,17 +24,14 @@
 
 #include "common/result.h"
 #include "graph/entity_graph.h"
-#include "graph/frozen_graph.h"
 
 namespace egp {
 
-/// A loaded snapshot: the materialized entity graph plus the prebuilt
-/// CSR. `frozen` is bit-identical to FrozenGraph::Freeze(graph), so
-/// engines can serve from it without re-freezing.
+/// A loaded snapshot. The graph's adjacency() views the snapshot bytes
+/// and is bit-identical to what EntityGraphBuilder::Build() freezes.
 struct StoredGraph {
   EntityGraph graph;
-  FrozenGraph frozen;
-  /// True when `frozen` views a file mapping (kMmap open).
+  /// True when the adjacency views a file mapping (kMmap open).
   bool zero_copy = false;
 };
 
@@ -51,7 +48,7 @@ Result<StoredGraph> OpenSnapshot(const std::string& path,
                                  const SnapshotOpenOptions& options = {});
 
 /// Parses a snapshot image already in memory. `backing` must keep the
-/// bytes alive; the returned FrozenGraph views them. The image base
+/// bytes alive; the returned graph's adjacency views them. The image base
 /// must be 8-byte aligned (mmap and heap allocations always are) —
 /// CSR arrays are served in place; a misaligned base is rejected with
 /// InvalidArgument, never read misaligned.

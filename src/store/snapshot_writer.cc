@@ -12,7 +12,6 @@
 
 #include "common/fault.h"
 #include "common/posix.h"
-#include "common/strings.h"
 #include "store/format.h"
 
 namespace egp {
@@ -139,8 +138,7 @@ constexpr char kPadding[8] = {0};
 size_t AlignUp8(size_t value) { return (value + 7) & ~size_t{7}; }
 
 /// Stages, lays out, and emits the whole snapshot into `sink`.
-Status EmitSnapshot(const EntityGraph& graph, const FrozenGraph& frozen,
-                    ByteSink& sink) {
+Status EmitSnapshot(const EntityGraph& graph, ByteSink& sink) {
   if constexpr (std::endian::native != std::endian::little) {
     return Status::Unimplemented(
         ".egps snapshots are little-endian only; this host is big-endian");
@@ -148,14 +146,7 @@ Status EmitSnapshot(const EntityGraph& graph, const FrozenGraph& frozen,
   if (graph.num_entities() == 0) {
     return Status::InvalidArgument("refusing to snapshot an empty graph");
   }
-  if (frozen.num_entities() != graph.num_entities() ||
-      frozen.num_arcs() != graph.num_edges()) {
-    return Status::InvalidArgument(StrFormat(
-        "frozen graph (%zu entities, %zu arcs) was not derived from this "
-        "entity graph (%zu entities, %zu edges)",
-        frozen.num_entities(), frozen.num_arcs(), graph.num_entities(),
-        graph.num_edges()));
-  }
+  const FrozenGraph& adjacency = graph.adjacency();
 
   // --- Stage the variable-width payloads -------------------------------
   uint64_t meta[kMetaFieldCount] = {};
@@ -164,8 +155,8 @@ Status EmitSnapshot(const EntityGraph& graph, const FrozenGraph& frozen,
   meta[kMetaNumTypes] = graph.num_types();
   meta[kMetaNumRelTypes] = graph.num_rel_types();
   meta[kMetaNumSurfaceNames] = graph.surface_names().size();
-  meta[kMetaNumOutArcs] = frozen.out_arcs().size();
-  meta[kMetaNumInArcs] = frozen.in_arcs().size();
+  meta[kMetaNumOutArcs] = adjacency.out_arcs().size();
+  meta[kMetaNumInArcs] = adjacency.in_arcs().size();
 
   const StringTableBuffers entity_names(graph.entity_names());
   const StringTableBuffers type_names(graph.type_names());
@@ -215,17 +206,17 @@ Status EmitSnapshot(const EntityGraph& graph, const FrozenGraph& frozen,
   sections[7].id = kSectionEdges;
   sections[7].Add(edges.data(), edges.size() * sizeof(EdgeTriple));
   sections[8].id = kSectionOutOffsets;
-  sections[8].Add(frozen.out_offsets().data(),
-                  frozen.out_offsets().size() * sizeof(uint64_t));
+  sections[8].Add(adjacency.out_offsets().data(),
+                  adjacency.out_offsets().size() * sizeof(uint64_t));
   sections[9].id = kSectionInOffsets;
-  sections[9].Add(frozen.in_offsets().data(),
-                  frozen.in_offsets().size() * sizeof(uint64_t));
+  sections[9].Add(adjacency.in_offsets().data(),
+                  adjacency.in_offsets().size() * sizeof(uint64_t));
   sections[10].id = kSectionOutArcs;
-  sections[10].Add(frozen.out_arcs().data(),
-                   frozen.out_arcs().size() * sizeof(FrozenGraph::Arc));
+  sections[10].Add(adjacency.out_arcs().data(),
+                   adjacency.out_arcs().size() * sizeof(FrozenGraph::Arc));
   sections[11].id = kSectionInArcs;
-  sections[11].Add(frozen.in_arcs().data(),
-                   frozen.in_arcs().size() * sizeof(FrozenGraph::Arc));
+  sections[11].Add(adjacency.in_arcs().data(),
+                   adjacency.in_arcs().size() * sizeof(FrozenGraph::Arc));
 
   // --- Lay out the TOC --------------------------------------------------
   std::vector<SectionEntry> toc(sections.size());
@@ -293,17 +284,15 @@ Status SyncPath(const std::string& path) {
 
 }  // namespace
 
-Status WriteSnapshot(const EntityGraph& graph, const FrozenGraph& frozen,
-                     std::ostream& out) {
+Status WriteSnapshot(const EntityGraph& graph, std::ostream& out) {
   OstreamSink sink(out);
-  EGP_RETURN_IF_ERROR(EmitSnapshot(graph, frozen, sink));
+  EGP_RETURN_IF_ERROR(EmitSnapshot(graph, sink));
   out.flush();
   if (!out) return Status::IOError("snapshot write failed");
   return Status::OK();
 }
 
-Status WriteSnapshotFile(const EntityGraph& graph, const FrozenGraph& frozen,
-                         const std::string& path) {
+Status WriteSnapshotFile(const EntityGraph& graph, const std::string& path) {
   // Write temp + fsync + rename + fsync(dir), never truncate in place:
   // a running server may be serving `path` through a MAP_SHARED mapping
   // (the old inode survives the rename untouched), and neither a crash,
@@ -321,7 +310,7 @@ Status WriteSnapshotFile(const EntityGraph& graph, const FrozenGraph& frozen,
   }
   {
     FdSink sink(fd);
-    const Status written = EmitSnapshot(graph, frozen, sink);
+    const Status written = EmitSnapshot(graph, sink);
     if (!written.ok()) {
       ::close(fd);
       std::remove(temp.c_str());
@@ -357,11 +346,6 @@ Status WriteSnapshotFile(const EntityGraph& graph, const FrozenGraph& frozen,
   const size_t slash = path.find_last_of('/');
   return SyncPath(slash == std::string::npos ? "."
                                              : path.substr(0, slash + 1));
-}
-
-Status CompileSnapshotFile(const EntityGraph& graph, const std::string& path,
-                           ThreadPool* pool) {
-  return WriteSnapshotFile(graph, FrozenGraph::Freeze(graph, pool), path);
 }
 
 }  // namespace egp

@@ -1,8 +1,8 @@
 // Writer side of the .egps snapshot store (see format.h for the layout).
 //
-// A snapshot is written from an EntityGraph plus its FrozenGraph CSR; the
-// CSR arrays land in the file exactly as Freeze() lays them out in
-// memory, which is what makes the mmap open zero-copy.
+// A snapshot is written from an EntityGraph; its CSR adjacency arrays
+// land in the file exactly as they lie in memory, which is what makes
+// the mmap open zero-copy.
 #ifndef EGP_STORE_SNAPSHOT_WRITER_H_
 #define EGP_STORE_SNAPSHOT_WRITER_H_
 
@@ -11,25 +11,13 @@
 
 #include "common/result.h"
 #include "graph/entity_graph.h"
-#include "graph/frozen_graph.h"
 
 namespace egp {
 
-class ThreadPool;
+/// Serializes `graph`. The stream must be binary.
+Status WriteSnapshot(const EntityGraph& graph, std::ostream& out);
 
-/// Serializes `graph` + `frozen` (which must have been frozen from this
-/// graph: entity/arc counts are cross-checked). The stream must be
-/// binary.
-Status WriteSnapshot(const EntityGraph& graph, const FrozenGraph& frozen,
-                     std::ostream& out);
-
-Status WriteSnapshotFile(const EntityGraph& graph, const FrozenGraph& frozen,
-                         const std::string& path);
-
-/// Convenience for the compile path: freezes `graph` (on `pool` when
-/// given) and writes the snapshot in one call.
-Status CompileSnapshotFile(const EntityGraph& graph, const std::string& path,
-                           ThreadPool* pool = nullptr);
+Status WriteSnapshotFile(const EntityGraph& graph, const std::string& path);
 
 }  // namespace egp
 

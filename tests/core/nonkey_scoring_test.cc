@@ -7,6 +7,7 @@
 #include "datagen/generator.h"
 #include "datagen/paper_example.h"
 #include "graph/entity_graph_builder.h"
+#include "tests/testing/reference_graph.h"
 
 namespace egp {
 namespace {
@@ -177,9 +178,9 @@ TEST(ComputeNonKeyEntropyTest, FailsWithoutRelTypeMapping) {
 }
 
 TEST(ComputeNonKeyEntropyTest, FastPathMatchesReferenceOnGeneratedDomain) {
-  // ComputeNonKeyEntropy uses a single-pass-per-relationship fast path;
-  // RelationshipEntropy is the reference implementation. They must agree
-  // on every (edge, direction) of a realistic generated graph.
+  // ComputeNonKeyEntropy reads value sets off the CSR adjacency; the
+  // reference groups the edge array's value sets directly. They must
+  // agree on every (edge, direction) of a realistic generated graph.
   GeneratorOptions options;
   options.scale = 0.0003;
   auto domain = GenerateDomainByName("tv", options);
@@ -189,13 +190,13 @@ TEST(ComputeNonKeyEntropyTest, FastPathMatchesReferenceOnGeneratedDomain) {
   for (uint32_t i = 0; i < domain->schema.num_edges(); ++i) {
     const RelTypeId rel = domain->schema.RelTypeOfEdge(i);
     EXPECT_NEAR(fast->outgoing[i],
-                RelationshipEntropy(domain->graph, rel,
-                                    Direction::kOutgoing),
+                testing_util::ReferenceRelationshipEntropy(
+                    domain->graph, rel, Direction::kOutgoing),
                 1e-9)
         << "edge " << i << " outgoing";
     EXPECT_NEAR(fast->incoming[i],
-                RelationshipEntropy(domain->graph, rel,
-                                    Direction::kIncoming),
+                testing_util::ReferenceRelationshipEntropy(
+                    domain->graph, rel, Direction::kIncoming),
                 1e-9)
         << "edge " << i << " incoming";
   }

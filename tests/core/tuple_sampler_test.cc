@@ -10,6 +10,7 @@
 #include "core/discover.h"
 #include "datagen/paper_example.h"
 #include "graph/entity_graph_builder.h"
+#include "tests/testing/reference_graph.h"
 
 namespace egp {
 namespace {
@@ -60,8 +61,8 @@ struct CellKinds {
   size_t repeated_edges = 0;  // more incident edges than distinct values
 };
 
-// The cell oracle: a cell is the sorted, deduplicated union of
-// EntityGraph::NeighborSet over its column's relationship types.
+// The cell oracle: a cell is the sorted, deduplicated union of the
+// reference neighbour sets over its column's relationship types.
 void ExpectCellsMatchNeighborSets(const EntityGraph& graph,
                                   const MaterializedPreview& mat,
                                   CellKinds* kinds) {
@@ -70,21 +71,21 @@ void ExpectCellsMatchNeighborSets(const EntityGraph& graph,
       ASSERT_EQ(row.cells.size(), table.columns.size());
       for (size_t c = 0; c < table.columns.size(); ++c) {
         const MaterializedColumn& column = table.columns[c];
-        const std::vector<EdgeId>& incident =
-            column.direction == Direction::kOutgoing ? graph.OutEdges(row.key)
-                                                     : graph.InEdges(row.key);
+        const bool outgoing = column.direction == Direction::kOutgoing;
         std::vector<EntityId> expected;
         size_t edges = 0;
         for (RelTypeId rel : column.rel_types) {
-          const auto part = graph.NeighborSet(row.key, rel, column.direction);
+          const auto part = testing_util::ReferenceNeighborSet(
+              graph, row.key, rel, column.direction);
           expected.insert(expected.end(), part.begin(), part.end());
-          for (EdgeId id : incident) {
-            if (graph.Edge(id).rel_type == rel) ++edges;
+          for (const EdgeRecord& edge : graph.edges()) {
+            if (edge.rel_type == rel &&
+                (outgoing ? edge.src : edge.dst) == row.key) {
+              ++edges;
+            }
           }
         }
-        std::sort(expected.begin(), expected.end());
-        expected.erase(std::unique(expected.begin(), expected.end()),
-                       expected.end());
+        testing_util::MakeSet(&expected);
         EXPECT_EQ(row.cells[c].values, expected)
             << table.key_name << "." << column.name << " of "
             << graph.EntityName(row.key);

@@ -6,8 +6,13 @@
 
 #include <map>
 
+#include "tests/testing/reference_graph.h"
+
 namespace egp {
 namespace {
+
+using testing_util::ReferenceNeighborSet;
+using testing_util::RelTypeEdgeCount;
 
 class PaperExampleTest : public ::testing::Test {
  protected:
@@ -51,8 +56,8 @@ TEST_F(PaperExampleTest, DoubleEdgeWillToIRobot) {
   const EntityId will = Entity("Will Smith");
   const EntityId irobot = Entity("I, Robot");
   int edges = 0;
-  for (EdgeId id : graph_.OutEdges(will)) {
-    if (graph_.Edge(id).dst == irobot) ++edges;
+  for (const FrozenGraph::Arc& arc : graph_.adjacency().OutArcs(will)) {
+    if (arc.neighbor == irobot) ++edges;
   }
   EXPECT_EQ(edges, 2);
 }
@@ -75,15 +80,15 @@ TEST_F(PaperExampleTest, Figure2TupleContents) {
     if (graph_.RelSurfaceName(r) == "Genres") genres = r;
   }
   const auto director_values =
-      graph_.NeighborSet(mib, director, Direction::kIncoming);
+      ReferenceNeighborSet(graph_, mib, director, Direction::kIncoming);
   ASSERT_EQ(director_values.size(), 1u);
   EXPECT_EQ(graph_.EntityName(director_values[0]), "Barry Sonnenfeld");
   const auto genre_values =
-      graph_.NeighborSet(mib, genres, Direction::kOutgoing);
+      ReferenceNeighborSet(graph_, mib, genres, Direction::kOutgoing);
   EXPECT_EQ(genre_values.size(), 2u);
   // t3 = ⟨Hancock, Peter Berg, -⟩: empty genres.
-  EXPECT_TRUE(graph_.NeighborSet(Entity("Hancock"), genres,
-                                 Direction::kOutgoing)
+  EXPECT_TRUE(ReferenceNeighborSet(graph_, Entity("Hancock"), genres,
+                                   Direction::kOutgoing)
                   .empty());
 }
 
@@ -96,7 +101,7 @@ TEST_F(PaperExampleTest, RelationshipCounts) {
     const std::string& name = graph_.RelSurfaceName(r);
     auto it = expected.find(name);
     if (it != expected.end()) {
-      EXPECT_EQ(graph_.EdgesOfRelType(r).size(), it->second) << name;
+      EXPECT_EQ(RelTypeEdgeCount(graph_, r), it->second) << name;
     }
   }
 }
@@ -108,10 +113,10 @@ TEST_F(PaperExampleTest, AwardWinnersSplitByType) {
     if (graph_.RelSurfaceName(r) != "Award Winners") continue;
     const RelTypeInfo& info = graph_.RelType(r);
     if (info.src_type == Type("FILM ACTOR")) {
-      EXPECT_EQ(graph_.EdgesOfRelType(r).size(), 2u);
+      EXPECT_EQ(RelTypeEdgeCount(graph_, r), 2u);
     } else {
       EXPECT_EQ(info.src_type, Type("FILM DIRECTOR"));
-      EXPECT_EQ(graph_.EdgesOfRelType(r).size(), 1u);
+      EXPECT_EQ(RelTypeEdgeCount(graph_, r), 1u);
     }
   }
 }
@@ -122,7 +127,8 @@ TEST_F(PaperExampleTest, TommyLeeJonesActedInBothMenInBlackFilms) {
   for (RelTypeId r = 0; r < graph_.num_rel_types(); ++r) {
     if (graph_.RelSurfaceName(r) == "Actor") actor = r;
   }
-  const auto films = graph_.NeighborSet(tommy, actor, Direction::kOutgoing);
+  const auto films =
+      ReferenceNeighborSet(graph_, tommy, actor, Direction::kOutgoing);
   ASSERT_EQ(films.size(), 2u);
 }
 

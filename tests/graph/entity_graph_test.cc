@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/entity_graph_builder.h"
+#include "tests/testing/reference_graph.h"
 
 namespace egp {
 namespace {
@@ -54,20 +55,21 @@ TEST_F(EntityGraphTest, TypeMembership) {
 
 TEST_F(EntityGraphTest, AdjacencyIndexes) {
   const EntityGraph g = MakeSmallGraph();
-  EXPECT_EQ(g.OutEdges(0).size(), 1u);
-  EXPECT_EQ(g.InEdges(2).size(), 2u);
-  EXPECT_TRUE(g.OutEdges(2).empty());
-  EXPECT_EQ(g.EdgesOfRelType(0).size(), 2u);
+  EXPECT_EQ(g.adjacency().OutDegree(0), 1u);
+  EXPECT_EQ(g.adjacency().InDegree(2), 2u);
+  EXPECT_EQ(g.adjacency().OutDegree(2), 0u);
+  EXPECT_EQ(testing_util::RelTypeEdgeCount(g, 0), 2u);
 }
 
 TEST_F(EntityGraphTest, NeighborSetDirections) {
   const EntityGraph g = MakeSmallGraph();
-  const auto out = g.NeighborSet(0, 0, Direction::kOutgoing);
+  const FrozenGraph& adjacency = g.adjacency();
+  const auto out = adjacency.NeighborSet(0, 0, Direction::kOutgoing);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(g.EntityName(out[0]), "Paris");
-  const auto in = g.NeighborSet(2, 0, Direction::kIncoming);
+  const auto in = adjacency.NeighborSet(2, 0, Direction::kIncoming);
   EXPECT_EQ(in.size(), 2u);
-  EXPECT_TRUE(g.NeighborSet(0, 0, Direction::kIncoming).empty());
+  EXPECT_TRUE(adjacency.NeighborSet(0, 0, Direction::kIncoming).empty());
 }
 
 TEST(EntityGraphBuilderTest, EntityInterningIsIdempotent) {
@@ -144,8 +146,10 @@ TEST(EntityGraphBuilderTest, SelfLoopEdgesSupported) {
   ASSERT_TRUE(b.AddEdge(e1, next, e2).ok());
   auto g = b.Build();
   ASSERT_TRUE(g.ok());
-  EXPECT_EQ(g->NeighborSet(e1, next, Direction::kOutgoing).size(), 1u);
-  EXPECT_EQ(g->NeighborSet(e2, next, Direction::kIncoming).size(), 1u);
+  EXPECT_EQ(g->adjacency().NeighborSet(e1, next, Direction::kOutgoing).size(),
+            1u);
+  EXPECT_EQ(g->adjacency().NeighborSet(e2, next, Direction::kIncoming).size(),
+            1u);
 }
 
 TEST(EntityGraphBuilderTest, ParallelEdgesOfDifferentTypes) {
@@ -165,7 +169,7 @@ TEST(EntityGraphBuilderTest, ParallelEdgesOfDifferentTypes) {
   auto g = b.Build();
   ASSERT_TRUE(g.ok());
   EXPECT_EQ(g->num_edges(), 2u);
-  EXPECT_EQ(g->OutEdges(will).size(), 2u);
+  EXPECT_EQ(g->adjacency().OutDegree(will), 2u);
 }
 
 TEST(EntityGraphBuilderTest, BuildResetsBuilder) {

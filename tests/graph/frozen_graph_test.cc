@@ -2,27 +2,38 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "datagen/generator.h"
 #include "datagen/paper_example.h"
 #include "graph/entity_graph_builder.h"
+#include "tests/testing/reference_graph.h"
 
 namespace egp {
 namespace {
 
+using testing_util::ReferenceNeighborSet;
+
 TEST(FrozenGraphTest, ArcCountsMatch) {
   const EntityGraph graph = BuildPaperExampleGraph();
-  const FrozenGraph frozen = FrozenGraph::Freeze(graph);
+  const FrozenGraph& frozen = graph.adjacency();
   EXPECT_EQ(frozen.num_entities(), graph.num_entities());
   EXPECT_EQ(frozen.num_arcs(), graph.num_edges());
+  std::vector<size_t> out(graph.num_entities()), in(graph.num_entities());
+  for (const EdgeRecord& e : graph.edges()) {
+    ++out[e.src];
+    ++in[e.dst];
+  }
   for (EntityId e = 0; e < graph.num_entities(); ++e) {
-    EXPECT_EQ(frozen.OutDegree(e), graph.OutEdges(e).size());
-    EXPECT_EQ(frozen.InDegree(e), graph.InEdges(e).size());
+    EXPECT_EQ(frozen.OutDegree(e), out[e]);
+    EXPECT_EQ(frozen.InDegree(e), in[e]);
   }
 }
 
 TEST(FrozenGraphTest, ArcsSortedByRelTypeThenNeighbor) {
   const EntityGraph graph = BuildPaperExampleGraph();
-  const FrozenGraph frozen = FrozenGraph::Freeze(graph);
+  const FrozenGraph& frozen = graph.adjacency();
   for (EntityId e = 0; e < graph.num_entities(); ++e) {
     const auto arcs = frozen.OutArcs(e);
     for (size_t i = 1; i < arcs.size(); ++i) {
@@ -37,11 +48,12 @@ TEST(FrozenGraphTest, ArcsSortedByRelTypeThenNeighbor) {
 
 TEST(FrozenGraphTest, NeighborSetsMatchEntityGraphOnPaperExample) {
   const EntityGraph graph = BuildPaperExampleGraph();
-  const FrozenGraph frozen = FrozenGraph::Freeze(graph);
+  const FrozenGraph& frozen = graph.adjacency();
   for (EntityId e = 0; e < graph.num_entities(); ++e) {
     for (RelTypeId r = 0; r < graph.num_rel_types(); ++r) {
       for (Direction d : {Direction::kOutgoing, Direction::kIncoming}) {
-        EXPECT_EQ(frozen.NeighborSet(e, r, d), graph.NeighborSet(e, r, d))
+        EXPECT_EQ(frozen.NeighborSet(e, r, d),
+                  ReferenceNeighborSet(graph, e, r, d))
             << "entity " << e << " rel " << r;
       }
     }
@@ -53,21 +65,36 @@ TEST(FrozenGraphTest, NeighborSetsMatchOnGeneratedDomain) {
   options.scale = 0.0003;
   auto domain = GenerateDomainByName("people", options);
   ASSERT_TRUE(domain.ok());
-  const FrozenGraph frozen = FrozenGraph::Freeze(domain->graph);
+  const FrozenGraph& frozen = domain->graph.adjacency();
   // Spot-check a deterministic sample of (entity, rel type) pairs.
   for (EntityId e = 0; e < domain->graph.num_entities(); e += 97) {
     for (RelTypeId r = 0; r < domain->graph.num_rel_types(); r += 7) {
       for (Direction d : {Direction::kOutgoing, Direction::kIncoming}) {
         EXPECT_EQ(frozen.NeighborSet(e, r, d),
-                  domain->graph.NeighborSet(e, r, d));
+                  ReferenceNeighborSet(domain->graph, e, r, d));
       }
     }
   }
 }
 
+TEST(FrozenGraphTest, MatchesOnlyItsOwnEdges) {
+  const EntityGraph graph = BuildPaperExampleGraph();
+  const FrozenGraph& frozen = graph.adjacency();
+  const size_t n = graph.num_entities();
+  std::vector<EdgeRecord> edges = graph.edges();
+  EXPECT_TRUE(frozen.MatchesEdges(n, edges));
+  std::reverse(edges.begin(), edges.end());  // edge order is free
+  EXPECT_TRUE(frozen.MatchesEdges(n, edges));
+  EXPECT_FALSE(frozen.MatchesEdges(n + 1, edges));
+  std::swap(edges[0].src, edges[0].dst);
+  EXPECT_FALSE(frozen.MatchesEdges(n, edges));
+  edges.pop_back();
+  EXPECT_FALSE(frozen.MatchesEdges(n, edges));
+}
+
 TEST(FrozenGraphTest, MemoryAccountingIsPlausible) {
   const EntityGraph graph = BuildPaperExampleGraph();
-  const FrozenGraph frozen = FrozenGraph::Freeze(graph);
+  const FrozenGraph& frozen = graph.adjacency();
   // Two arc arrays + two offset arrays; arcs are 8 bytes each.
   const size_t lower_bound =
       2 * graph.num_edges() * sizeof(FrozenGraph::Arc) +
@@ -81,7 +108,7 @@ TEST(FrozenGraphTest, EmptyAdjacency) {
   b.AddTypedEntity("lonely", "T");
   auto graph = b.Build();
   ASSERT_TRUE(graph.ok());
-  const FrozenGraph frozen = FrozenGraph::Freeze(*graph);
+  const FrozenGraph& frozen = graph->adjacency();
   EXPECT_TRUE(frozen.OutArcs(0).empty());
   EXPECT_TRUE(frozen.InArcs(0).empty());
   EXPECT_TRUE(frozen.NeighborSet(0, 0, Direction::kOutgoing).empty());

@@ -4,6 +4,7 @@
 
 #include "datagen/paper_example.h"
 #include "graph/entity_graph_builder.h"
+#include "tests/testing/reference_graph.h"
 
 namespace egp {
 namespace {
@@ -86,7 +87,7 @@ TEST(SchemaGraphTest, RelTypeMappingPreserved) {
     const SchemaEdge& e = schema.Edge(i);
     EXPECT_EQ(graph.RelType(rel).src_type, e.src);
     EXPECT_EQ(graph.RelType(rel).dst_type, e.dst);
-    EXPECT_EQ(graph.EdgesOfRelType(rel).size(), e.edge_count);
+    EXPECT_EQ(testing_util::RelTypeEdgeCount(graph, rel), e.edge_count);
   }
 }
 

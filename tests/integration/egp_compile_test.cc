@@ -106,9 +106,7 @@ TEST(EgpCompileTest, UsageAndRuntimeErrors) {
   const std::string out = TempPath("compile_err.txt");
   // Missing arguments: usage error, exit 2.
   EXPECT_EQ(RunCommand(std::string(EGP_COMPILE_PATH), out), 2);
-  EXPECT_EQ(RunCommand(std::string(EGP_COMPILE_PATH) + " --threads abc a b",
-                       out),
-            2);
+  EXPECT_EQ(RunCommand(std::string(EGP_COMPILE_PATH) + " a b c", out), 2);
   // Unreadable input: runtime failure, exit 1.
   EXPECT_EQ(RunCommand(std::string(EGP_COMPILE_PATH) +
                            " /no/such/file.nt " + TempPath("x.egps"),

@@ -32,8 +32,8 @@ TEST(GraphIoTest, RoundTripPreservesStructure) {
   // edges by surface name.
   const EntityId will_a = *original.entity_names().Find("Will Smith");
   const EntityId will_b = *restored->entity_names().Find("Will Smith");
-  EXPECT_EQ(original.OutEdges(will_a).size(),
-            restored->OutEdges(will_b).size());
+  EXPECT_EQ(original.adjacency().OutDegree(will_a),
+            restored->adjacency().OutDegree(will_b));
   EXPECT_EQ(original.TypesOf(will_a).size(),
             restored->TypesOf(will_b).size());
 }

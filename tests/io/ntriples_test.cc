@@ -4,6 +4,8 @@
 
 #include <sstream>
 
+#include "tests/testing/reference_graph.h"
+
 namespace egp {
 namespace {
 
@@ -253,7 +255,7 @@ TEST(NTriplesTest, DuplicatePredicatesBecomeOneRelType) {
   auto graph = ReadNTriples(in);
   ASSERT_TRUE(graph.ok());
   EXPECT_EQ(graph->num_rel_types(), 1u);
-  EXPECT_EQ(graph->EdgesOfRelType(0).size(), 2u);
+  EXPECT_EQ(testing_util::RelTypeEdgeCount(*graph, 0), 2u);
 }
 
 }  // namespace

@@ -61,11 +61,11 @@ TEST(DatasetCatalogTest, ReportsStorageKindAndLoadTime) {
   EXPECT_GT(catalog->infos()[0].load_seconds, 0.0);
 }
 
-TEST(DatasetCatalogTest, LoadsSnapshotsAndHandsFrozenToEngine) {
+TEST(DatasetCatalogTest, LoadsSnapshotsServingTheirOwnCsr) {
   auto graph = ReadNTriplesFile(EGP_SAMPLE_NT);
   ASSERT_TRUE(graph.ok());
   const std::string path = testing_util::TempPath("catalog_sample.egps");
-  ASSERT_TRUE(CompileSnapshotFile(*graph, path).ok());
+  ASSERT_TRUE(WriteSnapshotFile(*graph, path).ok());
 
   for (const auto mode : {SnapshotOpenOptions::Mode::kMmap,
                           SnapshotOpenOptions::Mode::kStream}) {
@@ -79,10 +79,11 @@ TEST(DatasetCatalogTest, LoadsSnapshotsAndHandsFrozenToEngine) {
     EXPECT_EQ(catalog->infos()[0].name, "snap");
     EXPECT_EQ(catalog->infos()[0].storage, "snapshot");
     EXPECT_EQ(catalog->infos()[1].storage, "nt");
-    // The snapshot engine carries the prebuilt CSR; the text one not.
+    // The snapshot engine serves the CSR in the file; the text one
+    // froze its own.
     ASSERT_NE(catalog->Find("snap"), nullptr);
-    EXPECT_NE(catalog->Find("snap")->frozen(), nullptr);
-    EXPECT_EQ(catalog->Find("text")->frozen(), nullptr);
+    EXPECT_TRUE(catalog->Find("snap")->graph()->adjacency().is_view());
+    EXPECT_FALSE(catalog->Find("text")->graph()->adjacency().is_view());
     // Both serve the same graph.
     EXPECT_EQ(catalog->infos()[0].entities, catalog->infos()[1].entities);
     EXPECT_EQ(catalog->infos()[0].relationships,

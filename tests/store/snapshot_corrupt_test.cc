@@ -43,8 +43,7 @@ EntityGraph SmallGraph() {
 std::vector<uint8_t> ValidSnapshotBytes() {
   const EntityGraph graph = SmallGraph();
   std::stringstream buffer(std::ios::in | std::ios::out | std::ios::binary);
-  EXPECT_TRUE(
-      WriteSnapshot(graph, FrozenGraph::Freeze(graph), buffer).ok());
+  EXPECT_TRUE(WriteSnapshot(graph, buffer).ok());
   const std::string bytes = buffer.str();
   return std::vector<uint8_t>(bytes.begin(), bytes.end());
 }

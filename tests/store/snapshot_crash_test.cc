@@ -12,7 +12,6 @@
 
 #include "common/fault.h"
 #include "datagen/paper_example.h"
-#include "graph/frozen_graph.h"
 #include "store/snapshot_writer.h"
 #include "tests/testing/subprocess.h"
 
@@ -26,12 +25,11 @@ class SnapshotCrashTest : public ::testing::Test {
  protected:
   void SetUp() override {
     graph_ = BuildPaperExampleGraph();
-    frozen_ = FrozenGraph::Freeze(graph_);
     dir_ = TempPath("snapshot_crash");
     std::filesystem::remove_all(dir_);
     ASSERT_TRUE(std::filesystem::create_directory(dir_));
     path_ = dir_ + "/graph.egps";
-    ASSERT_TRUE(WriteSnapshotFile(graph_, frozen_, path_).ok());
+    ASSERT_TRUE(WriteSnapshotFile(graph_, path_).ok());
     golden_ = Slurp(path_);
     ASSERT_FALSE(golden_.empty());
   }
@@ -57,7 +55,7 @@ class SnapshotCrashTest : public ::testing::Test {
   void ExpectFailedRewriteLeavesSnapshotIntact(const char* schedule) {
     SCOPED_TRACE(schedule);
     ASSERT_TRUE(ConfigureFaults(schedule).ok());
-    const Status write = WriteSnapshotFile(graph_, frozen_, path_);
+    const Status write = WriteSnapshotFile(graph_, path_);
     ClearFaults();
     EXPECT_FALSE(write.ok()) << "schedule should have failed the write";
     EXPECT_TRUE(StrayFiles().empty())
@@ -66,7 +64,6 @@ class SnapshotCrashTest : public ::testing::Test {
   }
 
   EntityGraph graph_;
-  FrozenGraph frozen_;
   std::string dir_;
   std::string path_;
   std::string golden_;
@@ -97,7 +94,7 @@ TEST_F(SnapshotCrashTest, ShortWritesAreAbsorbedNotCorrupting) {
   // must still deliver every byte, in order.
   ASSERT_TRUE(ConfigureFaults("store.write=short:3@every:2").ok());
   const std::string rewritten = dir_ + "/rewritten.egps";
-  const Status write = WriteSnapshotFile(graph_, frozen_, rewritten);
+  const Status write = WriteSnapshotFile(graph_, rewritten);
   ClearFaults();
   ASSERT_TRUE(write.ok()) << write.ToString();
   EXPECT_EQ(Slurp(rewritten), golden_);
@@ -105,10 +102,10 @@ TEST_F(SnapshotCrashTest, ShortWritesAreAbsorbedNotCorrupting) {
 
 TEST_F(SnapshotCrashTest, RecoveryAfterTheFaultClears) {
   ASSERT_TRUE(ConfigureFaults("store.fsync=err:ENOSPC").ok());
-  EXPECT_FALSE(WriteSnapshotFile(graph_, frozen_, path_).ok());
+  EXPECT_FALSE(WriteSnapshotFile(graph_, path_).ok());
   ClearFaults();
   // Same writer, same destination, no fault: the rewrite commits.
-  EXPECT_TRUE(WriteSnapshotFile(graph_, frozen_, path_).ok());
+  EXPECT_TRUE(WriteSnapshotFile(graph_, path_).ok());
   EXPECT_EQ(Slurp(path_), golden_);
   EXPECT_TRUE(StrayFiles().empty());
 }

@@ -175,16 +175,6 @@ Result<LoadedGraph> LoadGraph(const std::string& path) {
   return LoadGraphFileAuto(path);
 }
 
-/// Engine over a loaded graph; snapshot loads hand their prebuilt CSR to
-/// the engine so nothing is re-frozen.
-Engine MakeEngine(LoadedGraph loaded, const EngineOptions& options = {}) {
-  if (loaded.frozen) {
-    return Engine::FromFrozen(std::move(loaded.graph),
-                              std::move(*loaded.frozen), options);
-  }
-  return Engine::FromGraph(std::move(loaded.graph), options);
-}
-
 /// Runtime failure (exit 1): the request was well-formed but could not be
 /// served.
 int Fail(const Status& status) {
@@ -232,7 +222,7 @@ Status ParseConstraintFlags(const Flags& flags, uint32_t default_k,
 int CmdStats(const std::string& path) {
   auto graph = LoadGraph(path);
   if (!graph.ok()) return Fail(graph.status());
-  const Engine engine = MakeEngine(std::move(graph).value());
+  const Engine engine = Engine::FromGraph(std::move(graph->graph));
   const EntityGraphStats g = ComputeEntityGraphStats(*engine.graph());
   const SchemaGraphStats s = ComputeSchemaGraphStats(engine.schema());
   std::printf("entity graph : %llu entities, %llu relationships\n",
@@ -279,7 +269,8 @@ int CmdPreview(const std::string& path, const Flags& flags) {
   EngineOptions engine_options;
   const Status threads = ParseThreadsFlag(flags, &engine_options);
   if (!threads.ok()) return UsageError(threads.message());
-  const Engine engine = MakeEngine(std::move(graph).value(), engine_options);
+  const Engine engine =
+      Engine::FromGraph(std::move(graph->graph), engine_options);
 
   PreviewRequest request;
   const Status constraints = ParseConstraintFlags(
@@ -360,7 +351,8 @@ int CmdSuggest(const std::string& path, const Flags& flags) {
   EngineOptions engine_options;
   const Status threads = ParseThreadsFlag(flags, &engine_options);
   if (!threads.ok()) return UsageError(threads.message());
-  const Engine engine = MakeEngine(std::move(graph).value(), engine_options);
+  const Engine engine =
+      Engine::FromGraph(std::move(graph->graph), engine_options);
   DisplayBudget budget;
   const auto width = flags.GetInt("width", 120);
   const auto height = flags.GetInt("height", 40);
@@ -401,8 +393,6 @@ int CmdReport(const std::string& path, const Flags& flags) {
                       "' (available: coverage, entropy)");
   }
   options.include_dot = flags.Has("dot");
-  // Snapshot loads carry a prebuilt CSR; the report's scoring reuses it.
-  options.frozen = graph->frozen ? &*graph->frozen : nullptr;
   const auto report = GeneratePreviewReport(graph->graph, options);
   if (!report.ok()) return Fail(report.status());
   std::printf("%s", report->c_str());
@@ -443,7 +433,7 @@ int CmdConvert(const Flags& flags) {
   const std::string& out_path = flags.positional()[1];
   const Status write =
       EndsWith(out_path, ".egps")
-          ? CompileSnapshotFile(graph->graph, out_path)
+          ? WriteSnapshotFile(graph->graph, out_path)
           : WriteEntityGraphFile(graph->graph, out_path);
   if (!write.ok()) return Fail(write);
   std::printf("converted %s -> %s (%zu entities, %zu relationships)\n",

@@ -3,20 +3,16 @@
 // it in milliseconds (zero-copy mmap) instead of re-parsing text and
 // re-freezing adjacency on every start.
 //
-//   egp_compile <in.(nt|egt)> <out.egps> [--threads N] [--verify]
+//   egp_compile <in.(nt|egt)> <out.egps> [--verify]
 //
-//   --threads N   parallelism of the CSR freeze (default: all hardware)
 //   --verify      re-open the written snapshot (both load paths) and
 //                 cross-check counts before reporting success
 //
 // Exit codes: 0 success, 1 runtime failure, 2 bad usage.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "common/fault.h"
-#include "common/parallel.h"
 #include "common/timer.h"
 #include "io/graph_io.h"
 #include "store/snapshot_reader.h"
@@ -31,7 +27,7 @@ namespace {
 using namespace egp;
 
 const char kUsage[] =
-    "usage: egp_compile <in.(nt|egt)> <out.egps> [--threads N] [--verify]\n"
+    "usage: egp_compile <in.(nt|egt)> <out.egps> [--verify]\n"
     "\n"
     "compiles a text entity graph into the .egps binary snapshot format;\n"
     "egp_server / egp open .egps files directly (detected by magic).\n";
@@ -55,7 +51,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   std::string input, output;
-  long threads = 0;
   bool verify = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -69,17 +64,6 @@ int main(int argc, char** argv) {
     }
     if (arg == "--verify") {
       verify = true;
-      continue;
-    }
-    if (arg == "--threads") {
-      if (i + 1 >= argc) return UsageError("--threads needs a value");
-      char* end = nullptr;
-      threads = std::strtol(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0' || threads < 1 ||
-          threads > static_cast<long>(kMaxThreads)) {
-        return UsageError("--threads expects an integer in [1, " +
-                          std::to_string(kMaxThreads) + "]");
-      }
       continue;
     }
     if (arg.rfind("--", 0) == 0) {
@@ -99,8 +83,8 @@ int main(int argc, char** argv) {
 
   Timer timer;
   // Stream open, never mmap: when input and output are the same .egps
-  // (an in-place recompile), writing would truncate pages a mapped
-  // FrozenGraph still views — a SIGBUS, not a Status. A heap-backed
+  // (an in-place recompile), writing would truncate pages the graph's
+  // mapped adjacency still views — a SIGBUS, not a Status. A heap-backed
   // load makes any input/output aliasing safe.
   SnapshotOpenOptions load_options;
   load_options.mode = SnapshotOpenOptions::Mode::kStream;
@@ -113,22 +97,8 @@ int main(int argc, char** argv) {
                loaded->graph.num_entities(), loaded->graph.num_edges(),
                loaded->graph.num_types(), parse_seconds * 1e3);
 
-  const unsigned parallelism =
-      threads == 0 ? Threads() : static_cast<unsigned>(threads);
   timer.Reset();
-  FrozenGraph frozen;
-  if (loaded->frozen) {
-    frozen = std::move(*loaded->frozen);  // recompiling a snapshot
-  } else if (parallelism > 1) {
-    ThreadPool pool(parallelism);
-    frozen = FrozenGraph::Freeze(loaded->graph, &pool);
-  } else {
-    frozen = FrozenGraph::Freeze(loaded->graph);
-  }
-  const double freeze_seconds = timer.ElapsedSeconds();
-
-  timer.Reset();
-  const Status write = WriteSnapshotFile(loaded->graph, frozen, output);
+  const Status write = WriteSnapshotFile(loaded->graph, output);
   if (!write.ok()) return Fail(write);
   const double write_seconds = timer.ElapsedSeconds();
 
@@ -150,8 +120,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "verified: stream and mmap re-opens match\n");
   }
 
-  std::printf("compiled %s -> %s: freeze %.1f ms, write %.1f ms\n",
-              input.c_str(), output.c_str(), freeze_seconds * 1e3,
-              write_seconds * 1e3);
+  std::printf("compiled %s -> %s: write %.1f ms\n", input.c_str(),
+              output.c_str(), write_seconds * 1e3);
   return 0;
 }
