@@ -3,7 +3,8 @@
 //
 // (neighbour, relationship-type) pairs lie contiguously per entity, in
 // both directions, sorted so each relationship's run is contiguous and
-// neighbour-sorted: the paper's t.γ value sets (§2, §3.2) are slices.
+// neighbour-sorted: the t.γ value sets of a preview table's tuples are
+// slices.
 //
 // Storage is reference-counted: the four CSR arrays live behind a shared
 // backing object, so copying a FrozenGraph is a cheap handle copy. The
