@@ -1,6 +1,11 @@
 #include "core/apriori.h"
 
+#include <algorithm>
 #include <bit>
+#include <cfloat>
+#include <functional>
+#include <optional>
+#include <vector>
 
 #include "common/strings.h"
 #include "core/compose.h"
@@ -9,17 +14,200 @@
 namespace egp {
 namespace {
 
+/// Writes the `limit` largest values of two descending lists to `out`,
+/// descending, and returns how many it wrote.
+size_t MergeLargest(const double* a, size_t a_size, const double* b,
+                    size_t b_size, size_t limit, double* out) {
+  size_t i = 0;
+  size_t j = 0;
+  size_t count = 0;
+  for (; count < limit && (i < a_size || j < b_size); ++count) {
+    out[count] = j == b_size || (i < a_size && a[i] >= b[j]) ? a[i++] : b[j++];
+  }
+  return count;
+}
+
+/// Sum of the `limit` largest values of two descending lists.
+double SumOfLargest(const double* a, size_t a_size, const double* b,
+                    size_t b_size, size_t limit) {
+  size_t i = 0;
+  size_t j = 0;
+  double sum = 0.0;
+  for (size_t count = 0; count < limit && (i < a_size || j < b_size);
+       ++count) {
+    sum += j == b_size || (i < a_size && a[i] >= b[j]) ? a[i++] : b[j++];
+  }
+  return sum;
+}
+
+/// Theorem 3 upper bounds on the scores of the k-subsets below a node of
+/// the walk, over eligible indices. A type's head is S(τ) times its top
+/// candidate's score; its tails are S(τ) times each other candidate's, in
+/// descending order, of which only the first m = n − k can ever be picked.
+/// The bounds hold because every weighted score is nonnegative.
+class CompletionBound {
+ public:
+  CompletionBound(const PreparedSchema& prepared,
+                  const std::vector<TypeId>& eligible, uint32_t k,
+                  uint32_t n)
+      : k_(k), heads_(eligible.size()), tail_count_(eligible.size()) {
+    const size_t count = eligible.size();
+    size_t all_tails = 0;
+    for (const TypeId t : eligible) {
+      all_tails += prepared.Candidates(t).size() - 1;
+    }
+    m_ = std::min<size_t>(n - k, all_tails);
+    // Both the bound and the score sum at most k + m nonnegative terms, so
+    // each lies within (k + m)·2^-53 of its exact value, relatively.
+    slack_ = 1.0 + std::max(1e-12, 2.0 * DBL_EPSILON * (k + m_));
+
+    tails_.resize(count * m_);
+    for (size_t i = 0; i < count; ++i) {
+      const std::vector<NonKeyCandidate>& sorted =
+          prepared.Candidates(eligible[i]).sorted;
+      const double key_score = prepared.KeyScore(eligible[i]);
+      heads_[i] = key_score * sorted[0].score;
+      tail_count_[i] = std::min(m_, sorted.size() - 1);
+      for (size_t s = 0; s < tail_count_[i]; ++s) {
+        tails_[i * m_ + s] = key_score * sorted[s + 1].score;
+      }
+    }
+
+    // Per suffix [j, K): prefix sums of its k largest heads, and its m
+    // largest tails.
+    suffix_heads_.assign((count + 1) * (k + 1), 0.0);
+    suffix_tails_.resize((count + 1) * m_);
+    suffix_tail_count_.assign(count + 1, 0);
+    std::vector<double> top;  // the suffix's largest heads, descending
+    top.reserve(k + 1);
+    for (size_t j = count; j-- > 0;) {
+      top.insert(std::upper_bound(top.begin(), top.end(), heads_[j],
+                                  std::greater<double>()),
+                 heads_[j]);
+      if (top.size() > k) top.pop_back();
+      double* row = &suffix_heads_[j * (k + 1)];
+      for (size_t r = 1; r <= k; ++r) {
+        row[r] = row[r - 1] + (r <= top.size() ? top[r - 1] : 0.0);
+      }
+      suffix_tail_count_[j] = MergeLargest(
+          Tails(j), tail_count_[j], suffix_tails_.data() + (j + 1) * m_,
+          suffix_tail_count_[j + 1], m_, suffix_tails_.data() + j * m_);
+    }
+
+    prefix_heads_.assign(k + 1, 0.0);
+    prefix_tails_.resize((k + 1) * m_);
+    prefix_tail_count_.assign(k + 1, 0);
+    top_heads_.resize(k);
+    scratch_.resize(2 * m_);
+  }
+
+  /// Whether no subtree with this bound can hold a subset scoring at or
+  /// above `best`.
+  bool Below(double bound, double best) const { return bound * slack_ < best; }
+
+  /// Bound on the completions of the depth-key prefix whose other keys all
+  /// lie at eligible index j or above: the prefix's heads, the k − depth
+  /// largest heads from j on, and the m largest of the prefix's tails and
+  /// every tail from j on.
+  double Suffix(uint32_t depth, size_t j) const {
+    return prefix_heads_[depth] + suffix_heads_[j * (k_ + 1) + (k_ - depth)] +
+           SumOfLargest(PrefixTails(depth), prefix_tail_count_[depth],
+                        suffix_tails_.data() + j * m_, suffix_tail_count_[j],
+                        m_);
+  }
+
+  /// The exact score, summed in another order, of the k-subset that
+  /// extends the (k − 1)-key prefix by eligible index j.
+  double Leaf(size_t j) const {
+    const uint32_t depth = k_ - 1;
+    return prefix_heads_[depth] + heads_[j] +
+           SumOfLargest(PrefixTails(depth), prefix_tail_count_[depth],
+                        Tails(j), tail_count_[j], m_);
+  }
+
+  /// Makes the (depth + 1)-key prefix the depth-key one plus eligible
+  /// index j.
+  void Extend(uint32_t depth, size_t j) {
+    prefix_heads_[depth + 1] = prefix_heads_[depth] + heads_[j];
+    prefix_tail_count_[depth + 1] = MergeLargest(
+        PrefixTails(depth), prefix_tail_count_[depth], Tails(j),
+        tail_count_[j], m_, prefix_tails_.data() + (depth + 1) * m_);
+  }
+
+  /// Suffix's sum for the size-key prefix (made by Extend), drawn from the
+  /// types in its candidate set, words [first_word, words) of `cand`, in
+  /// place of every type from some index on.
+  double Within(uint32_t size, const uint64_t* cand, size_t first_word,
+                size_t words) {
+    const size_t need = k_ - size;
+    size_t heads = 0;  // filled entries of top_heads_, descending
+    const double* tails = PrefixTails(size);
+    size_t tail_count = prefix_tail_count_[size];
+    double* spare = scratch_.data();
+    for (size_t w = first_word; w < words; ++w) {
+      for (uint64_t word = cand[w]; word != 0; word &= word - 1) {
+        const size_t i = w * 64 + static_cast<size_t>(std::countr_zero(word));
+        if (heads < need || heads_[i] > top_heads_[need - 1]) {
+          size_t at = heads < need ? heads++ : need - 1;
+          for (; at > 0 && top_heads_[at - 1] < heads_[i]; --at) {
+            top_heads_[at] = top_heads_[at - 1];
+          }
+          top_heads_[at] = heads_[i];
+        }
+        if (tail_count_[i] == 0 ||
+            (tail_count == m_ && Tails(i)[0] <= tails[m_ - 1])) {
+          continue;
+        }
+        tail_count = MergeLargest(tails, tail_count, Tails(i), tail_count_[i],
+                                  m_, spare);
+        tails = spare;
+        spare = spare == scratch_.data() ? scratch_.data() + m_
+                                         : scratch_.data();
+      }
+    }
+    double bound = prefix_heads_[size];
+    for (size_t r = 0; r < heads; ++r) bound += top_heads_[r];
+    for (size_t t = 0; t < tail_count; ++t) bound += tails[t];
+    return bound;
+  }
+
+ private:
+  const double* Tails(size_t i) const { return tails_.data() + i * m_; }
+  const double* PrefixTails(uint32_t depth) const {
+    return prefix_tails_.data() + depth * m_;
+  }
+
+  const uint32_t k_;
+  size_t m_;       // tail slots: n − k, or every tail there is if fewer
+  double slack_;   // 1 + the relative rounding the bounds allow for
+  std::vector<double> heads_;
+  std::vector<double> tails_;  // m_ per type, descending
+  std::vector<size_t> tail_count_;
+  std::vector<double> suffix_heads_;  // k_ + 1 per suffix start
+  std::vector<double> suffix_tails_;  // m_ per suffix start, descending
+  std::vector<size_t> suffix_tail_count_;
+  std::vector<double> prefix_heads_;  // per prefix size, 0..k_
+  std::vector<double> prefix_tails_;  // m_ per prefix size, descending
+  std::vector<size_t> prefix_tail_count_;
+  std::vector<double> top_heads_;
+  std::vector<double> scratch_;  // Within's two merge buffers
+};
+
 /// The depth-first walk over L_k. keys[0..depth) is the current prefix, a
 /// member of L_depth; `cand` holds the eligible indices that extend it,
-/// all above its last key.
+/// all above its last key. With a bound, the walk skips every subtree that
+/// cannot hold a subset scoring above the best so far; without one it
+/// scores all of L_k.
 class LevelWalk {
  public:
   LevelWalk(const std::vector<TypeId>& eligible, const CompatibilityRows& rows,
-            uint32_t k, uint64_t max_level_size, SubsetScorer* scorer)
+            uint32_t k, uint64_t max_level_size, CompletionBound* bound,
+            SubsetScorer* scorer)
       : eligible_(eligible),
         rows_(rows),
         k_(k),
         max_level_size_(max_level_size),
+        bound_(bound),
         scorer_(scorer),
         keys_(k),
         cand_(static_cast<size_t>(k) * rows.words()),
@@ -40,6 +228,7 @@ class LevelWalk {
   /// 0 if none did.
   uint32_t exceeded() const { return exceeded_; }
   uint64_t enumerated() const { return enumerated_; }
+  uint64_t scored() const { return scored_; }
   const std::vector<TypeId>& best_keys() const { return best_keys_; }
 
  private:
@@ -50,6 +239,12 @@ class LevelWalk {
     for (size_t w = first_word; w < words; ++w) {
       for (uint64_t word = cand[w]; word != 0; word &= word - 1) {
         const size_t j = w * 64 + static_cast<size_t>(std::countr_zero(word));
+        // No completion with keys from j on can beat the best so far, so
+        // neither can j's subtree nor any later sibling's.
+        if (bound_ != nullptr &&
+            bound_->Below(bound_->Suffix(depth, j), best_score_)) {
+          return;
+        }
         keys_[depth] = eligible_[j];
         // Once a level overflows, each later node of it returns here, so
         // no deeper level is walked again while the smaller ones keep
@@ -61,6 +256,11 @@ class LevelWalk {
         }
         if (size == k_) {
           ++enumerated_;
+          if (bound_ != nullptr &&
+              bound_->Below(bound_->Leaf(j), best_score_)) {
+            continue;
+          }
+          ++scored_;
           const double score = scorer_->Score(keys_.data(), k_);
           if (score > best_score_) {
             best_score_ = score;
@@ -71,11 +271,24 @@ class LevelWalk {
         // The extensions of keys[0..size): candidates above j that are
         // compatible with j too.
         const uint64_t* row = rows_.row(j);
-        uint64_t any = child[w] = (word & (word - 1)) & row[w];
+        child[w] = (word & (word - 1)) & row[w];
+        size_t extensions = std::popcount(child[w]);
         for (size_t v = w + 1; v < words; ++v) {
-          any |= child[v] = cand[v] & row[v];
+          child[v] = cand[v] & row[v];
+          extensions += std::popcount(child[v]);
         }
-        if (any != 0) Walk(size, child, w);
+        if (bound_ == nullptr) {
+          if (extensions == 0) continue;
+        } else {
+          // Too few extensions to reach k keys, or none that can win.
+          if (extensions < k_ - size) continue;
+          bound_->Extend(depth, j);
+          if (bound_->Below(bound_->Within(size, child, w, words),
+                            best_score_)) {
+            continue;
+          }
+        }
+        Walk(size, child, w);
       }
     }
   }
@@ -84,12 +297,14 @@ class LevelWalk {
   const CompatibilityRows& rows_;
   const uint32_t k_;
   const uint64_t max_level_size_;
+  CompletionBound* bound_;  // null on the exhaustive walk
   SubsetScorer* scorer_;
   std::vector<TypeId> keys_;
   std::vector<uint64_t> cand_;  // one candidate set per depth
   std::vector<uint64_t> level_size_;
   uint32_t exceeded_ = 0;
   uint64_t enumerated_ = 0;
+  uint64_t scored_ = 0;
   double best_score_ = -1.0;
   std::vector<TypeId> best_keys_;
 };
@@ -101,6 +316,11 @@ Result<Preview> AprioriDiscover(const PreparedSchema& prepared,
                                 const DistanceConstraint& distance,
                                 const AprioriOptions& options,
                                 DiscoveryStats* stats) {
+  const bool pruned = options.walk == AprioriWalk::kPruned;
+  if (pruned && options.max_level_size != 0) {
+    return Status::InvalidArgument(
+        "max_level_size applies only to the exhaustive Apriori walk");
+  }
   const uint32_t k = size.k;
   if (k == 0) return Status::InvalidArgument("k must be positive");
   if (size.n < k) {
@@ -116,10 +336,13 @@ Result<Preview> AprioriDiscover(const PreparedSchema& prepared,
   }
 
   // Steps 1 and 2 in one pass: each k-subset is scored as the walk
-  // reaches it.
+  // reaches it, unless its bound already rules it out.
   const CompatibilityRows rows(prepared, distance, eligible);
   SubsetScorer scorer(prepared, size.n);
-  LevelWalk walk(eligible, rows, k, options.max_level_size, &scorer);
+  std::optional<CompletionBound> bound;
+  if (pruned) bound.emplace(prepared, eligible, k, size.n);
+  LevelWalk walk(eligible, rows, k, options.max_level_size,
+                 bound ? &*bound : nullptr, &scorer);
   walk.Run();
   if (walk.exceeded() != 0) {
     return Status::OutOfRange(StrFormat(
@@ -129,8 +352,10 @@ Result<Preview> AprioriDiscover(const PreparedSchema& prepared,
 
   DiscoveryStats local_stats;
   local_stats.subsets_enumerated = walk.enumerated();
-  local_stats.subsets_scored = walk.enumerated();
+  local_stats.subsets_scored = walk.scored();
   if (stats != nullptr) *stats = local_stats;
+  // Both walks reach the first member of L_k: nothing prunes before a
+  // subset is scored.
   if (walk.enumerated() == 0) {
     return Status::NotFound("no k-subset satisfies the distance constraint");
   }

@@ -5,6 +5,11 @@
 // and obey Theorem 3.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/apriori.h"
 #include "core/brute_force.h"
 #include "core/dynamic_programming.h"
@@ -27,6 +32,94 @@ std::string InstanceName(const ::testing::TestParamInfo<Instance>& info) {
   return "seed" + std::to_string(p.seed) + "_K" +
          std::to_string(p.num_types) + "_E" + std::to_string(p.num_edges) +
          "_k" + std::to_string(p.k) + "_n" + std::to_string(p.n);
+}
+
+/// Runs both Apriori walks on one request and expects the pruned walk to
+/// return the exhaustive walk's outcome: its status, or its keys, tables
+/// and a bit-equal score. The exhaustive walk counts all of L_k twice;
+/// the pruned one reaches no more of it and scores no more than it
+/// reaches. A `cap` above 0 bounds the exhaustive walk's levels, and a
+/// request whose levels outgrow it is skipped and returns false.
+bool ExpectPrunedMatchesExhaustive(const PreparedSchema& prepared,
+                                   const SizeConstraint& size,
+                                   const DistanceConstraint& distance,
+                                   uint64_t cap = 0) {
+  SCOPED_TRACE(std::string(distance.mode == DistanceMode::kTight ? "tight"
+                                                                 : "diverse") +
+               " d=" + std::to_string(distance.d) +
+               " k=" + std::to_string(size.k) + " n=" + std::to_string(size.n));
+  DiscoveryStats exhaustive_stats;
+  DiscoveryStats pruned_stats;
+  const auto exhaustive =
+      AprioriDiscover(prepared, size, distance,
+                      AprioriOptions{AprioriWalk::kExhaustive, cap},
+                      &exhaustive_stats);
+  if (exhaustive.status().code() == StatusCode::kOutOfRange) return false;
+  const auto pruned =
+      AprioriDiscover(prepared, size, distance, AprioriOptions{}, &pruned_stats);
+  EXPECT_EQ(pruned.status().code(), exhaustive.status().code());
+  EXPECT_EQ(pruned.status().message(), exhaustive.status().message());
+  EXPECT_EQ(exhaustive_stats.subsets_scored,
+            exhaustive_stats.subsets_enumerated);
+  EXPECT_LE(pruned_stats.subsets_enumerated,
+            exhaustive_stats.subsets_enumerated);
+  EXPECT_LE(pruned_stats.subsets_scored, pruned_stats.subsets_enumerated);
+  // Nothing prunes before the first subset is scored.
+  EXPECT_EQ(pruned_stats.subsets_scored == 0,
+            exhaustive_stats.subsets_enumerated == 0);
+  if (!exhaustive.ok() || !pruned.ok()) return true;
+  EXPECT_EQ(pruned->Score(prepared), exhaustive->Score(prepared));
+  EXPECT_EQ(pruned->tables.size(), exhaustive->tables.size());
+  for (size_t t = 0; t < std::min(pruned->tables.size(),
+                                   exhaustive->tables.size());
+       ++t) {
+    const PreviewTable& a = pruned->tables[t];
+    const PreviewTable& b = exhaustive->tables[t];
+    EXPECT_EQ(a.key, b.key);
+    EXPECT_EQ(a.nonkeys.size(), b.nonkeys.size());
+    for (size_t c = 0; c < std::min(a.nonkeys.size(), b.nonkeys.size());
+         ++c) {
+      EXPECT_EQ(a.nonkeys[c].schema_edge, b.nonkeys[c].schema_edge);
+      EXPECT_EQ(a.nonkeys[c].direction, b.nonkeys[c].direction);
+    }
+  }
+  return true;
+}
+
+/// The pruned-walk grid: tight and diverse d 1–4, k 1–5, n from k to k+6.
+/// Returns how many requests ran; the levels do not depend on n, so a
+/// (constraint, k) whose levels outgrow `cap` skips every n.
+size_t ExpectPrunedMatchesExhaustiveOnTheGrid(const PreparedSchema& prepared,
+                                              uint64_t cap = 0) {
+  size_t ran = 0;
+  for (DistanceMode mode : {DistanceMode::kTight, DistanceMode::kDiverse}) {
+    for (uint32_t d = 1; d <= 4; ++d) {
+      for (uint32_t k = 1; k <= 5; ++k) {
+        for (uint32_t n = k; n <= k + 6; ++n) {
+          if (!ExpectPrunedMatchesExhaustive(prepared, SizeConstraint{k, n},
+                                             DistanceConstraint{mode, d},
+                                             cap)) {
+            break;
+          }
+          ++ran;
+        }
+      }
+    }
+  }
+  return ran;
+}
+
+/// Coverage and random-walk key measures, coverage non-keys.
+std::vector<PreparedSchema> PrepareBothKeyMeasures(const SchemaGraph& schema) {
+  std::vector<PreparedSchema> prepared;
+  for (KeyMeasure key : {KeyMeasure::kCoverage, KeyMeasure::kRandomWalk}) {
+    PreparedSchemaOptions options;
+    options.key_measure = key;
+    auto one = PreparedSchema::Create(schema, options);
+    EXPECT_TRUE(one.ok()) << one.status().ToString();
+    if (one.ok()) prepared.push_back(std::move(one).value());
+  }
+  return prepared;
 }
 
 class EquivalenceTest : public ::testing::TestWithParam<Instance> {
@@ -143,6 +236,85 @@ std::vector<Instance> MakeInstances() {
 INSTANTIATE_TEST_SUITE_P(RandomSchemas, EquivalenceTest,
                          ::testing::ValuesIn(MakeInstances()), InstanceName);
 
+// The pruned Apriori walk against the exhaustive one on random schemas of
+// 5 to 14 types, sparse to dense.
+class PrunedWalkTest
+    : public ::testing::TestWithParam<std::pair<uint32_t, uint32_t>> {};
+
+TEST_P(PrunedWalkTest, MatchesTheExhaustiveWalk) {
+  const auto [num_types, num_edges] = GetParam();
+  for (uint64_t seed = 0; seed < 5; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const SchemaGraph schema = testing_util::RandomSchemaGraph(
+        8000 + 100 * num_types + seed, num_types, num_edges);
+    for (const PreparedSchema& prepared : PrepareBothKeyMeasures(schema)) {
+      EXPECT_EQ(ExpectPrunedMatchesExhaustiveOnTheGrid(prepared), 2u * 4 * 5 * 7);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RandomSchemas, PrunedWalkTest,
+    ::testing::Values(std::make_pair(5u, 6u), std::make_pair(8u, 10u),
+                      std::make_pair(8u, 24u), std::make_pair(11u, 14u),
+                      std::make_pair(11u, 30u), std::make_pair(14u, 20u),
+                      std::make_pair(14u, 42u), std::make_pair(14u, 70u)),
+    [](const ::testing::TestParamInfo<std::pair<uint32_t, uint32_t>>& info) {
+      return "K" + std::to_string(info.param.first) + "_E" +
+             std::to_string(info.param.second);
+    });
+
+TEST(PrunedWalkTest, MatchesTheExhaustiveWalkOnAFlatRing) {
+  // A ring of identical types: every key set of a size scores the same, so
+  // every bound ties the best score, nothing prunes, and the first subset
+  // in L_k's order must still win.
+  SchemaGraph schema;
+  for (uint32_t t = 0; t < 12; ++t) schema.AddType("T" + std::to_string(t), 5);
+  for (TypeId t = 0; t < 12; ++t) {
+    schema.AddEdge("r" + std::to_string(t), t, (t + 1) % 12, 3);
+    schema.AddEdge("s" + std::to_string(t), t, (t + 1) % 12, 3);
+  }
+  for (const PreparedSchema& prepared : PrepareBothKeyMeasures(schema)) {
+    EXPECT_EQ(ExpectPrunedMatchesExhaustiveOnTheGrid(prepared), 2u * 4 * 5 * 7);
+  }
+  // With coverage keys every score ties exactly: the pruned walk scores
+  // all of L_k, and the first subset wins.
+  const auto prepared = PreparedSchema::Create(schema, PreparedSchemaOptions{});
+  ASSERT_TRUE(prepared.ok());
+  DiscoveryStats stats;
+  const auto preview = AprioriDiscover(*prepared, SizeConstraint{3, 5},
+                                       DistanceConstraint::Diverse(2),
+                                       AprioriOptions{}, &stats);
+  ASSERT_TRUE(preview.ok());
+  EXPECT_EQ(preview->tables[0].key, 0u);
+  EXPECT_EQ(preview->tables[1].key, 2u);
+  EXPECT_EQ(preview->tables[2].key, 4u);
+  EXPECT_EQ(stats.subsets_scored, stats.subsets_enumerated);
+  DiscoveryStats exhaustive;
+  ASSERT_TRUE(AprioriDiscover(*prepared, SizeConstraint{3, 5},
+                              DistanceConstraint::Diverse(2),
+                              AprioriOptions{AprioriWalk::kExhaustive},
+                              &exhaustive)
+                  .ok());
+  EXPECT_EQ(stats.subsets_scored, exhaustive.subsets_scored);
+}
+
+TEST(PrunedWalkTest, RejectsALevelCap) {
+  const SchemaGraph schema = testing_util::RandomSchemaGraph(8001, 8, 12);
+  const auto prepared = PreparedSchema::Create(schema, PreparedSchemaOptions{});
+  ASSERT_TRUE(prepared.ok());
+  DiscoveryStats untouched;
+  untouched.subsets_enumerated = 12345;
+  const auto result = AprioriDiscover(*prepared, SizeConstraint{3, 5},
+                                      DistanceConstraint::Tight(2),
+                                      AprioriOptions{AprioriWalk::kPruned, 10},
+                                      &untouched);
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(result.status().message(),
+            "max_level_size applies only to the exhaustive Apriori walk");
+  EXPECT_EQ(untouched.subsets_enumerated, 12345u);
+}
+
 // Schemas with more than 64 eligible key types, so Apriori's
 // compatibility rows span several 64-bit words. Apriori must return brute
 // force's own preview (the first best subset in the same lexicographic
@@ -174,6 +346,7 @@ class WideSchemaTest : public ::testing::TestWithParam<uint32_t> {
 };
 
 TEST_P(WideSchemaTest, AprioriMatchesBruteForceExactly) {
+  const AprioriOptions exhaustive{AprioriWalk::kExhaustive};
   for (uint32_t k = 1; k <= 3; ++k) {
     const SizeConstraint size{k, k + 2};
     for (DistanceMode mode : {DistanceMode::kTight, DistanceMode::kDiverse}) {
@@ -184,22 +357,37 @@ TEST_P(WideSchemaTest, AprioriMatchesBruteForceExactly) {
         const auto bf = BruteForceDiscover(*prepared_, size, constraint,
                                            BruteForceOptions{}, &bf_stats);
         const auto apriori = AprioriDiscover(*prepared_, size, constraint,
-                                             AprioriOptions{}, &apriori_stats);
+                                             exhaustive, &apriori_stats);
+        const auto pruned = AprioriDiscover(*prepared_, size, constraint);
         const std::string where = "k=" + std::to_string(k) + " " +
                                   (mode == DistanceMode::kTight ? "tight"
                                                                 : "diverse") +
                                   " d=" + std::to_string(d);
         ASSERT_EQ(bf.ok(), apriori.ok()) << where;
+        ASSERT_EQ(bf.ok(), pruned.ok()) << where;
         EXPECT_EQ(apriori_stats.subsets_enumerated, bf_stats.subsets_scored)
             << where;
         if (!bf.ok()) continue;
         ASSERT_EQ(bf->tables.size(), apriori->tables.size()) << where;
+        ASSERT_EQ(bf->tables.size(), pruned->tables.size()) << where;
         for (size_t t = 0; t < bf->tables.size(); ++t) {
           EXPECT_EQ(bf->tables[t].key, apriori->tables[t].key) << where;
+          EXPECT_EQ(bf->tables[t].key, pruned->tables[t].key) << where;
         }
         EXPECT_EQ(bf->Score(*prepared_), apriori->Score(*prepared_)) << where;
+        EXPECT_EQ(bf->Score(*prepared_), pruned->Score(*prepared_)) << where;
       }
     }
+  }
+}
+
+TEST_P(WideSchemaTest, PrunedWalkMatchesTheExhaustiveWalk) {
+  // Diverse d=1 admits every k-subset of over 64 types, so the exhaustive
+  // oracle runs only where its levels stay within 200k subsets.
+  for (const PreparedSchema& prepared : PrepareBothKeyMeasures(schema_)) {
+    // More requests than the k <= 3 part of the grid alone.
+    EXPECT_GT(ExpectPrunedMatchesExhaustiveOnTheGrid(prepared, 200'000),
+              2u * 4 * 3 * 7);
   }
 }
 
@@ -216,14 +404,17 @@ TEST_P(WideSchemaTest, MaxLevelSizeCapsTheLargestLevelFromThree) {
   ASSERT_GT(largest, 1u);
 
   DiscoveryStats uncapped_stats;
-  const auto uncapped = AprioriDiscover(*prepared_, size, tight,
-                                        AprioriOptions{}, &uncapped_stats);
+  const auto uncapped =
+      AprioriDiscover(*prepared_, size, tight,
+                      AprioriOptions{AprioriWalk::kExhaustive}, &uncapped_stats);
   ASSERT_TRUE(uncapped.ok());
 
   // A cap equal to the largest level lets the call through unchanged.
   DiscoveryStats capped_stats;
-  const auto capped = AprioriDiscover(*prepared_, size, tight,
-                                      AprioriOptions{largest}, &capped_stats);
+  const auto capped =
+      AprioriDiscover(*prepared_, size, tight,
+                      AprioriOptions{AprioriWalk::kExhaustive, largest},
+                      &capped_stats);
   ASSERT_TRUE(capped.ok()) << capped.status().ToString();
   EXPECT_EQ(capped->Score(*prepared_), uncapped->Score(*prepared_));
   EXPECT_EQ(capped_stats.subsets_enumerated, uncapped_stats.subsets_enumerated);
@@ -235,8 +426,10 @@ TEST_P(WideSchemaTest, MaxLevelSizeCapsTheLargestLevelFromThree) {
   while (level[first_over] <= largest - 1) ++first_over;
   DiscoveryStats untouched;
   untouched.subsets_enumerated = 12345;
-  const auto over = AprioriDiscover(*prepared_, size, tight,
-                                    AprioriOptions{largest - 1}, &untouched);
+  const auto over =
+      AprioriDiscover(*prepared_, size, tight,
+                      AprioriOptions{AprioriWalk::kExhaustive, largest - 1},
+                      &untouched);
   EXPECT_EQ(over.status().code(), StatusCode::kOutOfRange);
   EXPECT_EQ(over.status().message(),
             "Apriori level " + std::to_string(first_over) +
@@ -249,8 +442,8 @@ TEST_P(WideSchemaTest, MaxLevelSizeCapsTheLargestLevelFromThree) {
     if (cap == 0) continue;
     uint32_t expected = 3;
     while (level[expected] <= cap) ++expected;
-    const auto result =
-        AprioriDiscover(*prepared_, size, tight, AprioriOptions{cap});
+    const auto result = AprioriDiscover(
+        *prepared_, size, tight, AprioriOptions{AprioriWalk::kExhaustive, cap});
     EXPECT_EQ(result.status().message(),
               "Apriori level " + std::to_string(expected) +
                   " exceeded max_level_size=" + std::to_string(cap));
