@@ -1,14 +1,36 @@
 #include "core/candidates.h"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <utility>
 
 #include "common/check.h"
 #include "common/parallel.h"
+#include "common/strings.h"
 #include "common/timer.h"
 
 namespace egp {
+namespace {
+
+/// Theorem 3's merge and Apriori's bound add weighted scores, so none may
+/// be negative, and a NaN would break Γτ's sort order. `what(i)` names
+/// the i-th score's subject.
+template <typename What>
+Status CheckScores(const std::string& measure,
+                   const std::vector<double>& scores, What&& what) {
+  for (size_t i = 0; i < scores.size(); ++i) {
+    if (!std::isfinite(scores[i]) || scores[i] < 0.0) {
+      return Status::InvalidArgument(
+          StrFormat("%s returned %g for %s; scores must be finite and "
+                    "non-negative",
+                    measure.c_str(), scores[i], what(i).c_str()));
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
 
 const char* KeyMeasureName(KeyMeasure m) {
   return m == KeyMeasure::kCoverage ? "Coverage" : "RandomWalk";
@@ -58,6 +80,11 @@ Result<PreparedSchema> PreparedSchema::Create(SchemaGraph schema,
                             " scores for " +
                             std::to_string(schema.num_types()) + " types");
   }
+  EGP_RETURN_IF_ERROR(CheckScores(
+      "key measure '" + measures.key + "'", prepared.key_scores_,
+      [&schema](size_t t) {
+        return "type '" + schema.TypeName(static_cast<TypeId>(t)) + "'";
+      }));
 
   NonKeyScorerFn nonkey_scorer;
   EGP_ASSIGN_OR_RETURN(nonkey_scorer,
@@ -72,6 +99,15 @@ Result<PreparedSchema> PreparedSchema::Create(SchemaGraph schema,
                             "' returned a score vector not matching the " +
                             std::to_string(schema.num_edges()) +
                             " schema edges");
+  }
+  for (const Direction direction :
+       {Direction::kOutgoing, Direction::kIncoming}) {
+    EGP_RETURN_IF_ERROR(CheckScores(
+        "non-key measure '" + measures.nonkey + "'",
+        direction == Direction::kOutgoing ? nonkey.outgoing : nonkey.incoming,
+        [&schema, direction](size_t e) {
+          return StrFormat("schema edge %zu (%s)", e, DirectionName(direction));
+        }));
   }
 
   // Γτ per type: every incident edge contributes the direction(s) in which

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <string>
 
 #include "core/candidates.h"
 #include "core/scoring_registry.h"
@@ -140,6 +142,63 @@ TEST(ScoringRegistryTest, GlobalRegistrationFlowsIntoPreparedSchema) {
   const auto invalid = PreparedSchema::Create(schema, broken);
   ASSERT_FALSE(invalid.ok());
   EXPECT_EQ(invalid.status().code(), StatusCode::kInternal);
+}
+
+TEST(ScoringRegistryTest, PreparedSchemaRejectsNegativeAndNonFiniteScores) {
+  // Theorem 3's merge and Apriori's bound assume no score is negative, and
+  // a NaN breaks the candidate sort: Create rejects both, naming the
+  // measure and the score's subject, for key and non-key measures alike.
+  const SchemaGraph schema =
+      SchemaGraph::FromEntityGraph(BuildPaperExampleGraph());
+  const TypeId last = static_cast<TypeId>(schema.num_types() - 1);
+  const uint32_t edge = schema.num_edges() - 1;
+  for (const double bad : {-1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    const std::string suffix = bad < 0 ? "negative" : "nan";
+    const std::string key_name = "registry-test-key-" + suffix;
+    const std::string nonkey_name = "registry-test-nonkey-" + suffix;
+    ASSERT_TRUE(ScoringRegistry::Global()
+                    .RegisterKeyMeasure(
+                        key_name,
+                        [bad](const ScoringContext& context) {
+                          std::vector<double> scores(
+                              context.schema.num_types(), 1.0);
+                          scores.back() = bad;
+                          return Result<std::vector<double>>(scores);
+                        })
+                    .ok());
+    ASSERT_TRUE(ScoringRegistry::Global()
+                    .RegisterNonKeyMeasure(
+                        nonkey_name,
+                        [bad](const ScoringContext& context) {
+                          NonKeyScores scores;
+                          scores.outgoing.assign(context.schema.num_edges(),
+                                                 1.0);
+                          scores.incoming.assign(context.schema.num_edges(),
+                                                 1.0);
+                          scores.incoming.back() = bad;
+                          return Result<NonKeyScores>(std::move(scores));
+                        })
+                    .ok());
+    const std::string printed = bad < 0 ? "-1" : "nan";
+
+    MeasureSelection as_key;
+    as_key.key = key_name;
+    const auto key = PreparedSchema::Create(schema, as_key);
+    EXPECT_EQ(key.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(key.status().message(),
+              "key measure '" + key_name + "' returned " + printed +
+                  " for type '" + schema.TypeName(last) +
+                  "'; scores must be finite and non-negative");
+
+    MeasureSelection as_nonkey;
+    as_nonkey.nonkey = nonkey_name;
+    const auto nonkey = PreparedSchema::Create(schema, as_nonkey);
+    EXPECT_EQ(nonkey.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(nonkey.status().message(),
+              "non-key measure '" + nonkey_name + "' returned " + printed +
+                  " for schema edge " + std::to_string(edge) +
+                  " (in); scores must be finite and non-negative");
+  }
 }
 
 TEST(ScoringRegistryTest, EnumCreatePathUsesRegistryNames) {
