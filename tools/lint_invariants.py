@@ -3,7 +3,7 @@
 
 Scope: first-party C++ under src/, tools/, bench/ (tests are exempt —
 they deliberately poke at internals, e.g. raw sockets for misbehaving
-clients). Seven rule families, each born from a real bug class here:
+clients). Eight rule families, each born from a real bug class here:
 
   blocking-io   The event-loop serving core must never block on a
                 socket. The convenience blocking wrappers (SendAll,
@@ -52,6 +52,13 @@ clients). Seven rule families, each born from a real bug class here:
                 algorithms themselves) and src/reduction/ (its
                 NP-hardness check runs brute force). Benches and tools
                 call the algorithms directly to reproduce the paper.
+
+  exhaustive-walk
+                Only bench/ may select Apriori's exhaustive walk
+                (AprioriWalk::kExhaustive, Alg. 3 as the paper states
+                it), so the request path always runs the pruned walk and
+                never scores all of L_k. Its declaration in
+                src/core/apriori.h is the one other mention.
 
 Exit status 0 when clean; 1 with `path:line: [rule] message` findings
 otherwise. Run from anywhere: paths resolve against the repo root.
@@ -127,6 +134,16 @@ DIRECT_DISCOVER_RE = re.compile(
     r"\b(BruteForceDiscover|DynamicProgrammingDiscover|AprioriDiscover"
     r"|BeamSearchDiscover)\s*\(")
 DIRECT_DISCOVER_ALLOWED_DIRS = ("src/core/", "src/reduction/")
+
+# ---------------------------------------------------------------------------
+# Rule: exhaustive-walk
+# ---------------------------------------------------------------------------
+# The bare enumerator, so a `using enum AprioriWalk` cannot hide it.
+EXHAUSTIVE_WALK_RE = re.compile(r"\bkExhaustive\b")
+EXHAUSTIVE_WALK_ALLOWED = {
+    "src/core/apriori.h",  # declares it
+}
+EXHAUSTIVE_WALK_ALLOWED_DIRS = ("bench/",)
 
 # ---------------------------------------------------------------------------
 # Rule: layering
@@ -212,6 +229,13 @@ def scan_file(rel_path: str, findings: list) -> None:
                     f"{rel_path}:{lineno}: [single-dispatch] direct "
                     f"{m.group(1)}() call — dispatch through Discover() "
                     f"from core/discover.h")
+        if (not rel_path.startswith(EXHAUSTIVE_WALK_ALLOWED_DIRS)
+                and rel_path not in EXHAUSTIVE_WALK_ALLOWED
+                and EXHAUSTIVE_WALK_RE.search(line)):
+            findings.append(
+                f"{rel_path}:{lineno}: [exhaustive-walk] Apriori's "
+                f"exhaustive walk outside bench/ — the request path runs "
+                f"the pruned walk (AprioriOptions{{}})")
         if module is not None:
             for inc in QUOTED_INCLUDE_RE.findall(line):
                 target = inc.split("/", 1)[0]
