@@ -4,6 +4,7 @@
 #include <bit>
 #include <cfloat>
 #include <functional>
+#include <numeric>
 #include <optional>
 #include <vector>
 
@@ -50,7 +51,10 @@ class CompletionBound {
   CompletionBound(const PreparedSchema& prepared,
                   const std::vector<TypeId>& eligible, uint32_t k,
                   uint32_t n)
-      : k_(k), heads_(eligible.size()), tail_count_(eligible.size()) {
+      : k_(k),
+        heads_(eligible.size()),
+        head_order_(eligible.size()),
+        tail_count_(eligible.size()) {
     const size_t count = eligible.size();
     size_t all_tails = 0;
     for (const TypeId t : eligible) {
@@ -72,6 +76,11 @@ class CompletionBound {
         tails_[i * m_ + s] = key_score * sorted[s + 1].score;
       }
     }
+    std::iota(head_order_.begin(), head_order_.end(), 0);
+    std::stable_sort(head_order_.begin(), head_order_.end(),
+                     [this](size_t a, size_t b) {
+                       return heads_[a] > heads_[b];
+                     });
 
     // Per suffix [j, K): prefix sums of its k largest heads, and its m
     // largest tails.
@@ -97,7 +106,6 @@ class CompletionBound {
     prefix_heads_.assign(k + 1, 0.0);
     prefix_tails_.resize((k + 1) * m_);
     prefix_tail_count_.assign(k + 1, 0);
-    top_heads_.resize(k);
     scratch_.resize(2 * m_);
   }
 
@@ -105,15 +113,26 @@ class CompletionBound {
   /// above `best`.
   bool Below(double bound, double best) const { return bound * slack_ < best; }
 
-  /// Bound on the completions of the depth-key prefix whose other keys all
-  /// lie at eligible index j or above: the prefix's heads, the k − depth
-  /// largest heads from j on, and the m largest of the prefix's tails and
-  /// every tail from j on.
-  double Suffix(uint32_t depth, size_t j) const {
-    return prefix_heads_[depth] + suffix_heads_[j * (k_ + 1) + (k_ - depth)] +
-           SumOfLargest(PrefixTails(depth), prefix_tail_count_[depth],
-                        suffix_tails_.data() + j * m_, suffix_tail_count_[j],
-                        m_);
+  /// Stage 1, for extending the depth-key prefix by eligible index j.
+  struct SuffixBound {
+    /// On every completion whose other keys all lie at j or above: the
+    /// prefix's heads, the k − depth largest heads from j on, and `tails`.
+    double from;
+    /// On those of them that contain j: j's head in place of the largest.
+    double with;
+    /// The m largest of the prefix's tails and every tail from j on.
+    double tails;
+  };
+  SuffixBound Suffix(uint32_t depth, size_t j) const {
+    const double* from_j = &suffix_heads_[j * (k_ + 1)];
+    const double* after_j = from_j + (k_ + 1);
+    const uint32_t missing = k_ - depth;
+    const double tails =
+        SumOfLargest(PrefixTails(depth), prefix_tail_count_[depth],
+                     suffix_tails_.data() + j * m_, suffix_tail_count_[j], m_);
+    return {prefix_heads_[depth] + from_j[missing] + tails,
+            prefix_heads_[depth] + heads_[j] + after_j[missing - 1] + tails,
+            tails};
   }
 
   /// The exact score, summed in another order, of the k-subset that
@@ -134,41 +153,46 @@ class CompletionBound {
         tail_count_[j], m_, prefix_tails_.data() + (depth + 1) * m_);
   }
 
-  /// Suffix's sum for the size-key prefix (made by Extend), drawn from the
-  /// types in its candidate set, words [first_word, words) of `cand`, in
-  /// place of every type from some index on.
-  double Within(uint32_t size, const uint64_t* cand, size_t first_word,
-                size_t words) {
-    const size_t need = k_ - size;
-    size_t heads = 0;  // filled entries of top_heads_, descending
+  // Stage 2: Suffix's sums for the size-key prefix (made by Extend), drawn
+  // from the types in its candidate set, words [first_word, words) of
+  // `cand`, in place of every type from some index on.
+
+  /// The prefix's heads and the k − size largest heads among `cand`.
+  double HeadsWithin(uint32_t size, const uint64_t* cand,
+                     size_t first_word) const {
+    double sum = prefix_heads_[size];
+    uint32_t missing = k_ - size;
+    for (const size_t i : head_order_) {
+      if (i / 64 >= first_word && (cand[i / 64] >> (i % 64) & 1) != 0) {
+        sum += heads_[i];
+        if (--missing == 0) break;
+      }
+    }
+    return sum;
+  }
+
+  /// The m largest of the prefix's tails and every tail in `cand`.
+  double TailsWithin(uint32_t size, const uint64_t* cand, size_t first_word,
+                     size_t words) {
     const double* tails = PrefixTails(size);
-    size_t tail_count = prefix_tail_count_[size];
+    size_t count = prefix_tail_count_[size];
     double* spare = scratch_.data();
     for (size_t w = first_word; w < words; ++w) {
       for (uint64_t word = cand[w]; word != 0; word &= word - 1) {
         const size_t i = w * 64 + static_cast<size_t>(std::countr_zero(word));
-        if (heads < need || heads_[i] > top_heads_[need - 1]) {
-          size_t at = heads < need ? heads++ : need - 1;
-          for (; at > 0 && top_heads_[at - 1] < heads_[i]; --at) {
-            top_heads_[at] = top_heads_[at - 1];
-          }
-          top_heads_[at] = heads_[i];
-        }
         if (tail_count_[i] == 0 ||
-            (tail_count == m_ && Tails(i)[0] <= tails[m_ - 1])) {
+            (count == m_ && Tails(i)[0] <= tails[m_ - 1])) {
           continue;
         }
-        tail_count = MergeLargest(tails, tail_count, Tails(i), tail_count_[i],
-                                  m_, spare);
+        count = MergeLargest(tails, count, Tails(i), tail_count_[i], m_, spare);
         tails = spare;
         spare = spare == scratch_.data() ? scratch_.data() + m_
                                          : scratch_.data();
       }
     }
-    double bound = prefix_heads_[size];
-    for (size_t r = 0; r < heads; ++r) bound += top_heads_[r];
-    for (size_t t = 0; t < tail_count; ++t) bound += tails[t];
-    return bound;
+    double sum = 0.0;
+    for (size_t t = 0; t < count; ++t) sum += tails[t];
+    return sum;
   }
 
  private:
@@ -181,7 +205,8 @@ class CompletionBound {
   size_t m_;       // tail slots: n − k, or every tail there is if fewer
   double slack_;   // 1 + the relative rounding the bounds allow for
   std::vector<double> heads_;
-  std::vector<double> tails_;  // m_ per type, descending
+  std::vector<size_t> head_order_;  // eligible indices, largest head first
+  std::vector<double> tails_;       // m_ per type, descending
   std::vector<size_t> tail_count_;
   std::vector<double> suffix_heads_;  // k_ + 1 per suffix start
   std::vector<double> suffix_tails_;  // m_ per suffix start, descending
@@ -189,8 +214,7 @@ class CompletionBound {
   std::vector<double> prefix_heads_;  // per prefix size, 0..k_
   std::vector<double> prefix_tails_;  // m_ per prefix size, descending
   std::vector<size_t> prefix_tail_count_;
-  std::vector<double> top_heads_;
-  std::vector<double> scratch_;  // Within's two merge buffers
+  std::vector<double> scratch_;  // TailsWithin's two merge buffers
 };
 
 /// The depth-first walk over L_k. keys[0..depth) is the current prefix, a
@@ -232,6 +256,8 @@ class LevelWalk {
   const std::vector<TypeId>& best_keys() const { return best_keys_; }
 
  private:
+  bool Below(double bound) const { return bound_->Below(bound, best_score_); }
+
   void Walk(uint32_t depth, const uint64_t* cand, size_t first_word) {
     const size_t words = rows_.words();
     const uint32_t size = depth + 1;  // of the subsets this call visits
@@ -239,11 +265,12 @@ class LevelWalk {
     for (size_t w = first_word; w < words; ++w) {
       for (uint64_t word = cand[w]; word != 0; word &= word - 1) {
         const size_t j = w * 64 + static_cast<size_t>(std::countr_zero(word));
-        // No completion with keys from j on can beat the best so far, so
-        // neither can j's subtree nor any later sibling's.
-        if (bound_ != nullptr &&
-            bound_->Below(bound_->Suffix(depth, j), best_score_)) {
-          return;
+        CompletionBound::SuffixBound suffix{};
+        if (bound_ != nullptr) {
+          suffix = bound_->Suffix(depth, j);
+          // No completion with keys from j on can beat the best so far,
+          // so neither can j's subtree nor any later sibling's.
+          if (Below(suffix.from)) return;
         }
         keys_[depth] = eligible_[j];
         // Once a level overflows, each later node of it returns here, so
@@ -256,10 +283,7 @@ class LevelWalk {
         }
         if (size == k_) {
           ++enumerated_;
-          if (bound_ != nullptr &&
-              bound_->Below(bound_->Leaf(j), best_score_)) {
-            continue;
-          }
+          if (bound_ != nullptr && Below(bound_->Leaf(j))) continue;
           ++scored_;
           const double score = scorer_->Score(keys_.data(), k_);
           if (score > best_score_) {
@@ -268,6 +292,7 @@ class LevelWalk {
           }
           continue;
         }
+        if (bound_ != nullptr && Below(suffix.with)) continue;
         // The extensions of keys[0..size): candidates above j that are
         // compatible with j too.
         const uint64_t* row = rows_.row(j);
@@ -280,11 +305,13 @@ class LevelWalk {
         if (bound_ == nullptr) {
           if (extensions == 0) continue;
         } else {
-          // Too few extensions to reach k keys, or none that can win.
+          // Too few extensions to reach k keys, or none that can win:
+          // the heads they could bring first, with the suffix's tails.
           if (extensions < k_ - size) continue;
           bound_->Extend(depth, j);
-          if (bound_->Below(bound_->Within(size, child, w, words),
-                            best_score_)) {
+          const double heads = bound_->HeadsWithin(size, child, w);
+          if (Below(heads + suffix.tails) ||
+              Below(heads + bound_->TailsWithin(size, child, w, words))) {
             continue;
           }
         }
