@@ -1,7 +1,14 @@
 // Ablation: beam-search approximation quality and speed vs the exact
-// algorithms, on the music domain — including the regimes where Apriori
-// degenerates (diverse d=2) and the beam keeps running.
+// algorithms, on the music domain — including diverse d=2, where Alg. 3's
+// levels explode and the pruned Apriori walk still answers exactly.
+//
+// The exact column is the pruned Apriori walk with no level cap, on every
+// configuration (with no distance constraint every pair of types is
+// compatible, so it solves the concise space too); DP, which `auto` runs
+// for concise requests, is timed beside it. Times are the best of five
+// calls, in microseconds.
 #include <cstdio>
+#include <functional>
 
 #include "bench/bench_util.h"
 #include "common/timer.h"
@@ -19,43 +26,55 @@ struct Config {
   DistanceConstraint distance;
 };
 
-void Run(const PreparedSchema& prepared, const Config& config) {
-  // Exact optimum: DP for concise, Apriori (capped) otherwise.
-  double exact_score = -1.0;
-  double exact_ms = -1.0;
-  {
+/// Runs `discover` five times; returns the best time in µs and leaves the
+/// last result's score (-1 if it failed) in `score`.
+double BestMicros(const std::function<Result<Preview>()>& discover,
+                  const PreparedSchema& prepared, double* score) {
+  double best = 0.0;
+  for (int repeat = 0; repeat < 5; ++repeat) {
     Timer timer;
-    if (config.distance.mode == DistanceMode::kNone) {
-      auto exact = DynamicProgrammingDiscover(prepared, config.size);
-      if (exact.ok()) exact_score = exact->Score(prepared);
-    } else {
-      AprioriOptions options;
-      options.max_level_size = 5'000'000;
-      auto exact =
-          AprioriDiscover(prepared, config.size, config.distance, options);
-      if (exact.ok()) exact_score = exact->Score(prepared);
-    }
-    exact_ms = timer.ElapsedMillis();
+    const Result<Preview> preview = discover();
+    const double us = timer.ElapsedMillis() * 1000.0;
+    best = repeat == 0 ? us : std::min(best, us);
+    *score = preview.ok() ? preview->Score(prepared) : -1.0;
   }
+  return best;
+}
 
-  Timer timer;
-  auto beam = BeamSearchDiscover(prepared, config.size, config.distance);
-  const double beam_ms = timer.ElapsedMillis();
-  const double beam_score = beam.ok() ? beam->Score(prepared) : -1.0;
+void Run(const PreparedSchema& prepared, const Config& config) {
+  double exact_score = -1.0;
+  const double exact_us = BestMicros(
+      [&] {
+        return AprioriDiscover(prepared, config.size, config.distance);
+      },
+      prepared, &exact_score);
+  std::string dp = "-";
+  if (config.distance.mode == DistanceMode::kNone) {
+    double dp_score = -1.0;
+    dp = bench::FormatDouble(
+        BestMicros([&] { return DynamicProgrammingDiscover(prepared,
+                                                           config.size); },
+                   prepared, &dp_score),
+        0);
+  }
+  double beam_score = -1.0;
+  const double beam_us = BestMicros(
+      [&] {
+        return BeamSearchDiscover(prepared, config.size, config.distance);
+      },
+      prepared, &beam_score);
 
   std::string ratio = "n/a";
   if (exact_score > 0 && beam_score >= 0) {
     ratio = bench::FormatDouble(beam_score / exact_score, 4);
-  } else if (exact_score < 0 && beam_score >= 0) {
-    ratio = "exact DNF";
   }
   bench::PrintRow(config.label,
                   {exact_score >= 0 ? bench::FormatDouble(exact_score, 0)
-                                    : std::string("DNF"),
-                   bench::FormatDouble(std::max(exact_ms, 1.0), 0),
+                                    : std::string("none"),
+                   bench::FormatDouble(exact_us, 0), dp,
                    beam_score >= 0 ? bench::FormatDouble(beam_score, 0)
                                    : std::string("none"),
-                   bench::FormatDouble(std::max(beam_ms, 1.0), 0), ratio},
+                   bench::FormatDouble(beam_us, 0), ratio},
                   26, 12);
 }
 
@@ -64,14 +83,14 @@ void Run(const PreparedSchema& prepared, const Config& config) {
 int main() {
   using namespace egp;
   bench::PrintHeader(
-      "Ablation: beam search vs exact discovery (music domain)");
+      "Ablation: beam search vs exact discovery (music domain, µs)");
   auto prepared_or = PreparedSchema::Create(
       bench::Domain("music").schema, PreparedSchemaOptions{});
   EGP_CHECK(prepared_or.ok());
   const PreparedSchema prepared = std::move(prepared_or).value();
 
-  bench::PrintRow("config", {"exact", "exact ms", "beam", "beam ms",
-                             "ratio"},
+  bench::PrintRow("config", {"exact", "apriori us", "dp us", "beam",
+                             "beam us", "ratio"},
                   26, 12);
   const Config configs[] = {
       {"concise k=5 n=10", {5, 10}, DistanceConstraint::None()},
@@ -84,8 +103,9 @@ int main() {
   };
   for (const Config& config : configs) Run(prepared, config);
   std::printf(
-      "\nReading: the beam stays within a few percent of optimal at "
-      "millisecond cost, and still answers in the diverse d=2 regime where "
-      "the exact Apriori level tables blow past the 5M cap (DNF).\n");
+      "\nReading: the pruned Apriori walk is exact on every row, including "
+      "diverse d=2 where Alg. 3's levels outgrow any cap; where it is "
+      "faster than the beam on every row, the beam has no speed case left "
+      "(ratio = beam score / exact score).\n");
   return 0;
 }

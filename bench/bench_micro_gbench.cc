@@ -87,16 +87,23 @@ void BM_DynamicProgramming(benchmark::State& state) {
 }
 BENCHMARK(BM_DynamicProgramming)->Arg(3)->Arg(6)->Arg(9);
 
+// Both walks over the same L_k: the pruned one (exhaustive=0, what the
+// server runs) and Alg. 3's (exhaustive=1).
 void BM_AprioriTight(benchmark::State& state) {
   const PreparedSchema prepared = PreparedMusic();
   const SizeConstraint size{static_cast<uint32_t>(state.range(0)), 20};
+  AprioriOptions options;
+  options.walk =
+      state.range(1) != 0 ? AprioriWalk::kExhaustive : AprioriWalk::kPruned;
   for (auto _ : state) {
-    auto preview =
-        AprioriDiscover(prepared, size, DistanceConstraint::Tight(2));
+    auto preview = AprioriDiscover(prepared, size,
+                                   DistanceConstraint::Tight(2), options);
     benchmark::DoNotOptimize(preview);
   }
 }
-BENCHMARK(BM_AprioriTight)->Arg(3)->Arg(5);
+BENCHMARK(BM_AprioriTight)
+    ->ArgNames({"k", "exhaustive"})
+    ->ArgsProduct({{3, 5}, {0, 1}});
 
 void BM_BeamConcise(benchmark::State& state) {
   const PreparedSchema prepared = PreparedMusic();

@@ -15,29 +15,34 @@
 namespace egp {
 namespace {
 
-/// Writes the `limit` largest values of two descending lists to `out`,
-/// descending, and returns how many it wrote.
-size_t MergeLargest(const double* a, size_t a_size, const double* b,
-                    size_t b_size, size_t limit, double* out) {
+/// Calls visit(value) on the `limit` largest values of two descending
+/// lists, largest first; returns how many it visited.
+template <typename Visit>
+size_t VisitLargest(const double* a, size_t a_size, const double* b,
+                    size_t b_size, size_t limit, Visit&& visit) {
   size_t i = 0;
   size_t j = 0;
   size_t count = 0;
   for (; count < limit && (i < a_size || j < b_size); ++count) {
-    out[count] = j == b_size || (i < a_size && a[i] >= b[j]) ? a[i++] : b[j++];
+    visit(j == b_size || (i < a_size && a[i] >= b[j]) ? a[i++] : b[j++]);
   }
   return count;
+}
+
+/// Writes the `limit` largest values of two descending lists to `out`,
+/// descending, and returns how many it wrote.
+size_t MergeLargest(const double* a, size_t a_size, const double* b,
+                    size_t b_size, size_t limit, double* out) {
+  return VisitLargest(a, a_size, b, b_size, limit,
+                      [&out](double value) { *out++ = value; });
 }
 
 /// Sum of the `limit` largest values of two descending lists.
 double SumOfLargest(const double* a, size_t a_size, const double* b,
                     size_t b_size, size_t limit) {
-  size_t i = 0;
-  size_t j = 0;
   double sum = 0.0;
-  for (size_t count = 0; count < limit && (i < a_size || j < b_size);
-       ++count) {
-    sum += j == b_size || (i < a_size && a[i] >= b[j]) ? a[i++] : b[j++];
-  }
+  VisitLargest(a, a_size, b, b_size, limit,
+               [&sum](double value) { sum += value; });
   return sum;
 }
 
@@ -77,10 +82,8 @@ class CompletionBound {
       }
     }
     std::iota(head_order_.begin(), head_order_.end(), 0);
-    std::stable_sort(head_order_.begin(), head_order_.end(),
-                     [this](size_t a, size_t b) {
-                       return heads_[a] > heads_[b];
-                     });
+    std::sort(head_order_.begin(), head_order_.end(),
+              [this](size_t a, size_t b) { return heads_[a] > heads_[b]; });
 
     // Per suffix [j, K): prefix sums of its k largest heads, and its m
     // largest tails.

@@ -16,11 +16,21 @@
 
 namespace egp {
 
-/// Instrumentation shared by the discovery algorithms.
+/// Instrumentation shared by the discovery algorithms; DP leaves it zero.
 struct DiscoveryStats {
-  uint64_t subsets_enumerated = 0;  // complete k-subsets examined
-  uint64_t subsets_scored = 0;      // subsets passing the distance filter
-  bool truncated = false;           // stopped early by max_subsets
+  /// Brute force: every k-subset of eligible key types it examined.
+  /// Apriori: the members of L_k its walk reached — all of them on the
+  /// exhaustive walk; on the pruned one, those not ruled out together
+  /// with an ancestor or with a run of earlier siblings. Beam: the key
+  /// sets of every size it scored, over all its widening attempts.
+  uint64_t subsets_enumerated = 0;
+  /// Brute force: the k-subsets that met the distance constraint, each
+  /// scored. Apriori: the members of L_k it scored — |L_k| on the
+  /// exhaustive walk; on the pruned one, the reached subsets whose own
+  /// bound could still beat the best so far. Beam: the key sets scored
+  /// by the attempt that succeeded.
+  uint64_t subsets_scored = 0;
+  bool truncated = false;  // brute force stopped early by max_subsets
 };
 
 struct BruteForceOptions {

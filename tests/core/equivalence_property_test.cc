@@ -55,8 +55,8 @@ bool ExpectPrunedMatchesExhaustive(const PreparedSchema& prepared,
                       AprioriOptions{AprioriWalk::kExhaustive, cap},
                       &exhaustive_stats);
   if (exhaustive.status().code() == StatusCode::kOutOfRange) return false;
-  const auto pruned =
-      AprioriDiscover(prepared, size, distance, AprioriOptions{}, &pruned_stats);
+  const auto pruned = AprioriDiscover(prepared, size, distance,
+                                      AprioriOptions{}, &pruned_stats);
   EXPECT_EQ(pruned.status().code(), exhaustive.status().code());
   EXPECT_EQ(pruned.status().message(), exhaustive.status().message());
   EXPECT_EQ(exhaustive_stats.subsets_scored,
@@ -248,7 +248,8 @@ TEST_P(PrunedWalkTest, MatchesTheExhaustiveWalk) {
     const SchemaGraph schema = testing_util::RandomSchemaGraph(
         8000 + 100 * num_types + seed, num_types, num_edges);
     for (const PreparedSchema& prepared : PrepareBothKeyMeasures(schema)) {
-      EXPECT_EQ(ExpectPrunedMatchesExhaustiveOnTheGrid(prepared), 2u * 4 * 5 * 7);
+      EXPECT_EQ(ExpectPrunedMatchesExhaustiveOnTheGrid(prepared),
+                2u * 4 * 5 * 7);
     }
   }
 }
@@ -406,7 +407,8 @@ TEST_P(WideSchemaTest, MaxLevelSizeCapsTheLargestLevelFromThree) {
   DiscoveryStats uncapped_stats;
   const auto uncapped =
       AprioriDiscover(*prepared_, size, tight,
-                      AprioriOptions{AprioriWalk::kExhaustive}, &uncapped_stats);
+                      AprioriOptions{AprioriWalk::kExhaustive},
+                      &uncapped_stats);
   ASSERT_TRUE(uncapped.ok());
 
   // A cap equal to the largest level lets the call through unchanged.
