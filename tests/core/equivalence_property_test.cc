@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <utility>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "core/brute_force.h"
 #include "core/dynamic_programming.h"
 #include "core/key_sets.h"
+#include "core/scoring_registry.h"
 #include "tests/testing/random_schema.h"
 
 namespace egp {
@@ -298,6 +300,54 @@ TEST(PrunedWalkTest, MatchesTheExhaustiveWalkOnAFlatRing) {
                               &exhaustive)
                   .ok());
   EXPECT_EQ(stats.subsets_scored, exhaustive.subsets_scored);
+}
+
+TEST(PrunedWalkTest, SlackCoversTheSummationOrder) {
+  // T0's one candidate scores 1 + 3 ulp. T1's head is 1 and its four
+  // tails are 0.6 ulp each: the scorer adds them one by one to 1 and
+  // gets 1 + 4 ulp, so T1 wins, but the bound adds the tails first and
+  // gets 1 + 2 ulp, below T0's score. Only the slack keeps T1.
+  const double ulp = std::ldexp(1.0, -52);
+  const double tail = 0.6 * ulp;
+  SchemaGraph schema;
+  for (const char* name : {"T0", "T1", "T2"}) schema.AddType(name, 1);
+  schema.AddEdge("e0", 0, 2, 1);
+  for (int e = 1; e <= 5; ++e) schema.AddEdge("e" + std::to_string(e), 1, 2, 1);
+  if (!ScoringRegistry::Global().HasKeyMeasure("pruned-walk-test-ones")) {
+    ASSERT_TRUE(ScoringRegistry::Global()
+                    .RegisterKeyMeasure(
+                        "pruned-walk-test-ones",
+                        [](const ScoringContext& context) {
+                          return Result<std::vector<double>>(
+                              std::vector<double>(context.schema.num_types(),
+                                                  1.0));
+                        })
+                    .ok());
+    ASSERT_TRUE(ScoringRegistry::Global()
+                    .RegisterNonKeyMeasure(
+                        "pruned-walk-test-ulps",
+                        [ulp, tail](const ScoringContext& context) {
+                          NonKeyScores scores;
+                          scores.outgoing = {1.0 + 3 * ulp, 1.0, tail, tail,
+                                             tail, tail};
+                          scores.incoming.assign(context.schema.num_edges(),
+                                                 0.0);
+                          return Result<NonKeyScores>(std::move(scores));
+                        })
+                    .ok());
+  }
+  MeasureSelection measures;
+  measures.key = "pruned-walk-test-ones";
+  measures.nonkey = "pruned-walk-test-ulps";
+  const auto prepared = PreparedSchema::Create(schema, measures);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  const SizeConstraint size{1, 5};
+  const auto pruned =
+      AprioriDiscover(*prepared, size, DistanceConstraint::Tight(1));
+  ASSERT_TRUE(pruned.ok());
+  EXPECT_EQ(pruned->tables[0].key, 1u);
+  EXPECT_EQ(pruned->Score(*prepared), 1.0 + 4 * ulp);
+  ExpectPrunedMatchesExhaustive(*prepared, size, DistanceConstraint::Tight(1));
 }
 
 TEST(PrunedWalkTest, RejectsALevelCap) {
