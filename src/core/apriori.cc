@@ -109,7 +109,7 @@ class CompletionBound {
     prefix_heads_.assign(k + 1, 0.0);
     prefix_tails_.resize((k + 1) * m_);
     prefix_tail_count_.assign(k + 1, 0);
-    scratch_.resize(2 * m_);
+    merge_buffers_.resize(2 * m_);
   }
 
   /// Whether no subtree with this bound can hold a subset scoring at or
@@ -179,7 +179,7 @@ class CompletionBound {
                      size_t words) {
     const double* tails = PrefixTails(size);
     size_t count = prefix_tail_count_[size];
-    double* spare = scratch_.data();
+    double* spare = merge_buffers_.data();
     for (size_t w = first_word; w < words; ++w) {
       for (uint64_t word = cand[w]; word != 0; word &= word - 1) {
         const size_t i = w * 64 + static_cast<size_t>(std::countr_zero(word));
@@ -189,8 +189,8 @@ class CompletionBound {
         }
         count = MergeLargest(tails, count, Tails(i), tail_count_[i], m_, spare);
         tails = spare;
-        spare = spare == scratch_.data() ? scratch_.data() + m_
-                                         : scratch_.data();
+        spare = spare == merge_buffers_.data() ? merge_buffers_.data() + m_
+                                               : merge_buffers_.data();
       }
     }
     double sum = 0.0;
@@ -217,7 +217,7 @@ class CompletionBound {
   std::vector<double> prefix_heads_;  // per prefix size, 0..k_
   std::vector<double> prefix_tails_;  // m_ per prefix size, descending
   std::vector<size_t> prefix_tail_count_;
-  std::vector<double> scratch_;  // TailsWithin's two merge buffers
+  std::vector<double> merge_buffers_;  // TailsWithin's two, m_ each
 };
 
 /// The depth-first walk over L_k. keys[0..depth) is the current prefix, a
