@@ -105,7 +105,7 @@ Result<PreparedSchema> PreparedSchema::Create(SchemaGraph schema,
     EGP_RETURN_IF_ERROR(CheckScores(
         "non-key measure '" + measures.nonkey + "'",
         direction == Direction::kOutgoing ? nonkey.outgoing : nonkey.incoming,
-        [&schema, direction](size_t e) {
+        [direction](size_t e) {
           return StrFormat("schema edge %zu (%s)", e, DirectionName(direction));
         }));
   }
