@@ -295,6 +295,9 @@ class LevelWalk {
           }
           continue;
         }
+        // j's subtree alone. The candidate-set bound below is never
+        // above this one, so this prunes nothing it would keep; it only
+        // spares building the child's candidate set.
         if (bound_ != nullptr && Below(suffix.with)) continue;
         // The extensions of keys[0..size): candidates above j that are
         // compatible with j too.
@@ -308,8 +311,10 @@ class LevelWalk {
         if (bound_ == nullptr) {
           if (extensions == 0) continue;
         } else {
-          // Too few extensions to reach k keys, or none that can win:
-          // the heads they could bring first, with the suffix's tails.
+          // Too few extensions to reach k keys, or none that can win.
+          // The suffix's tails are never fewer than the candidates' own,
+          // so the first sum prunes nothing the second would keep; it
+          // only spares the second's tail merge.
           if (extensions < k_ - size) continue;
           bound_->Extend(depth, j);
           const double heads = bound_->HeadsWithin(size, child, w);

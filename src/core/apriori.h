@@ -26,18 +26,21 @@
 // whose other keys lie at j or above: P's heads, the k − |P| largest
 // heads from j on, and the n − k largest of P's tails and all tails from
 // j on, read from per-suffix tables built in O(K·n) per call. When that
-// bound fails, j and every later sibling go; with j's own head in place
-// of the largest, it bounds j's subtree alone. A child that survives is
+// bound fails, j and every later sibling go. A child that survives is
 // bounded again over its actual candidate set (the same sum, drawn from
-// the types that can still join it; heads first, against the suffix's
-// tails, before its tails are merged), and a child with too few
-// candidates to reach k keys goes too. A subtree goes only when its bound
+// the types that can still join it), and a child with too few
+// candidates to reach k keys goes too. Two cheaper sums run before that
+// one and prune nothing it would keep: j's subtree with j's own head in
+// place of the suffix's largest, and the candidates' heads with the
+// suffix's tails. Each skips work the candidate-set sum would repeat,
+// its bitset or its tail merge. A subtree goes only when its bound
 // times (1 + 1e-12) is strictly below the best score so far; the slack
-// covers the summation order and widens with n beyond about a thousand
-// terms. The leaves that survive are scored by the same SubsetScorer, so
-// the pruned walk returns the exhaustive walk's keys, tables and score,
-// bit for bit, and the same status. Ties defeat the bound: on a schema of
-// identical types nothing is pruned.
+// covers the summation order and widens to 2·DBL_EPSILON per term once
+// k + m passes about 2250 terms (1e-12 / 4.44e-16). The leaves that
+// survive are scored by the same SubsetScorer, so the pruned walk
+// returns the exhaustive walk's keys, tables and score, bit for bit, and
+// the same status. Ties defeat the bound: on a schema of identical
+// types nothing is pruned.
 #ifndef EGP_CORE_APRIORI_H_
 #define EGP_CORE_APRIORI_H_
 
