@@ -1,4 +1,4 @@
-// Cold-start benchmark for the .egps snapshot store — the third tracked
+// Cold-start benchmark for the .egps snapshot store — the second tracked
 // perf trajectory (BENCH_load.json).
 //
 // Every server start (and catalog reload) pays dataset open time. This

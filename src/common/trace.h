@@ -81,9 +81,9 @@ RequestTrace* CurrentRequestTrace();
 
 /// What this thread is doing *right now*, at request-phase granularity.
 /// Maintained by ScopedTracePhase at the same places the RequestTrace
-/// phase timers run, but independent of whether tracing is on: the
-/// sampling profiler (common/profiler.h) reads it from its SIGPROF
-/// handler to tag each CPU sample, so flamegraphs split by phase.
+/// phase timers run, but independent of any RequestTrace: the sampling
+/// profiler (common/profiler.h) reads it from its SIGPROF handler to
+/// tag each CPU sample, so flamegraphs split by phase.
 ///
 /// kIdle is the resting state (event-loop wait, pool queue wait, any
 /// thread outside a phase scope).

@@ -84,8 +84,8 @@ class DatasetCatalog {
   static Result<DatasetCatalog> Load(const std::vector<DatasetSpec>& specs,
                                      const EngineOptions& engine_options);
 
-  /// Builds a catalog from already-constructed engines (in-process tests
-  /// and the latency bench; `path` in Info is the given label).
+  /// Builds a catalog from already-constructed engines (in-process
+  /// tests; `path` in Info is the given label).
   static Result<DatasetCatalog> FromEngines(
       std::vector<std::pair<std::string, Engine>> engines);
 

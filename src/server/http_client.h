@@ -1,8 +1,8 @@
 // Minimal blocking HTTP/1.1 client over the same socket layer the server
-// uses. Exists for the subsystem's own consumers — the load generator,
-// the latency bench, and the end-to-end tests — not as a general client:
-// it speaks exactly the dialect egp_server emits (Content-Length framed
-// responses, keep-alive).
+// uses. Exists for the subsystem's own consumers — the load generator
+// and the end-to-end tests — not as a general client: it speaks exactly
+// the dialect egp_server emits (Content-Length framed responses,
+// keep-alive).
 #ifndef EGP_SERVER_HTTP_CLIENT_H_
 #define EGP_SERVER_HTTP_CLIENT_H_
 

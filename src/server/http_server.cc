@@ -440,7 +440,7 @@ void HttpServer::OnDeadline(Connection* conn) {
         return;
       }
       // Mid-request gets a 408; silence would leave the client guessing.
-      if (options_.tracing) BeginTrace(conn, nullptr, "read_timeout", 408);
+      BeginTrace(conn, nullptr, "read_timeout", 408);
       HttpResponse timeout;
       timeout.status = 408;
       timeout.body = JsonErrorBody(408, "timed out reading request");
@@ -453,6 +453,7 @@ void HttpServer::OnDeadline(Connection* conn) {
         MutexLock lock(&mu_);
         ++stats_.timed_out_connections;
       }
+      // A connection-cap 503 is written without a trace.
       if (conn->trace != nullptr) conn->trace->outcome = "write_timeout";
       CloseConnection(conn);
       return;
@@ -480,10 +481,8 @@ void HttpServer::DispatchRequest(Connection* conn) {
   // would otherwise busy-loop the poll while the handler runs.
   SetEpoll(conn, 0);
 
-  if (options_.tracing) {
-    BeginTrace(conn, request.get(), "ok", 0);
-    conn->trace->bytes_in = message_bytes;
-  }
+  BeginTrace(conn, request.get(), "ok", 0);
+  conn->trace->bytes_in = message_bytes;
 
   if (pool_ != nullptr) {
     const int fd = conn->fd.get();
@@ -492,42 +491,13 @@ void HttpServer::DispatchRequest(Connection* conn) {
     // its handler-side fields until the completion is queued (the
     // completion mutex orders the handback).
     pool_->Submit([this, fd, generation, request, trace = conn->trace] {
-      Completion completion;
-      completion.fd = fd;
-      completion.generation = generation;
-      if (trace != nullptr) {
-        const int64_t start_ns = MonotonicNanos();
-        trace->queue_seconds =
-            static_cast<double>(start_ns - trace->dispatch_ns) * 1e-9;
-        ScopedRequestTrace scope(trace.get());
-        completion.response = RunHandler(*request);
-        // The admission wait is reported as its own phase, not as
-        // handler compute.
-        trace->handler_seconds =
-            static_cast<double>(MonotonicNanos() - start_ns) * 1e-9 -
-            trace->admission_seconds;
-      } else {
-        completion.response = RunHandler(*request);
-      }
-      PushCompletion(std::move(completion));
+      PushCompletion(
+          Completion{fd, generation, RunHandler(*request, trace.get())});
     });
   } else {
     // workers == 1: inline on the loop thread (ThreadPool(1) has no
     // workers, a submitted task would never run).
-    HttpResponse response;
-    if (conn->trace != nullptr) {
-      RequestTrace* trace = conn->trace.get();
-      const int64_t start_ns = MonotonicNanos();
-      trace->queue_seconds =
-          static_cast<double>(start_ns - trace->dispatch_ns) * 1e-9;
-      ScopedRequestTrace scope(trace);
-      response = RunHandler(*request);
-      trace->handler_seconds =
-          static_cast<double>(MonotonicNanos() - start_ns) * 1e-9 -
-          trace->admission_seconds;
-    } else {
-      response = RunHandler(*request);
-    }
+    HttpResponse response = RunHandler(*request, conn->trace.get());
     CompleteRequest(conn, response);
   }
 }
@@ -553,7 +523,7 @@ void HttpServer::BeginTrace(Connection* conn, const HttpRequest* request,
 }
 
 void HttpServer::FinishTrace(Connection* conn) {
-  if (conn->trace == nullptr) return;
+  if (conn->trace == nullptr) return;  // a connection-cap 503 has none
   RequestTrace& trace = *conn->trace;
   const int64_t now_ns = MonotonicNanos();
   if (conn->flush_start_ns != 0) {
@@ -569,25 +539,33 @@ void HttpServer::FinishTrace(Connection* conn) {
   conn->flush_start_ns = 0;
 }
 
-HttpResponse HttpServer::RunHandler(const HttpRequest& request) {
+HttpResponse HttpServer::RunHandler(const HttpRequest& request,
+                                    RequestTrace* trace) {
   // Runs on a pool thread (or the loop thread in inline mode).
+  const int64_t start_ns = MonotonicNanos();
+  trace->queue_seconds =
+      static_cast<double>(start_ns - trace->dispatch_ns) * 1e-9;
+  const ScopedRequestTrace scope(trace);
   const ScopedTracePhase profiled_phase(TracePhase::kHandler);
+  HttpResponse response;
   try {
-    return handler_(request);
+    response = handler_(request);
   } catch (const std::exception& e) {
-    HttpResponse response;
     response.status = 500;
     response.body =
         JsonErrorBody(500, std::string("handler error: ") + e.what());
     response.close_connection = true;
-    return response;
   } catch (...) {
-    HttpResponse response;
     response.status = 500;
     response.body = JsonErrorBody(500, "handler error");
     response.close_connection = true;
-    return response;
   }
+  // The admission wait is reported as its own phase, not as handler
+  // compute.
+  trace->handler_seconds =
+      static_cast<double>(MonotonicNanos() - start_ns) * 1e-9 -
+      trace->admission_seconds;
+  return response;
 }
 
 void HttpServer::PushCompletion(Completion completion) {
@@ -640,9 +618,7 @@ void HttpServer::FailParse(Connection* conn) {
     ++stats_.parse_errors;
     ++stats_.handled_requests;
   }
-  if (options_.tracing) {
-    BeginTrace(conn, nullptr, "parse_error", conn->parser.error_status());
-  }
+  BeginTrace(conn, nullptr, "parse_error", conn->parser.error_status());
   HttpResponse error;
   error.status = conn->parser.error_status();
   error.body =
@@ -655,20 +631,16 @@ void HttpServer::SendResponse(Connection* conn, HttpResponse& response,
   const ScopedTracePhase profiled_phase(TracePhase::kSerialize);
   SetPhase(conn, Connection::Phase::kWriting);
   conn->close_after_write = !keep || response.close_connection;
-  if (conn->trace != nullptr) {
-    RequestTrace& trace = *conn->trace;
-    trace.status = response.status;
-    response.headers.emplace_back("X-Request-Id", trace.id);
-    const int64_t serialize_start_ns = MonotonicNanos();
-    conn->outbox = SerializeResponse(response, keep, omit_body);
-    const int64_t flush_start_ns = MonotonicNanos();
-    trace.serialize_seconds =
-        static_cast<double>(flush_start_ns - serialize_start_ns) * 1e-9;
-    trace.bytes_out = conn->outbox.size();
-    conn->flush_start_ns = flush_start_ns;
-  } else {
-    conn->outbox = SerializeResponse(response, keep, omit_body);
-  }
+  RequestTrace& trace = *conn->trace;
+  trace.status = response.status;
+  response.headers.emplace_back("X-Request-Id", trace.id);
+  const int64_t serialize_start_ns = MonotonicNanos();
+  conn->outbox = SerializeResponse(response, keep, omit_body);
+  const int64_t flush_start_ns = MonotonicNanos();
+  trace.serialize_seconds =
+      static_cast<double>(flush_start_ns - serialize_start_ns) * 1e-9;
+  trace.bytes_out = conn->outbox.size();
+  conn->flush_start_ns = flush_start_ns;
   conn->outbox_sent = 0;
   // One absolute budget for the whole response: progress (a trickle-
   // reading peer taking a byte at a time) does not restart it.

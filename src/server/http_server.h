@@ -80,13 +80,10 @@ struct HttpServerOptions {
   /// Requests served on one connection before it is closed.
   size_t max_requests_per_connection = 1'000;
   HttpParserLimits limits;
-  /// Per-request tracing: every request gets a RequestTrace (ID taken
-  /// from the X-Request-Id header, else generated deterministically),
-  /// the ID is echoed as X-Request-Id on the response, and the finished
-  /// trace goes to `trace_sink`. Cheap enough to leave on (measured in
-  /// BENCH_serve.json); turn off only for A/B overhead runs.
-  bool tracing = true;
-  /// Seed for generated trace IDs (deterministic by design).
+  /// Every request is traced: it gets a RequestTrace whose ID is taken
+  /// from the X-Request-Id header, else generated from this seed
+  /// (deterministic by design); the ID is echoed as X-Request-Id on the
+  /// response, and the finished trace goes to `trace_sink`.
   uint64_t trace_id_seed = 0x7261636554726163ull;
   /// Receives each finalized trace on the event-loop thread (access
   /// log + flight recorder wiring). Must be fast and non-blocking; may
@@ -181,10 +178,11 @@ class HttpServer {
     int64_t deadline_ms = kNoDeadline;  // armed absolute deadline
     bool in_epoll = false;
     uint32_t epoll_events = 0;
-    /// Trace of the in-flight request. shared_ptr: the pool-thread task
-    /// holds a reference while it fills in the handler-side timings (the
-    /// loop thread does not touch it during kHandling; the completion
-    /// queue's mutex orders the handoff back).
+    /// Trace of the in-flight request (null between requests and on a
+    /// connection-cap 503). shared_ptr: the pool-thread task holds a
+    /// reference while it fills in the handler-side timings (the loop
+    /// thread does not touch it during kHandling; the completion queue's
+    /// mutex orders the handoff back).
     std::shared_ptr<RequestTrace> trace;
     int64_t request_start_ns = 0;  // began owing the current request
     int64_t flush_start_ns = 0;    // response fully serialized
@@ -239,7 +237,7 @@ class HttpServer {
   int NextTimeoutMillis();
   void ExpireDeadlines();
   void DrainCompletions();
-  HttpResponse RunHandler(const HttpRequest& request);
+  HttpResponse RunHandler(const HttpRequest& request, RequestTrace* trace);
   void PushCompletion(Completion completion);
 
   std::string host_;

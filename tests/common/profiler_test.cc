@@ -1,6 +1,6 @@
 // The sampling CPU profiler (common/profiler.h): window lifecycle,
 // parameter validation, sample capture on a busy thread, phase roots in
-// the folded output, and drop accounting.
+// the folded output, drop accounting, and the CPU cost of a live window.
 //
 // The whole suite is skipped under ThreadSanitizer: TSan intercepts
 // signal delivery and (by design) flags backtrace() from a SIGPROF
@@ -9,10 +9,15 @@
 // ASan/UBSan builds plus the CI server smoke.
 #include "common/profiler.h"
 
+#include <time.h>
+
 #include <atomic>
+#include <cstdint>
 #include <string>
 #include <thread>
+#include <vector>
 
+#include "common/stat_util.h"
 #include "common/trace.h"
 #include "gtest/gtest.h"
 
@@ -104,6 +109,51 @@ TEST(ProfilerTest, CollectCapturesBusyThreadWithPhaseRoot) {
     EXPECT_GT(std::stoull(line.substr(space + 1)), 0u) << line;
     start = end + 1;
   }
+}
+
+int64_t ThreadCpuNanos() {
+  timespec now{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &now);
+  return static_cast<int64_t>(now.tv_sec) * 1'000'000'000 + now.tv_nsec;
+}
+
+/// CPU time this thread spends on a fixed spin loop (about 0.12 s in an
+/// optimized build).
+double FixedLoopCpuSeconds() {
+  const int64_t start = ThreadCpuNanos();
+  volatile double sink = 1.0;
+  for (int i = 1; i < 25'000'000; ++i) sink = sink * 1.0000001 + i;
+  return static_cast<double>(ThreadCpuNanos() - start) * 1e-9;
+}
+
+TEST(ProfilerTest, WindowCostsTheSampledThreadAtMostTenPercent) {
+  // The overhead gate: a live 99 Hz window may cost the thread it
+  // samples at most 10% CPU. SIGPROF runs on that thread, so its CPU
+  // clock holds the whole cost of the window, and unlike wall time it
+  // does not move when other load takes the core. Pairs alternate which
+  // side runs first (ABBA), so drift on the box hits both sides alike.
+  Profiler::RegisterCurrentThread();
+  constexpr int kPairs = 6;
+  std::vector<double> plain;
+  std::vector<double> profiled;
+  uint64_t samples = 0;
+  for (int pair = 0; pair < kPairs; ++pair) {
+    for (int side = 0; side < 2; ++side) {
+      if ((pair + side) % 2 == 0) {
+        plain.push_back(FixedLoopCpuSeconds());
+        continue;
+      }
+      ASSERT_TRUE(Profiler::Global().Start(Profiler::kDefaultHz).ok());
+      profiled.push_back(FixedLoopCpuSeconds());
+      const auto result = Profiler::Global().Stop();
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      samples += result->samples;
+    }
+  }
+  EXPECT_GT(samples, 0u);
+  EXPECT_LE(Median(profiled), 1.10 * Median(plain))
+      << "profiled median " << Median(profiled) << " s vs unprofiled "
+      << Median(plain) << " s";
 }
 
 TEST(ProfilerTest, SecondStartWhileActiveIsUnavailable) {

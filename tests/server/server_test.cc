@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <string>
@@ -309,6 +310,70 @@ TEST(HttpServerTest, SlowReaderGets408WhileOthersAreServed) {
   EXPECT_GE(elapsed, 500);
   EXPECT_LE(elapsed, 5000);  // bounded by the deadline, not the trickle
   EXPECT_EQ(server->stats().timed_out_connections, 1u);
+}
+
+TEST(HttpServerTest, TricklingClientsNeverDelayWellBehavedOnes) {
+  // The slow-client gate. Trickling clients outnumber the workers, and
+  // each sends a whole POST 16 bytes per 50 ms. Were a trickler to hold a
+  // worker while it sends (or while its request runs), a well-behaved
+  // request would wait up to one trickled request's send time; the gate
+  // allows half of that. The send time is the server's own read time for
+  // a trickled request, from its trace.
+  constexpr int kTricklers = 8;
+  HttpServerOptions options = FastOptions();
+  options.workers = 2;
+  // Written by the loop thread; read after server.reset() joins it.
+  std::vector<double> trickled_read_seconds;
+  options.trace_sink = [&trickled_read_seconds](const RequestTrace& trace) {
+    if (trace.path == "/trickled") {
+      trickled_read_seconds.push_back(trace.read_seconds);
+    }
+  };
+  auto server = StartEcho(options);
+
+  std::atomic<int> trickled_2xx{0};
+  std::atomic<int> tricklers_done{0};
+  std::vector<std::thread> tricklers;
+  for (int i = 0; i < kTricklers; ++i) {
+    tricklers.emplace_back([&server, &trickled_2xx, &tricklers_done] {
+      HttpClient client("127.0.0.1", server->port());
+      client.SetTrickle(16, 50);
+      const auto response = client.Post("/trickled", std::string(48, 't'));
+      if (response.ok() && response->status / 100 == 2) ++trickled_2xx;
+      ++tricklers_done;
+    });
+  }
+  // Well-behaved traffic for as long as any trickler is sending or being
+  // served.
+  int requests = 0;
+  int requests_2xx = 0;
+  int64_t max_ns = 0;
+  {
+    HttpClient client("127.0.0.1", server->port());
+    while (tricklers_done.load() < kTricklers) {
+      const int64_t start_ns = MonotonicNanos();
+      const auto response = client.Get("/fast");
+      max_ns = std::max(max_ns, MonotonicNanos() - start_ns);
+      ++requests;
+      if (response.ok() && response->status / 100 == 2) ++requests_2xx;
+    }
+  }
+  for (std::thread& trickler : tricklers) trickler.join();
+  server.reset();
+
+  EXPECT_EQ(trickled_2xx.load(), kTricklers);
+  EXPECT_EQ(requests_2xx, requests);
+  EXPECT_GE(requests, 200);
+  ASSERT_EQ(trickled_read_seconds.size(), static_cast<size_t>(kTricklers));
+  const double send_ms = *std::min_element(trickled_read_seconds.begin(),
+                                           trickled_read_seconds.end()) *
+                         1e3;
+  // 144 request bytes are 9 chunks: 8 sleeps of 50 ms.
+  EXPECT_GE(send_ms, 300);
+  const double max_ms = static_cast<double>(max_ns) * 1e-6;
+  EXPECT_LT(max_ms, send_ms / 2)
+      << requests << " well-behaved requests; one trickled send took "
+      << send_ms << " ms";
 }
 
 TEST(HttpServerTest, SlowResponseReaderIsCutOffAtTheWriteDeadline) {

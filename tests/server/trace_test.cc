@@ -62,8 +62,8 @@ class TraceCollector {
 };
 
 /// One serving stack: PreviewService over the paper-example graph,
-/// HttpServer with tracing on, flight recorder + collector wired into
-/// the sink — the same shape tools/egp_server.cc assembles.
+/// HttpServer with flight recorder + collector wired into the trace
+/// sink — the same shape tools/egp_server.cc assembles.
 struct TracedServer {
   // Declaration order matters: the server must be destroyed first
   // (stopping the loop thread, and with it the trace_sink) while the
@@ -90,7 +90,6 @@ std::unique_ptr<TracedServer> StartTracedServer(
   options.workers = 2;
   options.read_timeout_ms = 5000;
   options.write_timeout_ms = 5000;
-  options.tracing = true;
   options.trace_id_seed = 42;
   TracedServer* raw = traced.get();
   options.trace_sink = [raw](const RequestTrace& trace) {

@@ -3,15 +3,13 @@
 # runs it, and writes the JSON document the repo tracks.
 #
 #   tools/bench_to_json.sh                          # prepare trajectory
-#   BENCH=serve tools/bench_to_json.sh              # serving trajectory
 #   BENCH=load tools/bench_to_json.sh               # cold-start trajectory
 #   tools/bench_to_json.sh --scale 2.0 --repeat 5   # extra args pass through
 #
 # Environment:
 #   BENCH      which trajectory: prepare (default) -> bench_prepare_scale
-#              -> BENCH_prepare.json; serve -> bench_serve_latency ->
-#              BENCH_serve.json; load -> bench_store_load ->
-#              BENCH_load.json
+#              -> BENCH_prepare.json; load -> bench_store_load ->
+#              BENCH_load.json. Serving is measured by perfbench/.
 #   BUILD_DIR  cmake build tree for the bench (default: build-bench)
 #   OUT        output JSON path (default: BENCH_<name>.json at repo root)
 set -euo pipefail
@@ -22,9 +20,8 @@ BENCH="${BENCH:-prepare}"
 
 case "$BENCH" in
   prepare) TARGET=bench_prepare_scale ;;
-  serve)   TARGET=bench_serve_latency ;;
   load)    TARGET=bench_store_load ;;
-  *) echo "error: BENCH must be 'prepare', 'serve', or 'load', got '$BENCH'" >&2
+  *) echo "error: BENCH must be 'prepare' or 'load', got '$BENCH'" >&2
      exit 2 ;;
 esac
 OUT="${OUT:-$ROOT/BENCH_$BENCH.json}"

@@ -1,9 +1,13 @@
 #!/usr/bin/env python3
 """Shape check for the tracked perf-trajectory documents
-(BENCH_prepare.json from bench_prepare_scale, BENCH_serve.json from
-bench_serve_latency) — shared by tools/bench_to_json.sh and the CI
-bench-smoke / server-smoke jobs so the emitters and checks can't drift.
-Dispatches on the document's "bench" id."""
+(BENCH_prepare.json from bench_prepare_scale, BENCH_load.json from
+bench_store_load) — shared by tools/bench_to_json.sh, the CI bench-smoke
+job and the ctest tools/validate_bench_json (which checks the committed
+documents) so the emitters and checks can't drift. Dispatches on each
+document's "bench" id.
+
+    tools/validate_bench_json.py FILE [FILE...]
+"""
 import json
 import sys
 
@@ -20,75 +24,6 @@ def check_prepare(doc) -> None:
             for phase in ("key", "nonkey", "distance", "candidate_sort"):
                 assert build[f"{phase}_seconds"] >= 0, f"missing {phase} phase"
     print(f"OK: {len(doc['datasets'])} dataset(s)")
-
-
-def check_serve(doc) -> None:
-    assert isinstance(doc["hardware_threads"], int), "missing hardware_threads"
-    assert isinstance(doc["workers"], int) and doc["workers"] >= 1, \
-        "missing workers"
-    assert doc["datasets"], "no datasets recorded"
-    for dataset in doc["datasets"]:
-        assert dataset["entities"] > 0, "empty dataset"
-    assert doc["runs"], "no runs recorded"
-    for run in doc["runs"]:
-        assert run["connections"] >= 1, "bad connection count"
-        assert run["errors"] == 0, \
-            f"run at c={run['connections']} had {run['errors']} error(s)"
-        assert run["completed"] > 0, "no completed requests"
-        assert run["wall_seconds"] > 0, "non-positive wall time"
-        assert run["throughput_rps"] > 0, "non-positive throughput"
-        assert run["p50_ms"] > 0, "non-positive p50"
-        assert run["p99_ms"] >= run["p50_ms"], "p99 below p50"
-        assert run["max_ms"] >= run["p99_ms"], "max below p99"
-        slow = run.get("slow_connections", 0)
-        if slow:
-            # The slow-client regression gate: trickling neighbors must
-            # not blow out the well-behaved tail. Under the old
-            # thread-per-connection transport each trickler pinned a
-            # worker and this ratio exploded.
-            assert run["max_ms"] <= 10 * run["p99_ms"], (
-                f"slow-mix run (c={run['connections']}, slow={slow}): "
-                f"well-behaved max {run['max_ms']} ms exceeds 10x p99 "
-                f"{run['p99_ms']} ms")
-            assert run["slow_completed"] > 0, "tricklers never completed"
-            assert run["slow_errors"] == 0, \
-                f"{run['slow_errors']} trickled request(s) failed"
-        if run.get("cold_connections", 0):
-            # Cold requests either build (200) or are shed (503);
-            # anything else is a failure.
-            assert run["cold_completed"] + run["cold_shed"] > 0, \
-                "cold clients made no progress"
-            assert run["cold_errors"] == 0, \
-                f"{run['cold_errors']} cold request(s) failed"
-    overhead = doc.get("tracing_overhead")
-    if overhead is not None:
-        # Structural only — the on/off delta itself is noise-bound on
-        # shared runners, so no ratio gate here; the committed
-        # trajectory documents it, humans judge it.
-        assert overhead["connections"] >= 1, "bad overhead run"
-        for field in ("traced_p50_ms", "traced_p99_ms", "traced_rps",
-                      "untraced_p50_ms", "untraced_p99_ms", "untraced_rps"):
-            assert overhead[field] > 0, f"non-positive {field}"
-    prof = doc.get("profiler_overhead")
-    if prof is not None:
-        assert prof["connections"] >= 1, "bad profiler overhead run"
-        assert prof["hz"] >= 1, "bad profiler hz"
-        assert prof["samples"] >= 0, "missing profiler sample count"
-        for field in ("baseline_p50_ms", "baseline_p99_ms", "baseline_rps",
-                      "profiled_p50_ms", "profiled_p99_ms", "profiled_rps"):
-            assert prof[field] > 0, f"non-positive {field}"
-        # The acceptance gate: sampling at 99 Hz must cost <=10% p99.
-        # Only enforced on adequately-sized runs — CI smoke runs issue a
-        # handful of requests and their percentiles are pure noise, so
-        # those get the structural checks alone.
-        if prof.get("completed", 0) >= 1000:
-            limit = 1.10 * prof["baseline_p99_ms"]
-            assert prof["profiled_p99_ms"] <= limit, (
-                f"profiler overhead gate: profiled p99 "
-                f"{prof['profiled_p99_ms']} ms exceeds 110% of baseline "
-                f"{prof['baseline_p99_ms']} ms")
-    print(f"OK: {len(doc['runs'])} run(s) over "
-          f"{len(doc['datasets'])} dataset(s)")
 
 
 def check_store_load(doc) -> None:
@@ -110,20 +45,22 @@ def check_store_load(doc) -> None:
 
 CHECKS = {
     "bench_prepare_scale": check_prepare,
-    "bench_serve_latency": check_serve,
     "bench_store_load": check_store_load,
 }
 
 
-def main(path: str) -> int:
-    with open(path) as f:
-        doc = json.load(f)
-    bench = doc.get("bench")
-    assert bench in CHECKS, f"unexpected bench id {bench!r}"
-    print(f"{path}: {bench} ... ", end="")
-    CHECKS[bench](doc)
+def main(paths) -> int:
+    for path in paths:
+        with open(path) as f:
+            doc = json.load(f)
+        bench = doc.get("bench")
+        assert bench in CHECKS, f"{path}: unexpected bench id {bench!r}"
+        print(f"{path}: {bench} ... ", end="")
+        CHECKS[bench](doc)
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1]))
+    if len(sys.argv) < 2:
+        sys.exit(f"usage: {sys.argv[0]} FILE [FILE...]")
+    sys.exit(main(sys.argv[1:]))
