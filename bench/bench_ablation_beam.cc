@@ -84,8 +84,7 @@ int main() {
   using namespace egp;
   bench::PrintHeader(
       "Ablation: beam search vs exact discovery (music domain, µs)");
-  auto prepared_or = PreparedSchema::Create(
-      bench::Domain("music").schema, PreparedSchemaOptions{});
+  auto prepared_or = PreparedSchema::Create(bench::Domain("music").schema);
   EGP_CHECK(prepared_or.ok());
   const PreparedSchema prepared = std::move(prepared_or).value();
 

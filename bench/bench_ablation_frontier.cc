@@ -16,8 +16,7 @@ int main() {
 
   for (const std::string& name : UserStudyDomains()) {
     const GeneratedDomain& domain = bench::Domain(name);
-    auto prepared =
-        PreparedSchema::Create(domain.schema, PreparedSchemaOptions{});
+    auto prepared = PreparedSchema::Create(domain.schema);
     EGP_CHECK(prepared.ok());
     auto frontier = ComputeScoreFrontier(*prepared, kMaxK, kMaxN);
     EGP_CHECK(frontier.ok()) << frontier.status().ToString();

@@ -42,8 +42,7 @@ int main() {
     const double apply_ms = apply_timer.ElapsedMillis();
 
     Timer refresh_timer;
-    auto refreshed =
-        PreparedSchema::Create(stats.ToSchemaGraph(), PreparedSchemaOptions{});
+    auto refreshed = PreparedSchema::Create(stats.ToSchemaGraph());
     EGP_CHECK(refreshed.ok());
     const double refresh_ms = refresh_timer.ElapsedMillis();
 
@@ -69,8 +68,7 @@ int main() {
     auto rebuilt = builder.Build();
     EGP_CHECK(rebuilt.ok());
     const SchemaGraph rederived = SchemaGraph::FromEntityGraph(*rebuilt);
-    auto reprepared =
-        PreparedSchema::Create(rederived, PreparedSchemaOptions{});
+    auto reprepared = PreparedSchema::Create(rederived);
     EGP_CHECK(reprepared.ok());
     const double rederive_ms = rederive_timer.ElapsedMillis();
 

@@ -15,11 +15,11 @@ namespace {
 using namespace egp;
 
 std::set<std::string> PreviewKeys(const GeneratedDomain& domain,
-                                  KeyMeasure km, NonKeyMeasure nm) {
-  PreparedSchemaOptions options;
-  options.key_measure = km;
-  options.nonkey_measure = nm;
-  auto prepared = PreparedSchema::Create(domain.schema, options,
+                                  const char* key, const char* nonkey) {
+  MeasureSelection measures;
+  measures.key = key;
+  measures.nonkey = nonkey;
+  auto prepared = PreparedSchema::Create(domain.schema, measures,
                                          &domain.graph);
   EGP_CHECK(prepared.ok());
   auto discovery = Discover(*prepared, "auto", SizeConstraint{6, 15},
@@ -49,13 +49,13 @@ int main() {
       "Ablation: measure combinations vs preview keys (k=6, n=15)");
   const struct {
     const char* label;
-    KeyMeasure km;
-    NonKeyMeasure nm;
+    const char* key;
+    const char* nonkey;
   } combos[] = {
-      {"Cov+Cov", KeyMeasure::kCoverage, NonKeyMeasure::kCoverage},
-      {"Cov+Ent", KeyMeasure::kCoverage, NonKeyMeasure::kEntropy},
-      {"RW+Cov", KeyMeasure::kRandomWalk, NonKeyMeasure::kCoverage},
-      {"RW+Ent", KeyMeasure::kRandomWalk, NonKeyMeasure::kEntropy},
+      {"Cov+Cov", "coverage", "coverage"},
+      {"Cov+Ent", "coverage", "entropy"},
+      {"RW+Cov", "randomwalk", "coverage"},
+      {"RW+Ent", "randomwalk", "entropy"},
   };
 
   for (const std::string& name : UserStudyDomains()) {
@@ -67,7 +67,7 @@ int main() {
 
     std::array<std::set<std::string>, 4> keys;
     for (size_t i = 0; i < 4; ++i) {
-      keys[i] = PreviewKeys(domain, combos[i].km, combos[i].nm);
+      keys[i] = PreviewKeys(domain, combos[i].key, combos[i].nonkey);
     }
 
     bench::PrintRow("combo", {"gold-recall", "vs Cov+Cov overlap"}, 10, 20);

@@ -22,8 +22,7 @@ namespace {
 using namespace egp;
 
 PreparedSchema Prepare(const std::string& domain_name) {
-  auto prepared = PreparedSchema::Create(
-      bench::Domain(domain_name).schema, PreparedSchemaOptions{});
+  auto prepared = PreparedSchema::Create(bench::Domain(domain_name).schema);
   EGP_CHECK(prepared.ok());
   return std::move(prepared).value();
 }

@@ -12,12 +12,13 @@ namespace {
 
 using namespace egp;
 
-void ShowPreview(const char* domain_name, KeyMeasure km, NonKeyMeasure nm) {
+void ShowPreview(const char* domain_name, const char* key,
+                 const char* nonkey) {
   const GeneratedDomain& domain = bench::Domain(domain_name);
-  PreparedSchemaOptions options;
-  options.key_measure = km;
-  options.nonkey_measure = nm;
-  auto prepared = PreparedSchema::Create(domain.schema, options,
+  MeasureSelection measures;
+  measures.key = key;
+  measures.nonkey = nonkey;
+  auto prepared = PreparedSchema::Create(domain.schema, measures,
                                          &domain.graph);
   EGP_CHECK(prepared.ok()) << prepared.status().ToString();
   auto discovery = Discover(*prepared, "auto", SizeConstraint{5, 10},
@@ -26,8 +27,7 @@ void ShowPreview(const char* domain_name, KeyMeasure km, NonKeyMeasure nm) {
   const Preview& preview = discovery->preview;
 
   std::printf("\ndomain=%s, KS=%s, NKS=%s, k=5, n=10 (score %.4g)\n",
-              domain_name, KeyMeasureName(km), NonKeyMeasureName(nm),
-              preview.Score(*prepared));
+              domain_name, key, nonkey, preview.Score(*prepared));
   std::printf("%s", DescribePreview(preview, *prepared).c_str());
 
   TupleSamplerOptions sampler;
@@ -44,12 +44,9 @@ void ShowPreview(const char* domain_name, KeyMeasure km, NonKeyMeasure nm) {
 
 int main() {
   egp::bench::PrintHeader("Table 11: sample optimal concise previews");
-  ShowPreview("film", egp::KeyMeasure::kCoverage,
-              egp::NonKeyMeasure::kCoverage);
-  ShowPreview("music", egp::KeyMeasure::kRandomWalk,
-              egp::NonKeyMeasure::kCoverage);
-  ShowPreview("tv", egp::KeyMeasure::kRandomWalk,
-              egp::NonKeyMeasure::kEntropy);
+  ShowPreview("film", "coverage", "coverage");
+  ShowPreview("music", "randomwalk", "coverage");
+  ShowPreview("tv", "randomwalk", "entropy");
   std::printf(
       "\nExpected shape (paper Table 11): selected keys cover the domain's "
       "central types (FILM and its satellites; MUSICAL RECORDING/RELEASE; "

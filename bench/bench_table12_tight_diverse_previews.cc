@@ -44,8 +44,7 @@ int main() {
   bench::PrintHeader(
       "Table 12: sample optimal tight/diverse previews (film, Cov+Cov)");
   const GeneratedDomain& domain = bench::Domain("film");
-  auto prepared =
-      PreparedSchema::Create(domain.schema, PreparedSchemaOptions{});
+  auto prepared = PreparedSchema::Create(domain.schema);
   EGP_CHECK(prepared.ok());
   ShowPreview(*prepared, DistanceConstraint::Tight(2),
               "tight preview, k=5, n=10, d=2");

@@ -25,17 +25,16 @@ struct DomainScores {
 DomainScores ComputeScores(const GeneratedDomain& domain) {
   DomainScores scores;
   {
-    auto prepared =
-        PreparedSchema::Create(domain.schema, PreparedSchemaOptions{});
+    auto prepared = PreparedSchema::Create(domain.schema);
     EGP_CHECK(prepared.ok());
     for (TypeId t = 0; t < prepared->num_types(); ++t) {
       scores.coverage.push_back(prepared->KeyScore(t));
     }
   }
   {
-    PreparedSchemaOptions options;
-    options.key_measure = KeyMeasure::kRandomWalk;
-    auto prepared = PreparedSchema::Create(domain.schema, options);
+    MeasureSelection measures;
+    measures.key = "randomwalk";
+    auto prepared = PreparedSchema::Create(domain.schema, measures);
     EGP_CHECK(prepared.ok());
     for (TypeId t = 0; t < prepared->num_types(); ++t) {
       scores.random_walk.push_back(prepared->KeyScore(t));

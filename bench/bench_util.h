@@ -19,9 +19,10 @@ namespace bench {
 /// keeps the per-binary cost of multi-domain sweeps down.
 const GeneratedDomain& Domain(const std::string& name);
 
-/// All type names ranked by a key measure (descending score).
+/// All type names ranked by a key measure (a ScoringRegistry name),
+/// descending score.
 std::vector<std::string> RankTypesByKeyMeasure(const GeneratedDomain& domain,
-                                               KeyMeasure measure);
+                                               const std::string& measure);
 
 /// All type names ranked by the YPS09 baseline's table importance.
 std::vector<std::string> RankTypesByYps09(const GeneratedDomain& domain);

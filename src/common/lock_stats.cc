@@ -13,7 +13,6 @@ namespace {
 constexpr size_t kMaxLockSites = 128;
 constinit LockSite g_sites[kMaxLockSites];
 std::atomic<size_t> g_site_count{0};
-std::atomic<bool> g_enabled{true};
 
 void UpdateMax(std::atomic<uint64_t>& slot, uint64_t value) {
   uint64_t seen = slot.load(std::memory_order_relaxed);
@@ -46,14 +45,6 @@ LockSite* RegisterLockSite(const char* name) {
   }
   g_sites[slot].name.store(name, std::memory_order_release);
   return &g_sites[slot];
-}
-
-bool LockTelemetryEnabled() {
-  return g_enabled.load(std::memory_order_relaxed);
-}
-
-void SetLockTelemetryEnabled(bool enabled) {
-  g_enabled.store(enabled, std::memory_order_relaxed);
 }
 
 int64_t LockStatsNanos() {

@@ -60,11 +60,6 @@ struct LockSite {
 /// `name` must outlive the process (string literals, in practice).
 LockSite* RegisterLockSite(const char* name);
 
-/// Runtime gate read on every labeled Lock(); ON by default. The
-/// compile-time gate is EGP_MUTEX_TELEMETRY (common/mutex.h).
-bool LockTelemetryEnabled();
-void SetLockTelemetryEnabled(bool enabled);
-
 /// CLOCK_MONOTONIC nanos. Self-contained (not trace.h's MonotonicNanos)
 /// so mutex.h pulls in nothing beyond this header.
 int64_t LockStatsNanos();

@@ -22,8 +22,10 @@
 // site label (`Mutex mu_{"engine.prepared_cache"};`) records wait times
 // on contended acquisitions and 1-in-N sampled hold times into
 // common/lock_stats.h, surfaced as egp_mutex_* metrics and
-// /v1/debug/locks. Unlabeled mutexes pay one branch per Lock/Unlock;
-// compiling with -DEGP_MUTEX_TELEMETRY=0 removes even that.
+// /v1/debug/locks. Unlabeled mutexes pay one branch per Lock/Unlock.
+// The telemetry is always on: the uncontended path costs what a plain
+// lock() costs, and only a contended or sampled acquisition reads the
+// clock.
 #ifndef EGP_COMMON_MUTEX_H_
 #define EGP_COMMON_MUTEX_H_
 
@@ -35,10 +37,6 @@
 #include "common/lock_stats.h"
 #include "common/thread_annotations.h"
 
-#ifndef EGP_MUTEX_TELEMETRY
-#define EGP_MUTEX_TELEMETRY 1
-#endif
-
 namespace egp {
 
 class CondVar;
@@ -49,21 +47,12 @@ class EGP_CAPABILITY("mutex") Mutex {
   Mutex() = default;
   /// Labeled constructor: contention at this lock is recorded under
   /// `site` (a string literal) in lock_stats. Telemetry-free if the
-  /// site table is full or EGP_MUTEX_TELEMETRY is 0.
-  explicit Mutex(const char* site)
-#if EGP_MUTEX_TELEMETRY
-      : site_(RegisterLockSite(site)) {
-  }
-#else
-  {
-    (void)site;
-  }
-#endif
+  /// site table is full.
+  explicit Mutex(const char* site) : site_(RegisterLockSite(site)) {}
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
 
   void Lock() EGP_ACQUIRE() {
-#if EGP_MUTEX_TELEMETRY
     // try_lock first: on the uncontended path this is the same atomic
     // exchange a plain lock() starts with, so the fast path stays fast
     // and only genuine contention pays for a second clock read.
@@ -71,7 +60,7 @@ class EGP_CAPABILITY("mutex") Mutex {
       AfterAcquire();
       return;
     }
-    if (site_ != nullptr && LockTelemetryEnabled()) {
+    if (site_ != nullptr) {
       const int64_t wait_start = LockStatsNanos();
       mu_.lock();
       RecordLockWait(site_, LockStatsNanos() - wait_start);
@@ -79,39 +68,28 @@ class EGP_CAPABILITY("mutex") Mutex {
       mu_.lock();
     }
     AfterAcquire();
-#else
-    mu_.lock();
-#endif
   }
 
   void Unlock() EGP_RELEASE() {
-#if EGP_MUTEX_TELEMETRY
     BeforeRelease();
-#endif
     mu_.unlock();
   }
 
   bool TryLock() EGP_TRY_ACQUIRE(true) {
-#if EGP_MUTEX_TELEMETRY
     if (!mu_.try_lock()) return false;
     AfterAcquire();
     return true;
-#else
-    return mu_.try_lock();
-#endif
   }
 
  private:
   friend class CondVar;
 
-#if EGP_MUTEX_TELEMETRY
   // Both run strictly inside the critical section (after acquiring /
   // before releasing mu_), so hold_start_ns_ is effectively guarded by
   // the mutex itself.
   void AfterAcquire() {
     hold_start_ns_ = 0;
-    if (site_ != nullptr && LockTelemetryEnabled() &&
-        ShouldSampleHold(site_)) {
+    if (site_ != nullptr && ShouldSampleHold(site_)) {
       hold_start_ns_ = LockStatsNanos();
     }
   }
@@ -121,13 +99,10 @@ class EGP_CAPABILITY("mutex") Mutex {
       hold_start_ns_ = 0;
     }
   }
-#endif
 
   std::mutex mu_;
-#if EGP_MUTEX_TELEMETRY
   LockSite* const site_ = nullptr;
   int64_t hold_start_ns_ = 0;  // nonzero only while a sampled hold runs
-#endif
 };
 
 /// RAII scope: acquires on construction, releases on destruction.
@@ -159,17 +134,13 @@ class CondVar {
   /// A sampled hold segment ends at the wait (the lock is genuinely
   /// released) and a fresh sampling decision runs on reacquisition.
   void Wait(Mutex& mu) EGP_REQUIRES(mu) {
-#if EGP_MUTEX_TELEMETRY
     mu.BeforeRelease();
-#endif
     // Adopt the externally held lock for the wait, then hand ownership
     // back (release()) so the caller's MutexLock remains the one owner.
     std::unique_lock<std::mutex> lock(mu.mu_, std::adopt_lock);
     cv_.wait(lock);
     lock.release();
-#if EGP_MUTEX_TELEMETRY
     mu.AfterAcquire();
-#endif
   }
 
   /// Waits until notified or `deadline` (steady_clock — deadline paths
@@ -178,15 +149,11 @@ class CondVar {
   /// way.
   bool WaitUntil(Mutex& mu, std::chrono::steady_clock::time_point deadline)
       EGP_REQUIRES(mu) {
-#if EGP_MUTEX_TELEMETRY
     mu.BeforeRelease();
-#endif
     std::unique_lock<std::mutex> lock(mu.mu_, std::adopt_lock);
     const std::cv_status status = cv_.wait_until(lock, deadline);
     lock.release();
-#if EGP_MUTEX_TELEMETRY
     mu.AfterAcquire();
-#endif
     return status == std::cv_status::no_timeout;
   }
 

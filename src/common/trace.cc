@@ -64,11 +64,6 @@ ScopedTracePhase::~ScopedTracePhase() { t_current_phase = previous_; }
 
 TraceIdGenerator::TraceIdGenerator(uint64_t seed) : rng_(seed) {}
 
-void TraceIdGenerator::Reseed(uint64_t seed) {
-  MutexLock lock(&mu_);
-  rng_ = Rng(seed);
-}
-
 std::string TraceIdGenerator::Next() {
   uint64_t value;
   {

@@ -143,10 +143,6 @@ class TraceIdGenerator {
 
   std::string Next();
 
-  /// Restarts the sequence from `seed` (server startup applies the
-  /// configured seed here).
-  void Reseed(uint64_t seed);
-
  private:
   Mutex mu_{"trace_ids"};
   Rng rng_ EGP_GUARDED_BY(mu_);

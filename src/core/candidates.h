@@ -22,22 +22,6 @@ namespace egp {
 
 class ThreadPool;
 
-/// Legacy enum selectors for the paper's built-in measures. Internal
-/// callers (benches, unit tests) may keep using them; they resolve to the
-/// ScoringRegistry names "coverage"/"randomwalk"/"entropy". New code and
-/// everything above the core layer should select measures by name via
-/// MeasureSelection (see scoring_registry.h) or the egp::Engine façade.
-enum class KeyMeasure : uint8_t { kCoverage = 0, kRandomWalk };
-enum class NonKeyMeasure : uint8_t { kCoverage = 0, kEntropy };
-
-const char* KeyMeasureName(KeyMeasure m);
-const char* NonKeyMeasureName(NonKeyMeasure m);
-
-/// Registry names of the built-in measures ("coverage", "randomwalk",
-/// "entropy") — the join point between the enums and MeasureSelection.
-const char* KeyMeasureRegistryName(KeyMeasure m);
-const char* NonKeyMeasureRegistryName(NonKeyMeasure m);
-
 /// A candidate non-key attribute of some table: a schema edge used in a
 /// specific direction relative to the table's key type. A self-loop edge
 /// yields one candidate per direction.
@@ -58,12 +42,6 @@ struct TypeCandidates {
   double TopSum(size_t m) const { return prefix[m]; }
 };
 
-struct PreparedSchemaOptions {
-  KeyMeasure key_measure = KeyMeasure::kCoverage;
-  NonKeyMeasure nonkey_measure = NonKeyMeasure::kCoverage;
-  RandomWalkOptions walk;
-};
-
 /// Wall-clock breakdown of one PreparedSchema build, by phase. The paper
 /// computes all scoring measures before discovery (§5), so on large
 /// graphs these phases — not the discovery algorithms — dominate
@@ -80,8 +58,9 @@ struct PrepareTimings {
 class PreparedSchema {
  public:
   /// Builds from a schema graph (and the entity graph when a measure needs
-  /// it, e.g. "entropy"). Measures are resolved by name against
-  /// ScoringRegistry::Global(). Owns a copy of the schema graph.
+  /// it, e.g. "entropy"). Measures are named by MeasureSelection and
+  /// resolved against ScoringRegistry::Global(); the default selection
+  /// is the paper's coverage / coverage. Owns a copy of the schema graph.
   ///
   /// Internal layer: application code should obtain prepared state through
   /// egp::Engine (src/service/engine.h), which memoizes instances per
@@ -91,20 +70,13 @@ class PreparedSchema {
   /// — runs across it; results are bit-identical to a serial (null-pool)
   /// build at any parallelism.
   static Result<PreparedSchema> Create(SchemaGraph schema,
-                                       const MeasureSelection& measures,
-                                       const EntityGraph* graph = nullptr,
-                                       ThreadPool* pool = nullptr);
-
-  /// Legacy enum spelling; forwards to the registry-based overload.
-  static Result<PreparedSchema> Create(SchemaGraph schema,
-                                       const PreparedSchemaOptions& options,
+                                       const MeasureSelection& measures = {},
                                        const EntityGraph* graph = nullptr,
                                        ThreadPool* pool = nullptr);
 
   const SchemaGraph& schema() const { return schema_; }
   /// The measure names this instance was prepared with.
   const MeasureSelection& measures() const { return measures_; }
-  const PreparedSchemaOptions& options() const { return options_; }
   const SchemaDistanceMatrix& distances() const { return *distances_; }
   /// Per-phase wall-clock cost of the Create call that built this.
   const PrepareTimings& timings() const { return timings_; }
@@ -152,7 +124,6 @@ class PreparedSchema {
 
   SchemaGraph schema_;
   MeasureSelection measures_;
-  PreparedSchemaOptions options_;
   PrepareTimings timings_;
   std::vector<double> key_scores_;
   std::vector<TypeCandidates> candidates_;

@@ -9,26 +9,13 @@
 
 namespace egp {
 
-Result<Preview> DynamicProgrammingDiscover(const PreparedSchema& prepared,
-                                           const SizeConstraint& size) {
-  const uint32_t k = size.k;
-  if (k == 0) return Status::InvalidArgument("k must be positive");
-  if (size.n < k) {
-    return Status::InvalidArgument(
-        StrFormat("n=%u < k=%u: every table needs one non-key attribute",
-                  size.n, k));
-  }
+ConciseTable FillConciseTable(const PreparedSchema& prepared, uint32_t k,
+                              uint32_t n, bool record_choices) {
+  ConciseTable table;
+  n = static_cast<uint32_t>(
+      std::min<size_t>(n, prepared.TotalCandidates()));
+  table.n = n;
   const size_t num_types = prepared.num_types();
-  if (num_types == 0) return Status::NotFound("empty schema graph");
-  // Answer an infeasible k before sizing the tables, and run the j axis
-  // only up to the schema's candidate total: no preview holds more
-  // non-keys, so every larger j stays -inf.
-  if (EligibleKeyTypes(prepared).size() < k) {
-    return Status::NotFound(
-        StrFormat("fewer than k=%u eligible key types", k));
-  }
-  const uint32_t n = static_cast<uint32_t>(
-      std::min<size_t>(size.n, prepared.TotalCandidates()));
 
   constexpr double kNegInf = -std::numeric_limits<double>::infinity();
   const size_t cells = static_cast<size_t>(k + 1) * (n + 1);
@@ -41,7 +28,7 @@ Result<Preview> DynamicProgrammingDiscover(const PreparedSchema& prepared,
   // contributes; 0 = skipped) for reconstruction.
   std::vector<double> prev(cells, kNegInf);
   std::vector<double> cur(cells, kNegInf);
-  std::vector<uint16_t> choice(num_types * cells, 0);
+  if (record_choices) table.choice.assign(num_types * cells, 0);
   prev[cell(0, 0)] = 0.0;
 
   for (size_t x = 1; x <= num_types; ++x) {
@@ -49,7 +36,8 @@ Result<Preview> DynamicProgrammingDiscover(const PreparedSchema& prepared,
     const TypeCandidates& cands = prepared.Candidates(type);
     const uint32_t max_m =
         static_cast<uint32_t>(std::min<size_t>(cands.size(), n));
-    uint16_t* choice_row = &choice[(x - 1) * cells];
+    uint16_t* choice_row =
+        record_choices ? &table.choice[(x - 1) * cells] : nullptr;
 
     for (uint32_t i = 0; i <= std::min(k, static_cast<uint32_t>(x)); ++i) {
       for (uint32_t j = i; j <= n; ++j) {
@@ -70,20 +58,48 @@ Result<Preview> DynamicProgrammingDiscover(const PreparedSchema& prepared,
           }
         }
         cur[cell(i, j)] = best;
-        choice_row[cell(i, j)] = best_m;
+        if (choice_row != nullptr) choice_row[cell(i, j)] = best_m;
       }
     }
     prev.swap(cur);
     std::fill(cur.begin(), cur.end(), kNegInf);
   }
+  table.best = std::move(prev);
+  return table;
+}
+
+Result<Preview> DynamicProgrammingDiscover(const PreparedSchema& prepared,
+                                           const SizeConstraint& size) {
+  const uint32_t k = size.k;
+  if (k == 0) return Status::InvalidArgument("k must be positive");
+  if (size.n < k) {
+    return Status::InvalidArgument(
+        StrFormat("n=%u < k=%u: every table needs one non-key attribute",
+                  size.n, k));
+  }
+  const size_t num_types = prepared.num_types();
+  if (num_types == 0) return Status::NotFound("empty schema graph");
+  // Answer an infeasible k before sizing the tables.
+  if (EligibleKeyTypes(prepared).size() < k) {
+    return Status::NotFound(
+        StrFormat("fewer than k=%u eligible key types", k));
+  }
+  const ConciseTable table =
+      FillConciseTable(prepared, k, size.n, /*record_choices=*/true);
+  const uint32_t n = table.n;
+  const size_t cells = static_cast<size_t>(k + 1) * (n + 1);
+  auto cell = [n](uint32_t i, uint32_t j) -> size_t {
+    return static_cast<size_t>(i) * (n + 1) + j;
+  };
 
   // A preview may use fewer than n non-keys and still win (footnote 2);
   // take the best over j = k..n.
+  constexpr double kNegInf = -std::numeric_limits<double>::infinity();
   double best_score = kNegInf;
   uint32_t best_j = 0;
   for (uint32_t j = k; j <= n; ++j) {
-    if (prev[cell(k, j)] > best_score) {
-      best_score = prev[cell(k, j)];
+    if (table.best[cell(k, j)] > best_score) {
+      best_score = table.best[cell(k, j)];
       best_j = j;
     }
   }
@@ -98,7 +114,7 @@ Result<Preview> DynamicProgrammingDiscover(const PreparedSchema& prepared,
   uint32_t i = k;
   uint32_t j = best_j;
   for (size_t x = num_types; x >= 1; --x) {
-    const uint16_t m = choice[(x - 1) * cells + cell(i, j)];
+    const uint16_t m = table.choice[(x - 1) * cells + cell(i, j)];
     if (m > 0) {
       keys.push_back(static_cast<TypeId>(x - 1));
       key_m.push_back(m);

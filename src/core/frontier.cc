@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "common/check.h"
+#include "core/dynamic_programming.h"
 
 namespace egp {
 
@@ -55,41 +56,13 @@ Result<ScoreFrontier> ComputeScoreFrontier(const PreparedSchema& prepared,
   if (max_n < max_k) {
     return Status::InvalidArgument("max_n must be at least max_k");
   }
-  const size_t num_types = prepared.num_types();
-  if (num_types == 0) return Status::NotFound("empty schema graph");
+  if (prepared.num_types() == 0) return Status::NotFound("empty schema graph");
 
-  // Score-only version of the Alg. 2 recurrence, all (i, j) retained.
-  const size_t cells = static_cast<size_t>(max_k + 1) * (max_n + 1);
-  auto cell = [max_n](uint32_t i, uint32_t j) -> size_t {
-    return static_cast<size_t>(i) * (max_n + 1) + j;
-  };
-  std::vector<double> prev(cells, kNegInf);
-  std::vector<double> cur(cells, kNegInf);
-  prev[cell(0, 0)] = 0.0;
+  const ConciseTable table =
+      FillConciseTable(prepared, max_k, max_n, /*record_choices=*/false);
 
-  for (size_t x = 1; x <= num_types; ++x) {
-    const TypeId type = static_cast<TypeId>(x - 1);
-    const uint32_t available = static_cast<uint32_t>(
-        std::min<size_t>(prepared.Candidates(type).size(), max_n));
-    for (uint32_t i = 0; i <= std::min<uint32_t>(max_k, x); ++i) {
-      for (uint32_t j = i; j <= max_n; ++j) {
-        double best = prev[cell(i, j)];
-        if (i >= 1) {
-          const uint32_t limit = std::min(available, j - (i - 1));
-          for (uint32_t m = 1; m <= limit; ++m) {
-            const double below = prev[cell(i - 1, j - m)];
-            if (below == kNegInf) continue;
-            best = std::max(best, below + prepared.TableScore(type, m));
-          }
-        }
-        cur[cell(i, j)] = best;
-      }
-    }
-    prev.swap(cur);
-    std::fill(cur.begin(), cur.end(), kNegInf);
-  }
-
-  // Collapse "exactly j" into "at most n" via a running max per row.
+  // Collapse "exactly j" into "at most n" via a running max per row; past
+  // the table's clamped j axis nothing more fits, so the row holds.
   ScoreFrontier frontier;
   frontier.max_k_ = max_k;
   frontier.max_n_ = max_n;
@@ -97,7 +70,10 @@ Result<ScoreFrontier> ComputeScoreFrontier(const PreparedSchema& prepared,
   for (uint32_t k = 1; k <= max_k; ++k) {
     double running = kNegInf;
     for (uint32_t n = 1; n <= max_n; ++n) {
-      running = std::max(running, prev[cell(k, n)]);
+      if (n <= table.n) {
+        running = std::max(
+            running, table.best[static_cast<size_t>(k) * (table.n + 1) + n]);
+      }
       frontier.scores_[(k - 1) * max_n + (n - 1)] =
           running == kNegInf ? -1.0 : running;
     }

@@ -49,7 +49,9 @@ class ScoreFrontier {
   std::vector<double> scores_;  // (k-1) * max_n_ + (n-1), row-major
 };
 
-/// One DP pass over the prepared schema; O(K · max_k · max_n²).
+/// One pass of Alg. 2's table fill (FillConciseTable, shared with the
+/// DP) over the prepared schema; O(K · max_k · n²) with n = max_n
+/// clamped to the schema's candidate total.
 Result<ScoreFrontier> ComputeScoreFrontier(const PreparedSchema& prepared,
                                            uint32_t max_k, uint32_t max_n);
 

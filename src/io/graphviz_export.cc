@@ -8,28 +8,28 @@
 namespace egp {
 namespace {
 
-std::string DotEscape(std::string_view text, size_t max_length) {
+/// Escaped label length past which a name is cut and ends in "...".
+constexpr size_t kMaxLabelLength = 24;
+
+std::string DotEscape(std::string_view text) {
   std::string out;
   for (char c : text) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-    if (out.size() >= max_length) {
+    if (out.size() >= kMaxLabelLength) {
       out += "...";
       break;
     }
+    if (c == '"' || c == '\\') out += '\\';
+    out += c;
   }
   return out;
 }
 
-void EmitNodes(const SchemaGraph& schema, const GraphvizOptions& options,
+void EmitNodes(const SchemaGraph& schema,
                const std::set<TypeId>& highlighted, std::ostream& out) {
   for (TypeId t = 0; t < schema.num_types(); ++t) {
-    std::string label = DotEscape(schema.TypeName(t),
-                                  options.max_label_length);
-    if (options.show_counts) {
-      label += StrFormat("\\n(%llu)",
-                         (unsigned long long)schema.TypeEntityCount(t));
-    }
+    const std::string label =
+        DotEscape(schema.TypeName(t)) +
+        StrFormat("\\n(%llu)", (unsigned long long)schema.TypeEntityCount(t));
     out << "  t" << t << " [label=\"" << label << "\"";
     if (highlighted.count(t) > 0) {
       out << ", style=filled, fillcolor=lightblue, penwidth=2";
@@ -38,16 +38,14 @@ void EmitNodes(const SchemaGraph& schema, const GraphvizOptions& options,
   }
 }
 
-void EmitEdges(const SchemaGraph& schema, const GraphvizOptions& options,
+void EmitEdges(const SchemaGraph& schema,
                const std::set<std::pair<uint32_t, Direction>>& bold,
                std::ostream& out) {
   for (uint32_t index = 0; index < schema.num_edges(); ++index) {
     const SchemaEdge& e = schema.Edge(index);
-    std::string label = DotEscape(schema.SurfaceName(e),
-                                  options.max_label_length);
-    if (options.show_counts) {
-      label += StrFormat(" (%llu)", (unsigned long long)e.edge_count);
-    }
+    const std::string label =
+        DotEscape(schema.SurfaceName(e)) +
+        StrFormat(" (%llu)", (unsigned long long)e.edge_count);
     out << "  t" << e.src << " -> t" << e.dst << " [label=\"" << label
         << "\"";
     const bool is_bold = bold.count({index, Direction::kOutgoing}) > 0 ||
@@ -59,19 +57,17 @@ void EmitEdges(const SchemaGraph& schema, const GraphvizOptions& options,
 
 }  // namespace
 
-std::string SchemaToDot(const SchemaGraph& schema,
-                        const GraphvizOptions& options) {
+std::string SchemaToDot(const SchemaGraph& schema) {
   std::ostringstream out;
   out << "digraph schema {\n  rankdir=LR;\n  node [shape=box];\n";
-  EmitNodes(schema, options, {}, out);
-  EmitEdges(schema, options, {}, out);
+  EmitNodes(schema, {}, out);
+  EmitEdges(schema, {}, out);
   out << "}\n";
   return out.str();
 }
 
 std::string PreviewToDot(const PreparedSchema& prepared,
-                         const Preview& preview,
-                         const GraphvizOptions& options) {
+                         const Preview& preview) {
   const SchemaGraph& schema = prepared.schema();
   std::set<TypeId> keys;
   std::set<std::pair<uint32_t, Direction>> chosen;
@@ -83,8 +79,8 @@ std::string PreviewToDot(const PreparedSchema& prepared,
   }
   std::ostringstream out;
   out << "digraph preview {\n  rankdir=LR;\n  node [shape=box];\n";
-  EmitNodes(schema, options, keys, out);
-  EmitEdges(schema, options, chosen, out);
+  EmitNodes(schema, keys, out);
+  EmitEdges(schema, chosen, out);
   out << "}\n";
   return out.str();
 }

@@ -12,24 +12,16 @@
 
 namespace egp {
 
-struct GraphvizOptions {
-  /// Scale node labels with entity counts and edge labels with
-  /// relationship counts.
-  bool show_counts = true;
-  /// Limit label length (long synthetic names stay readable).
-  size_t max_label_length = 24;
-};
-
-/// DOT digraph of the schema: one node per entity type, one edge per
-/// relationship type (surface name as label).
-std::string SchemaToDot(const SchemaGraph& schema,
-                        const GraphvizOptions& options = {});
+/// DOT digraph of the schema: one node per entity type labelled with its
+/// entity count, one edge per relationship type labelled with its surface
+/// name and relationship count. Names are cut at 24 characters, so long
+/// synthetic names stay readable.
+std::string SchemaToDot(const SchemaGraph& schema);
 
 /// Same, with the preview's key types filled and its chosen non-key
 /// attributes drawn bold — the star-shaped subgraphs of Def. 1.
 std::string PreviewToDot(const PreparedSchema& prepared,
-                         const Preview& preview,
-                         const GraphvizOptions& options = {});
+                         const Preview& preview);
 
 }  // namespace egp
 

@@ -105,8 +105,7 @@ namespace {
 /// into a Status carrying the byte offset.
 class Parser {
  public:
-  Parser(std::string_view text, const JsonParseOptions& options)
-      : text_(text), options_(options) {}
+  explicit Parser(std::string_view text) : text_(text) {}
 
   Result<JsonValue> Parse() {
     JsonValue value;
@@ -189,8 +188,8 @@ class Parser {
   }
 
   bool ParseObject(JsonValue* out, size_t depth) {
-    if (depth >= options_.max_depth) {
-      Error("nesting deeper than " + std::to_string(options_.max_depth));
+    if (depth >= kJsonMaxDepth) {
+      Error("nesting deeper than " + std::to_string(kJsonMaxDepth));
       return false;
     }
     ++pos_;  // '{'
@@ -210,13 +209,11 @@ class Parser {
       const size_t key_pos = pos_;
       std::string key;
       if (!ParseString(&key)) return false;
-      if (options_.reject_duplicate_keys) {
-        for (const JsonValue::Member& member : members) {
-          if (member.first == key) {
-            pos_ = key_pos;
-            Error("duplicate object key \"" + key + "\"");
-            return false;
-          }
+      for (const JsonValue::Member& member : members) {
+        if (member.first == key) {
+          pos_ = key_pos;
+          Error("duplicate object key \"" + key + "\"");
+          return false;
         }
       }
       SkipWhitespace();
@@ -249,8 +246,8 @@ class Parser {
   }
 
   bool ParseArray(JsonValue* out, size_t depth) {
-    if (depth >= options_.max_depth) {
-      Error("nesting deeper than " + std::to_string(options_.max_depth));
+    if (depth >= kJsonMaxDepth) {
+      Error("nesting deeper than " + std::to_string(kJsonMaxDepth));
       return false;
     }
     ++pos_;  // '['
@@ -498,7 +495,6 @@ class Parser {
   }
 
   std::string_view text_;
-  const JsonParseOptions& options_;
   size_t pos_ = 0;
   std::string error_;
   size_t error_pos_ = 0;
@@ -506,10 +502,9 @@ class Parser {
 
 }  // namespace
 
-Result<JsonValue> ParseJson(std::string_view text,
-                            const JsonParseOptions& options) {
+Result<JsonValue> ParseJson(std::string_view text) {
   EGP_RETURN_IF_ERROR(FaultInjectStatus("json.parse"));
-  return Parser(text, options).Parse();
+  return Parser(text).Parse();
 }
 
 }  // namespace egp

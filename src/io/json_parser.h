@@ -10,8 +10,8 @@
 //   * RFC number grammar only (no leading '+', no bare '.', no hex,
 //     no NaN/Infinity); values that overflow double are errors;
 //   * no trailing garbage after the top-level value;
-//   * a recursion depth limit (stack safety) and optional duplicate-key
-//     rejection, both on by default.
+//   * a recursion depth limit (stack safety) and duplicate-key
+//     rejection.
 // Errors are Status::InvalidArgument with the byte offset of the fault.
 // No external JSON library is required anywhere in the repo.
 #ifndef EGP_IO_JSON_PARSER_H_
@@ -79,22 +79,16 @@ class JsonValue {
 /// "null", "bool", "number", "string", "array", "object".
 std::string_view JsonKindName(JsonValue::Kind kind);
 
-struct JsonParseOptions {
-  /// Maximum nesting depth of arrays/objects; deeper input is rejected
-  /// (stack safety against e.g. 100k opening brackets).
-  size_t max_depth = 64;
-  /// Reject objects with repeated keys. RFC 8259 leaves the behaviour
-  /// unspecified; for request parsing, silent last-wins would let an
-  /// attacker smuggle contradictory parameters past logging, so strict
-  /// mode refuses them.
-  bool reject_duplicate_keys = true;
-};
+/// Maximum nesting depth of arrays/objects; deeper input is rejected
+/// (stack safety against e.g. 100k opening brackets).
+inline constexpr size_t kJsonMaxDepth = 64;
 
 /// Parses exactly one JSON document from `text` (the whole input; leading
 /// and trailing RFC whitespace allowed, anything else after the value is
-/// an error).
-Result<JsonValue> ParseJson(std::string_view text,
-                            const JsonParseOptions& options = {});
+/// an error). Objects with repeated keys are rejected: RFC 8259 leaves
+/// the behaviour unspecified, and for request parsing a silent last-wins
+/// would let an attacker smuggle contradictory parameters past logging.
+Result<JsonValue> ParseJson(std::string_view text);
 
 }  // namespace egp
 

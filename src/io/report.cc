@@ -36,8 +36,8 @@ Result<std::string> GeneratePreviewReport(const EntityGraph& graph,
   out << "| schema components | " << s.num_components << " |\n\n";
 
   // --- Key attribute ranking ----------------------------------------------
-  out << "## Most important entity types ("
-      << KeyMeasureName(options.measures.key_measure) << ")\n\n";
+  out << "## Most important entity types (" << options.measures.key
+      << ")\n\n";
   out << "| rank | entity type | score | entities |\n|---|---|---|---|\n";
   std::vector<std::pair<double, TypeId>> ranked;
   for (TypeId t = 0; t < prepared.num_types(); ++t) {

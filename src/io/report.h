@@ -12,6 +12,7 @@
 
 #include "common/result.h"
 #include "core/constraints.h"
+#include "core/scoring_registry.h"
 #include "core/tuple_sampler.h"
 #include "graph/entity_graph.h"
 
@@ -19,7 +20,8 @@ namespace egp {
 
 struct ReportOptions {
   std::string title = "Dataset preview";
-  PreparedSchemaOptions measures;
+  /// Any registered measures (ScoringRegistry names).
+  MeasureSelection measures;
   /// The preview's constraints; discovery runs the "auto" algorithm.
   SizeConstraint size{3, 9};
   DistanceConstraint distance;

@@ -11,12 +11,10 @@ Result<bool> PreviewDecision(const SchemaGraph& schema, uint32_t k,
                              uint32_t n, const DistanceConstraint& distance,
                              double s) {
   // Scores are irrelevant to the proofs (s = 0 casts no requirement);
-  // coverage measures on the unit-weight construction suffice.
-  PreparedSchemaOptions options;
-  options.key_measure = KeyMeasure::kCoverage;
-  options.nonkey_measure = NonKeyMeasure::kCoverage;
+  // the default coverage measures on the unit-weight construction
+  // suffice.
   EGP_ASSIGN_OR_RETURN(PreparedSchema prepared,
-                       PreparedSchema::Create(schema, options));
+                       PreparedSchema::Create(schema));
   auto result = BruteForceDiscover(prepared, SizeConstraint{k, n}, distance);
   if (!result.ok()) {
     if (result.status().code() == StatusCode::kNotFound) return false;

@@ -1,9 +1,7 @@
 #include "server/http_client.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <thread>
 
 #include "common/strings.h"
@@ -53,61 +51,32 @@ Status HttpClient::SendBytes(std::string_view bytes) {
   return Status::OK();
 }
 
-namespace {
-
-/// Retry-After in milliseconds, when present as delta-seconds (the only
-/// form egp_server emits); 0 otherwise.
-int64_t RetryAfterMillis(const HttpClientResponse& response) {
-  const std::string* value = response.FindHeader("Retry-After");
-  if (value == nullptr) return 0;
-  char* end = nullptr;
-  const long seconds = std::strtol(value->c_str(), &end, 10);
-  if (end == value->c_str() || *end != '\0' || seconds < 0) return 0;
-  return static_cast<int64_t>(seconds) * 1000;
-}
-
-}  // namespace
-
-void HttpClient::BackoffSleep(int attempt, int64_t min_wait_ms) {
-  int64_t backoff = retry_.base_backoff_ms;
-  for (int i = 1; i < attempt && backoff < retry_.max_backoff_ms; ++i) {
-    backoff *= 2;
+Result<HttpClientResponse> HttpClient::Request(std::string_view method,
+                                               std::string_view target,
+                                               std::string_view body,
+                                               std::string_view content_type) {
+  std::string request;
+  request.reserve(128 + body.size());
+  request.append(method).append(" ").append(target).append(" HTTP/1.1\r\n");
+  request.append("Host: ").append(host_).append("\r\n");
+  if (!content_type.empty()) {
+    request.append("Content-Type: ").append(content_type).append("\r\n");
   }
-  backoff = std::min<int64_t>(backoff, retry_.max_backoff_ms);
-  // Deterministic jitter in [backoff/2, backoff] (xorshift64*): spreads
-  // synchronized retries without making tests time-flaky.
-  jitter_state_ ^= jitter_state_ >> 12;
-  jitter_state_ ^= jitter_state_ << 25;
-  jitter_state_ ^= jitter_state_ >> 27;
-  const int64_t half = backoff / 2;
-  if (half > 0) {
-    backoff = half + static_cast<int64_t>(
-                         (jitter_state_ * 0x2545f4914f6cdd1dull) %
-                         static_cast<uint64_t>(half + 1));
+  if (!body.empty() || method == "POST" || method == "PUT") {
+    request.append("Content-Length: ")
+        .append(std::to_string(body.size()))
+        .append("\r\n");
   }
-  // A server-stated Retry-After is a floor, still capped so a hostile
-  // value can't stall the caller.
-  backoff = std::max(backoff, min_wait_ms);
-  backoff = std::min<int64_t>(backoff, retry_.max_backoff_ms);
-  if (backoff > 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
-  }
-}
+  request.append("\r\n").append(body);
 
-Result<HttpClientResponse> HttpClient::ExchangeOnce(std::string_view bytes,
-                                                    bool* connect_failure) {
   // Two passes at most: a pooled keep-alive connection the server has
   // meanwhile closed (ECONNRESET/EPIPE on the write, or EOF before any
   // response byte) is replayed once on a fresh connection. A failure on
   // a fresh connection is real and surfaces.
   for (int pass = 0; pass < 2; ++pass) {
     const bool reused = fd_.valid();
-    const Status connected = EnsureConnected();
-    if (!connected.ok()) {
-      *connect_failure = true;
-      return connected;
-    }
-    const Status sent = SendBytes(bytes);  // resets fd_ on failure
+    EGP_RETURN_IF_ERROR(EnsureConnected());
+    const Status sent = SendBytes(request);  // resets fd_ on failure
     if (!sent.ok()) {
       if (reused && pass == 0) {
         ++transparent_reconnects_;
@@ -129,48 +98,6 @@ Result<HttpClientResponse> HttpClient::ExchangeOnce(std::string_view bytes,
     return response;
   }
   return Status::Internal("unreachable: reconnect pass fell through");
-}
-
-Result<HttpClientResponse> HttpClient::Request(std::string_view method,
-                                               std::string_view target,
-                                               std::string_view body,
-                                               std::string_view content_type) {
-  std::string request;
-  request.reserve(128 + body.size());
-  request.append(method).append(" ").append(target).append(" HTTP/1.1\r\n");
-  request.append("Host: ").append(host_).append("\r\n");
-  if (!content_type.empty()) {
-    request.append("Content-Type: ").append(content_type).append("\r\n");
-  }
-  if (!body.empty() || method == "POST" || method == "PUT") {
-    request.append("Content-Length: ")
-        .append(std::to_string(body.size()))
-        .append("\r\n");
-  }
-  request.append("\r\n").append(body);
-
-  const bool idempotent = method == "GET" || method == "HEAD";
-  for (int attempt = 1;; ++attempt) {
-    bool connect_failure = false;
-    auto response = ExchangeOnce(request, &connect_failure);
-    if (response.ok()) {
-      if (response->status == 503 && retry_.retry_on_503 &&
-          attempt < retry_.max_attempts) {
-        ++retries_;
-        BackoffSleep(attempt, RetryAfterMillis(*response));
-        continue;
-      }
-      return response;
-    }
-    // A request that never reached the server is safe to replay for any
-    // method; otherwise only idempotent methods retry.
-    if ((idempotent || connect_failure) && attempt < retry_.max_attempts) {
-      ++retries_;
-      BackoffSleep(attempt, 0);
-      continue;
-    }
-    return response;
-  }
 }
 
 Result<HttpClientResponse> HttpClient::RawExchange(std::string_view bytes) {

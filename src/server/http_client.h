@@ -2,7 +2,10 @@
 // uses. Exists for the subsystem's own consumers — the load generator
 // and the end-to-end tests — not as a general client: it speaks exactly
 // the dialect egp_server emits (Content-Length framed responses,
-// keep-alive).
+// keep-alive). It fails fast: a refused connect, a 503 or a response cut
+// off mid-way surfaces to the caller as is. The one replay is a
+// correctness fix, not a policy: a pooled keep-alive connection the
+// server already closed is retried once on a fresh connection.
 #ifndef EGP_SERVER_HTTP_CLIENT_H_
 #define EGP_SERVER_HTTP_CLIENT_H_
 
@@ -16,28 +19,6 @@
 #include "server/socket.h"
 
 namespace egp {
-
-/// Retry policy for HttpClient::Request. The default (max_attempts 1)
-/// keeps the historical fail-fast behavior; callers that want
-/// resilience opt in. Independent of the always-on stale-keep-alive
-/// reconnect (a pooled connection the server already closed is replayed
-/// once transparently — that retry is a correctness fix, not policy).
-struct HttpRetryOptions {
-  /// Total attempts per Request() call; 1 disables retries. Idempotent
-  /// requests (GET/HEAD) retry on any transport error; POST/PUT retry
-  /// only when the *connect* failed (the request can't have reached the
-  /// server).
-  int max_attempts = 1;
-  /// Exponential backoff between attempts: base, doubling, capped.
-  int base_backoff_ms = 50;
-  int max_backoff_ms = 2'000;
-  /// Deterministic jitter stream: the same seed replays the same
-  /// backoff sequence (tests assert on it).
-  uint64_t jitter_seed = 1;
-  /// Also retry 503 responses, honoring Retry-After (capped at
-  /// max_backoff_ms). Off by default: a shed is a semantic answer.
-  bool retry_on_503 = false;
-};
 
 struct HttpClientResponse {
   int status = 0;
@@ -88,20 +69,12 @@ class HttpClient {
 
   /// Sends raw bytes on the (possibly newly opened) connection and
   /// reads one response — for tests that need malformed requests. No
-  /// retries, no transparent reconnect.
+  /// transparent reconnect.
   Result<HttpClientResponse> RawExchange(std::string_view bytes);
-
-  void set_retry_options(const HttpRetryOptions& options) {
-    retry_ = options;
-    jitter_state_ = options.jitter_seed == 0 ? 1 : options.jitter_seed;
-  }
-  const HttpRetryOptions& retry_options() const { return retry_; }
 
   /// Stale-pool reconnects performed (keep-alive connection found dead
   /// on reuse, replayed transparently).
   uint64_t transparent_reconnects() const { return transparent_reconnects_; }
-  /// Policy retries performed (per HttpRetryOptions).
-  uint64_t retries() const { return retries_; }
 
  private:
   Status EnsureConnected();
@@ -110,19 +83,13 @@ class HttpClient {
   /// keep-alive connection: closed/reset before a single response byte
   /// arrived (never on timeouts or malformed responses).
   Result<HttpClientResponse> ReadResponse(bool* stale_candidate);
-  Result<HttpClientResponse> ExchangeOnce(std::string_view bytes,
-                                          bool* connect_failure);
-  void BackoffSleep(int attempt, int64_t min_wait_ms);
 
   std::string host_;
   uint16_t port_;
   int timeout_ms_;
   size_t trickle_bytes_ = 0;
   int trickle_interval_ms_ = 0;
-  HttpRetryOptions retry_;
-  uint64_t jitter_state_ = 1;
   uint64_t transparent_reconnects_ = 0;
-  uint64_t retries_ = 0;
   UniqueFd fd_;
   std::string leftover_;  // bytes past the previous response
 };

@@ -25,6 +25,9 @@ constexpr int kMaxEvents = 64;
 /// emergency-fd shed could not absorb.
 constexpr int kAcceptOverloadPauseMs = 100;
 
+/// listen(2) backlog for the kernel's accept queue.
+constexpr int kListenBacklog = 128;
+
 bool IsResourceExhaustion(int err) {
   return err == EMFILE || err == ENFILE || err == ENOBUFS || err == ENOMEM;
 }
@@ -50,8 +53,7 @@ Result<std::unique_ptr<HttpServer>> HttpServer::Start(
 
   EGP_ASSIGN_OR_RETURN(
       server->listen_fd_,
-      ListenTcp(options.host, options.port, options.listen_backlog,
-                &server->port_));
+      ListenTcp(options.host, options.port, kListenBacklog, &server->port_));
   // The loop accepts until EAGAIN; a connection that is gone by the time
   // we accept it must not block the whole loop.
   SetNonBlocking(server->listen_fd_.get());
@@ -89,15 +91,11 @@ Result<std::unique_ptr<HttpServer>> HttpServer::Start(
     }
   }
 
-  server->trace_ids_.Reseed(options.trace_id_seed);
-
   const unsigned workers =
       options.workers == 0 ? std::max(2u, Threads()) : options.workers;
-  if (workers > 1) {
-    // ThreadPool(n) supplies n-1 worker threads; the loop thread never
-    // participates, so ask for workers+1 to get `workers` real threads.
-    server->pool_ = std::make_unique<ThreadPool>(workers + 1);
-  }
+  // ThreadPool(n) supplies n-1 worker threads; the loop thread never
+  // participates, so ask for workers+1 to get `workers` real threads.
+  server->pool_ = std::make_unique<ThreadPool>(workers + 1);
   {
     MutexLock lock(&server->mu_);
     server->loop_started_ = true;  // before spawn: Wait() keys off this
@@ -383,11 +381,16 @@ void HttpServer::BeginDrain() {
   accept_resume_ms_ = kNoDeadline;
   // Idle keep-alive connections close now; anything mid-exchange finishes
   // its current request (with Connection: close — CompleteRequest and
-  // BeginNextRequest both observe draining_).
+  // BeginNextRequest both observe draining_). A connection is idle only
+  // when its socket holds no unread bytes either: a request whose first
+  // bytes arrived before the loop read them is in flight, and the next
+  // pass reads it.
   std::vector<Connection*> idle;
   for (const auto& [fd, conn] : connections_) {
+    char byte = 0;
     if (conn->phase == Connection::Phase::kReading &&
-        conn->parser.AtMessageBoundary()) {
+        conn->parser.AtMessageBoundary() &&
+        PosixRecv(fd, &byte, 1, MSG_PEEK | MSG_DONTWAIT) <= 0) {
       idle.push_back(conn.get());
     }
   }
@@ -484,22 +487,15 @@ void HttpServer::DispatchRequest(Connection* conn) {
   BeginTrace(conn, request.get(), "ok", 0);
   conn->trace->bytes_in = message_bytes;
 
-  if (pool_ != nullptr) {
-    const int fd = conn->fd.get();
-    const uint64_t generation = conn->generation;
-    // The task shares the trace with the connection: the pool thread owns
-    // its handler-side fields until the completion is queued (the
-    // completion mutex orders the handback).
-    pool_->Submit([this, fd, generation, request, trace = conn->trace] {
-      PushCompletion(
-          Completion{fd, generation, RunHandler(*request, trace.get())});
-    });
-  } else {
-    // workers == 1: inline on the loop thread (ThreadPool(1) has no
-    // workers, a submitted task would never run).
-    HttpResponse response = RunHandler(*request, conn->trace.get());
-    CompleteRequest(conn, response);
-  }
+  const int fd = conn->fd.get();
+  const uint64_t generation = conn->generation;
+  // The task shares the trace with the connection: the pool thread owns
+  // its handler-side fields until the completion is queued (the
+  // completion mutex orders the handback).
+  pool_->Submit([this, fd, generation, request, trace = conn->trace] {
+    PushCompletion(
+        Completion{fd, generation, RunHandler(*request, trace.get())});
+  });
 }
 
 void HttpServer::BeginTrace(Connection* conn, const HttpRequest* request,
@@ -541,7 +537,7 @@ void HttpServer::FinishTrace(Connection* conn) {
 
 HttpResponse HttpServer::RunHandler(const HttpRequest& request,
                                     RequestTrace* trace) {
-  // Runs on a pool thread (or the loop thread in inline mode).
+  // Runs on a pool thread.
   const int64_t start_ns = MonotonicNanos();
   trace->queue_seconds =
       static_cast<double>(start_ns - trace->dispatch_ns) * 1e-9;

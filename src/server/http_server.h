@@ -25,7 +25,8 @@
 //     accepting (it used to block the accept thread).
 //   * Shutdown() (or a byte on shutdown_fd(), which is the only
 //     async-signal-safe way in) stops accepting, closes idle keep-alive
-//     connections, lets each in-flight exchange finish with
+//     connections (between requests, with no unread bytes in the
+//     socket), lets each in-flight exchange finish with
 //     Connection: close, and Wait() returns once the loop exits — a
 //     graceful drain.
 //
@@ -60,12 +61,9 @@ struct HttpServerOptions {
   /// 0 binds an ephemeral port; read the result from port().
   uint16_t port = 0;
   /// Handler compute threads. 0 resolves to max(2, egp::Threads()). 1
-  /// means no pool at all: handlers run inline on the loop thread
-  /// (useful for debugging; serializes compute, but I/O still never
-  /// blocks).
+  /// runs one handler at a time, still off the loop thread, so reads,
+  /// writes, deadlines and connection-cap 503s never wait for a handler.
   unsigned workers = 0;
-  /// listen(2) backlog for the kernel's accept queue.
-  int listen_backlog = 128;
   /// In-flight connection cap (accepted, not yet closed). Beyond it new
   /// connections get an immediate non-blocking 503. Must be >= 1.
   size_t max_connections = 256;
@@ -81,13 +79,11 @@ struct HttpServerOptions {
   size_t max_requests_per_connection = 1'000;
   HttpParserLimits limits;
   /// Every request is traced: it gets a RequestTrace whose ID is taken
-  /// from the X-Request-Id header, else generated from this seed
+  /// from the X-Request-Id header, else generated by TraceIdGenerator
   /// (deterministic by design); the ID is echoed as X-Request-Id on the
-  /// response, and the finished trace goes to `trace_sink`.
-  uint64_t trace_id_seed = 0x7261636554726163ull;
-  /// Receives each finalized trace on the event-loop thread (access
-  /// log + flight recorder wiring). Must be fast and non-blocking; may
-  /// be empty.
+  /// response. This receives each finalized trace on the event-loop
+  /// thread (access log + flight recorder wiring). Must be fast and
+  /// non-blocking; may be empty.
   std::function<void(const RequestTrace&)> trace_sink;
 };
 
@@ -256,7 +252,7 @@ class HttpServer {
   UniqueFd wakeup_pipe_read_;
   UniqueFd wakeup_pipe_write_;
 
-  std::unique_ptr<ThreadPool> pool_;  // null when workers == 1 (inline)
+  std::unique_ptr<ThreadPool> pool_;  // handler compute only
 
   std::atomic<bool> draining_{false};
 

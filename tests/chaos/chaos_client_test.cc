@@ -1,7 +1,6 @@
-// HttpClient resilience: transparent replay over a stale keep-alive
-// connection, capped-backoff retries on connect failure, opt-in 503
-// retries honoring Retry-After, and the idempotent-only retry rule for
-// responses that died mid-body.
+// HttpClient under faults: transparent replay over a stale keep-alive
+// connection, and fail-fast everywhere else (a refused connect, a 503, a
+// response that died mid-body).
 #include "server/http_client.h"
 
 #include <gtest/gtest.h>
@@ -106,8 +105,8 @@ TEST(ChaosClientTest, StaleKeepAliveConnectionIsReplayedTransparently) {
   // Exchange 1 promises keep-alive but the server closes the socket
   // anyway (a server-side idle timeout, from the client's view). The
   // client's second request finds the pooled connection dead before any
-  // response byte and must replay it on a fresh connection — even with
-  // retries disabled, because no response was ever in flight.
+  // response byte and must replay it on a fresh connection, because no
+  // response was ever in flight.
   ScriptedServer server({
       {SmallResponse("one", /*keep_alive=*/true), /*keep_open=*/false},
       {SmallResponse("two", /*keep_alive=*/true), /*keep_open=*/true},
@@ -128,127 +127,63 @@ TEST(ChaosClientTest, StaleKeepAliveConnectionIsReplayedTransparently) {
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   EXPECT_EQ(second->body, "two");
   EXPECT_EQ(client.transparent_reconnects(), 1u);
-  EXPECT_EQ(client.retries(), 0u);  // not a policy retry
 }
 
-TEST(ChaosClientTest, ConnectFailureRetriesWithBackoff) {
-  ScriptedServer server({
-      {SmallResponse("hi", /*keep_alive=*/false), /*keep_open=*/false},
-  });
-  // The first connect attempt is refused by injection; the retry policy
-  // covers it (connect failures are safe to retry for any method).
-  ASSERT_TRUE(ConfigureFaults("socket.connect=err:ECONNREFUSED@1").ok());
-  HttpClient client("127.0.0.1", server.port(), 5'000);
-  HttpRetryOptions retry;
-  retry.max_attempts = 3;
-  retry.base_backoff_ms = 1;
-  retry.max_backoff_ms = 5;
-  client.set_retry_options(retry);
-
-  const auto response = client.Post("/job", "{}");  // POST: connect-only retry
-  ClearFaults();
-  ASSERT_TRUE(response.ok()) << response.status().ToString();
-  EXPECT_EQ(response->body, "hi");
-  EXPECT_EQ(client.retries(), 1u);
-}
-
-TEST(ChaosClientTest, ConnectFailureWithoutRetryPolicyFailsFast) {
+TEST(ChaosClientTest, RefusedConnectFailsFast) {
+  // Every connect is refused by injection; the client tries once.
   ASSERT_TRUE(ConfigureFaults("socket.connect=err:ECONNREFUSED").ok());
   HttpClient client("127.0.0.1", 1, 200);  // port never dialed: injection
   const auto response = client.Get("/");
+  const std::string report = FaultReport();
   ClearFaults();
   EXPECT_FALSE(response.ok());
-  EXPECT_EQ(client.retries(), 0u);
+  EXPECT_NE(report.find("calls=1 injected=1"), std::string::npos) << report;
+  EXPECT_EQ(client.transparent_reconnects(), 0u);
 }
 
-TEST(ChaosClientTest, OptIn503RetryHonorsRetryAfter) {
-  // A real HttpServer whose handler sheds the first two requests.
+TEST(ChaosClientTest, ShedIsSurfacedAsIs) {
+  // A 503 is a semantic answer: the client returns it, Retry-After and
+  // all, and does not ask again.
   std::atomic<int> hits{0};
   auto started = HttpServer::Start(
       [&hits](const HttpRequest&) {
+        hits.fetch_add(1);
         HttpResponse response;
-        if (hits.fetch_add(1) < 2) {
-          response.status = 503;
-          response.headers.emplace_back("Retry-After", "0");
-        } else {
-          response.body = "ok";
-          response.content_type = "text/plain";
-        }
+        response.status = 503;
+        response.headers.emplace_back("Retry-After", "0");
         return response;
       },
       HttpServerOptions{});
   ASSERT_TRUE(started.ok()) << started.status().ToString();
   auto server = std::move(started).value();
 
-  // Default policy: a 503 is a semantic answer, surfaced as-is.
-  HttpClient plain("127.0.0.1", server->port(), 5'000);
-  const auto shed = plain.Get("/");
+  HttpClient client("127.0.0.1", server->port(), 5'000);
+  const auto shed = client.Get("/");
   ASSERT_TRUE(shed.ok()) << shed.status().ToString();
   EXPECT_EQ(shed->status, 503);
-  EXPECT_EQ(plain.retries(), 0u);
-
-  // Opt-in: retried (with Retry-After: 0 the backoff floor is ~instant)
-  // until the handler relents.
-  HttpClient retrying("127.0.0.1", server->port(), 5'000);
-  HttpRetryOptions retry;
-  retry.max_attempts = 3;
-  retry.base_backoff_ms = 1;
-  retry.max_backoff_ms = 10;
-  retry.retry_on_503 = true;
-  retrying.set_retry_options(retry);
-  const auto response = retrying.Get("/");
-  ASSERT_TRUE(response.ok()) << response.status().ToString();
-  EXPECT_EQ(response->status, 200);
-  EXPECT_EQ(response->body, "ok");
-  EXPECT_GE(retrying.retries(), 1u);
+  EXPECT_NE(shed->FindHeader("Retry-After"), nullptr);
+  EXPECT_EQ(hits.load(), 1);
 }
 
-TEST(ChaosClientTest, MidBodyCloseRetriesIdempotentRequestsOnly) {
-  // The server dies mid-body on the first exchange (headers promise 5
-  // bytes, only 2 arrive before close). Bytes DID arrive, so this is
-  // not a stale-pool case: only the retry policy may replay it, and
-  // only for idempotent methods.
+TEST(ChaosClientTest, MidBodyCloseIsAnError) {
+  // The server dies mid-body (headers promise 5 bytes, only 2 arrive
+  // before close). Bytes did arrive, so this is not a stale-pool case:
+  // the request may have been applied, and replaying it could apply it
+  // twice. GET and POST alike fail, on the one exchange.
   const std::string truncated =
       "HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\n"
       "Content-Length: 5\r\nConnection: keep-alive\r\n\r\nhe";
-  ScriptedServer server({
-      {truncated, /*keep_open=*/false},
-      {SmallResponse("hello", /*keep_alive=*/false), /*keep_open=*/false},
-  });
-  HttpClient client("127.0.0.1", server.port(), 2'000);
-  HttpRetryOptions retry;
-  retry.max_attempts = 2;
-  retry.base_backoff_ms = 1;
-  retry.max_backoff_ms = 5;
-  client.set_retry_options(retry);
-
-  const auto response = client.Get("/doc");
-  ASSERT_TRUE(response.ok()) << response.status().ToString();
-  EXPECT_EQ(response->body, "hello");
-  EXPECT_EQ(client.retries(), 1u);
-  EXPECT_EQ(client.transparent_reconnects(), 0u);
-}
-
-TEST(ChaosClientTest, MidBodyCloseDoesNotRetryPost) {
-  const std::string truncated =
-      "HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\n"
-      "Content-Length: 5\r\nConnection: keep-alive\r\n\r\nhe";
-  ScriptedServer server({
-      {truncated, /*keep_open=*/false},
-      {SmallResponse("hello", /*keep_alive=*/false), /*keep_open=*/false},
-  });
-  HttpClient client("127.0.0.1", server.port(), 2'000);
-  HttpRetryOptions retry;
-  retry.max_attempts = 3;
-  retry.base_backoff_ms = 1;
-  client.set_retry_options(retry);
-
-  // The POST reached the server (bytes came back); replaying it could
-  // double-apply. It must fail instead.
-  const auto response = client.Post("/job", "{}");
-  EXPECT_FALSE(response.ok());
-  EXPECT_EQ(client.retries(), 0u);
-  EXPECT_EQ(server.exchanges_served(), 1);
+  for (const char* method : {"GET", "POST"}) {
+    ScriptedServer server({
+        {truncated, /*keep_open=*/false},
+        {SmallResponse("hello", /*keep_alive=*/false), /*keep_open=*/false},
+    });
+    HttpClient client("127.0.0.1", server.port(), 2'000);
+    const auto response = client.Request(method, "/job", "{}");
+    EXPECT_FALSE(response.ok()) << method;
+    EXPECT_EQ(client.transparent_reconnects(), 0u) << method;
+    EXPECT_EQ(server.exchanges_served(), 1) << method;
+  }
 }
 
 }  // namespace

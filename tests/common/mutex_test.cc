@@ -182,27 +182,6 @@ TEST(LockStatsTest, SnapshotCarriesSiteNames) {
   EXPECT_TRUE(found);
 }
 
-TEST(LockStatsTest, RuntimeGateStopsWaitRecording) {
-  LockSite* site = RegisterLockSite("mutex_test.gate");
-  ASSERT_NE(site, nullptr);
-  SetLockTelemetryEnabled(false);
-  const uint64_t contentions_before = site->contentions.load();
-  Mutex mu{"mutex_test.gate"};
-  std::atomic<bool> held{false};
-  std::thread holder([&] {
-    MutexLock lock(&mu);
-    held.store(true);
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  });
-  while (!held.load()) std::this_thread::yield();
-  {
-    MutexLock lock(&mu);
-  }
-  holder.join();
-  SetLockTelemetryEnabled(true);
-  EXPECT_EQ(site->contentions.load(), contentions_before);
-}
-
 TEST(CondVarTest, WaitUntilReturnsTrueWhenNotified) {
   Mutex mu;
   CondVar cv;

@@ -10,10 +10,8 @@ namespace egp {
 namespace {
 
 PreparedSchema PreparePaper() {
-  auto prepared =
-      PreparedSchema::Create(SchemaGraph::FromEntityGraph(
-                                 BuildPaperExampleGraph()),
-                             PreparedSchemaOptions{});
+  auto prepared = PreparedSchema::Create(
+      SchemaGraph::FromEntityGraph(BuildPaperExampleGraph()));
   EXPECT_TRUE(prepared.ok());
   return std::move(prepared).value();
 }
@@ -80,7 +78,7 @@ TEST(BeamSearchTest, EqualScoresKeepTheSmallestKeys) {
   for (TypeId t = 0; t < 4; ++t) {
     schema.AddEdge("r" + std::to_string(t), t, (t + 1) % 4, 3);
   }
-  auto prepared = PreparedSchema::Create(schema, PreparedSchemaOptions{});
+  auto prepared = PreparedSchema::Create(schema);
   ASSERT_TRUE(prepared.ok());
   BeamSearchOptions narrow;
   narrow.beam_width = 1;
@@ -105,7 +103,7 @@ class BeamQualityTest : public ::testing::TestWithParam<BeamInstance> {};
 TEST_P(BeamQualityTest, NeverBeatsAndUsuallyMatchesOptimal) {
   const BeamInstance& p = GetParam();
   const SchemaGraph schema = testing_util::RandomSchemaGraph(p.seed, 12, 24);
-  auto prepared = PreparedSchema::Create(schema, PreparedSchemaOptions{});
+  auto prepared = PreparedSchema::Create(schema);
   ASSERT_TRUE(prepared.ok());
   const SizeConstraint size{p.k, p.n};
   for (const DistanceConstraint& constraint :

@@ -7,20 +7,18 @@
 namespace egp {
 namespace {
 
-PreparedSchema PreparePaperExample(KeyMeasure key, NonKeyMeasure nonkey) {
+PreparedSchema PreparePaperExample(const char* key = "coverage") {
   const EntityGraph graph = BuildPaperExampleGraph();
   const SchemaGraph schema = SchemaGraph::FromEntityGraph(graph);
-  PreparedSchemaOptions options;
-  options.key_measure = key;
-  options.nonkey_measure = nonkey;
-  auto prepared = PreparedSchema::Create(schema, options, &graph);
+  MeasureSelection measures;
+  measures.key = key;
+  auto prepared = PreparedSchema::Create(schema, measures, &graph);
   EXPECT_TRUE(prepared.ok()) << prepared.status().ToString();
   return std::move(prepared).value();
 }
 
 TEST(PreparedSchemaTest, CandidatesSortedDescending) {
-  const PreparedSchema prepared =
-      PreparePaperExample(KeyMeasure::kCoverage, NonKeyMeasure::kCoverage);
+  const PreparedSchema prepared = PreparePaperExample();
   for (TypeId t = 0; t < prepared.num_types(); ++t) {
     const TypeCandidates& cands = prepared.Candidates(t);
     for (size_t i = 1; i < cands.sorted.size(); ++i) {
@@ -30,8 +28,7 @@ TEST(PreparedSchemaTest, CandidatesSortedDescending) {
 }
 
 TEST(PreparedSchemaTest, PrefixSumsMatchScores) {
-  const PreparedSchema prepared =
-      PreparePaperExample(KeyMeasure::kCoverage, NonKeyMeasure::kCoverage);
+  const PreparedSchema prepared = PreparePaperExample();
   for (TypeId t = 0; t < prepared.num_types(); ++t) {
     const TypeCandidates& cands = prepared.Candidates(t);
     double sum = 0.0;
@@ -46,8 +43,7 @@ TEST(PreparedSchemaTest, PrefixSumsMatchScores) {
 TEST(PreparedSchemaTest, FilmCandidatesOrderedByCoverage) {
   // FILM's candidates by coverage: Actor 6, Genres 5, Director 4,
   // Producer 2, Executive Producer 1.
-  const PreparedSchema prepared =
-      PreparePaperExample(KeyMeasure::kCoverage, NonKeyMeasure::kCoverage);
+  const PreparedSchema prepared = PreparePaperExample();
   const TypeId film = *prepared.schema().type_names().Find("FILM");
   const TypeCandidates& cands = prepared.Candidates(film);
   ASSERT_EQ(cands.size(), 5u);
@@ -59,8 +55,7 @@ TEST(PreparedSchemaTest, FilmCandidatesOrderedByCoverage) {
 }
 
 TEST(PreparedSchemaTest, TableScoreIsKeyTimesTopSum) {
-  const PreparedSchema prepared =
-      PreparePaperExample(KeyMeasure::kCoverage, NonKeyMeasure::kCoverage);
+  const PreparedSchema prepared = PreparePaperExample();
   const TypeId film = *prepared.schema().type_names().Find("FILM");
   // S(FILM) = 4; top-3 = 6+5+4 = 15 → table score 60 (Eq. 2 + Thm. 3).
   EXPECT_DOUBLE_EQ(prepared.TableScore(film, 3), 60.0);
@@ -72,7 +67,7 @@ TEST(PreparedSchemaTest, EligibilityRequiresCandidates) {
   schema.AddType("OTHER", 5);
   schema.AddType("ISOLATED", 5);
   schema.AddEdge("r", 0, 1, 3);
-  auto prepared = PreparedSchema::Create(schema, PreparedSchemaOptions{});
+  auto prepared = PreparedSchema::Create(schema);
   ASSERT_TRUE(prepared.ok());
   EXPECT_TRUE(prepared->Eligible(0));
   EXPECT_TRUE(prepared->Eligible(1));
@@ -83,7 +78,7 @@ TEST(PreparedSchemaTest, SelfLoopYieldsTwoCandidates) {
   SchemaGraph schema;
   schema.AddType("EPISODE", 10);
   schema.AddEdge("Next", 0, 0, 9);
-  auto prepared = PreparedSchema::Create(schema, PreparedSchemaOptions{});
+  auto prepared = PreparedSchema::Create(schema);
   ASSERT_TRUE(prepared.ok());
   const TypeCandidates& cands = prepared->Candidates(0);
   ASSERT_EQ(cands.size(), 2u);
@@ -92,26 +87,24 @@ TEST(PreparedSchemaTest, SelfLoopYieldsTwoCandidates) {
 
 TEST(PreparedSchemaTest, TotalCandidatesCountsBothEndpoints) {
   // N = 2|Es| in the paper's complexity analysis.
-  const PreparedSchema prepared =
-      PreparePaperExample(KeyMeasure::kCoverage, NonKeyMeasure::kCoverage);
+  const PreparedSchema prepared = PreparePaperExample();
   EXPECT_EQ(prepared.TotalCandidates(), 2 * prepared.schema().num_edges());
 }
 
 TEST(PreparedSchemaTest, EntropyMeasureRequiresGraph) {
   const EntityGraph graph = BuildPaperExampleGraph();
   const SchemaGraph schema = SchemaGraph::FromEntityGraph(graph);
-  PreparedSchemaOptions options;
-  options.nonkey_measure = NonKeyMeasure::kEntropy;
-  const auto without_graph = PreparedSchema::Create(schema, options);
+  MeasureSelection measures;
+  measures.nonkey = "entropy";
+  const auto without_graph = PreparedSchema::Create(schema, measures);
   EXPECT_FALSE(without_graph.ok());
   EXPECT_EQ(without_graph.status().code(), StatusCode::kInvalidArgument);
-  const auto with_graph = PreparedSchema::Create(schema, options, &graph);
+  const auto with_graph = PreparedSchema::Create(schema, measures, &graph);
   EXPECT_TRUE(with_graph.ok());
 }
 
 TEST(PreparedSchemaTest, RandomWalkKeyScores) {
-  const PreparedSchema prepared =
-      PreparePaperExample(KeyMeasure::kRandomWalk, NonKeyMeasure::kCoverage);
+  const PreparedSchema prepared = PreparePaperExample("randomwalk");
   double total = 0.0;
   for (TypeId t = 0; t < prepared.num_types(); ++t) {
     total += prepared.KeyScore(t);
@@ -122,13 +115,6 @@ TEST(PreparedSchemaTest, RandomWalkKeyScores) {
   EXPECT_GT(prepared.KeyScore(film), prepared.KeyScore(producer));
 }
 
-TEST(PreparedSchemaTest, MeasureNames) {
-  EXPECT_STREQ(KeyMeasureName(KeyMeasure::kCoverage), "Coverage");
-  EXPECT_STREQ(KeyMeasureName(KeyMeasure::kRandomWalk), "RandomWalk");
-  EXPECT_STREQ(NonKeyMeasureName(NonKeyMeasure::kCoverage), "Coverage");
-  EXPECT_STREQ(NonKeyMeasureName(NonKeyMeasure::kEntropy), "Entropy");
-}
-
 TEST(PreparedSchemaTest, DeterministicTieBreaks) {
   SchemaGraph schema;
   schema.AddType("A", 1);
@@ -136,7 +122,7 @@ TEST(PreparedSchemaTest, DeterministicTieBreaks) {
   schema.AddType("C", 1);
   schema.AddEdge("r1", 0, 1, 5);  // equal scores
   schema.AddEdge("r2", 0, 2, 5);
-  auto prepared = PreparedSchema::Create(schema, PreparedSchemaOptions{});
+  auto prepared = PreparedSchema::Create(schema);
   ASSERT_TRUE(prepared.ok());
   const TypeCandidates& cands = prepared->Candidates(0);
   ASSERT_EQ(cands.size(), 2u);

@@ -12,7 +12,7 @@ class ComposeTest : public ::testing::Test {
   void SetUp() override {
     graph_ = BuildPaperExampleGraph();
     auto prepared = PreparedSchema::Create(
-        SchemaGraph::FromEntityGraph(graph_), PreparedSchemaOptions{});
+        SchemaGraph::FromEntityGraph(graph_));
     ASSERT_TRUE(prepared.ok());
     prepared_ = std::make_unique<PreparedSchema>(std::move(prepared).value());
   }
@@ -115,7 +115,7 @@ TEST_F(ComposeTest, ErrorWhenTypeHasNoCandidates) {
   schema.AddType("ISOLATED", 1);
   schema.AddType("B", 1);
   schema.AddEdge("r", 0, 2, 1);
-  auto prepared = PreparedSchema::Create(schema, PreparedSchemaOptions{});
+  auto prepared = PreparedSchema::Create(schema);
   ASSERT_TRUE(prepared.ok());
   const auto preview = ComposePreview(*prepared, {0, 1}, 4);
   EXPECT_FALSE(preview.ok());
@@ -130,7 +130,7 @@ TEST(ComposeTieTest, EqualGainsGoToTheSmallerTypeFirst) {
   for (TypeId t = 0; t < 4; ++t) {
     schema.AddEdge("r" + std::to_string(t), t, (t + 1) % 4, 3);
   }
-  auto prepared = PreparedSchema::Create(schema, PreparedSchemaOptions{});
+  auto prepared = PreparedSchema::Create(schema);
   ASSERT_TRUE(prepared.ok());
   const auto preview = ComposePreview(*prepared, {1, 0}, 3);
   ASSERT_TRUE(preview.ok());

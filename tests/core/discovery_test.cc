@@ -20,7 +20,7 @@ class DiscoveryTest : public ::testing::Test {
   void SetUp() override {
     graph_ = BuildPaperExampleGraph();
     auto prepared = PreparedSchema::Create(
-        SchemaGraph::FromEntityGraph(graph_), PreparedSchemaOptions{});
+        SchemaGraph::FromEntityGraph(graph_));
     ASSERT_TRUE(prepared.ok());
     prepared_ = std::make_unique<PreparedSchema>(std::move(prepared).value());
   }
@@ -240,7 +240,7 @@ TEST(DiscoveryEdgeCaseTest, PreviewMayUseFewerThanNAttributes) {
   schema.AddType("OTHER", 1);
   schema.AddEdge("big-rel", 0, 2, 500);
   schema.AddEdge("tiny-rel", 1, 2, 1);
-  auto prepared = PreparedSchema::Create(schema, PreparedSchemaOptions{});
+  auto prepared = PreparedSchema::Create(schema);
   ASSERT_TRUE(prepared.ok());
   const auto preview =
       DynamicProgrammingDiscover(*prepared, SizeConstraint{1, 5});
@@ -254,7 +254,7 @@ TEST(DiscoveryEdgeCaseTest, ZeroScoreTypesStillFormValidPreviews) {
   schema.AddType("A", 0);  // zero entities → zero coverage score
   schema.AddType("B", 0);
   schema.AddEdge("r", 0, 1, 0);
-  auto prepared = PreparedSchema::Create(schema, PreparedSchemaOptions{});
+  auto prepared = PreparedSchema::Create(schema);
   ASSERT_TRUE(prepared.ok());
   const auto preview =
       DynamicProgrammingDiscover(*prepared, SizeConstraint{2, 2});

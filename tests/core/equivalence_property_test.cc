@@ -114,10 +114,10 @@ size_t ExpectPrunedMatchesExhaustiveOnTheGrid(const PreparedSchema& prepared,
 /// Coverage and random-walk key measures, coverage non-keys.
 std::vector<PreparedSchema> PrepareBothKeyMeasures(const SchemaGraph& schema) {
   std::vector<PreparedSchema> prepared;
-  for (KeyMeasure key : {KeyMeasure::kCoverage, KeyMeasure::kRandomWalk}) {
-    PreparedSchemaOptions options;
-    options.key_measure = key;
-    auto one = PreparedSchema::Create(schema, options);
+  for (const char* key : {"coverage", "randomwalk"}) {
+    MeasureSelection measures;
+    measures.key = key;
+    auto one = PreparedSchema::Create(schema, measures);
     EXPECT_TRUE(one.ok()) << one.status().ToString();
     if (one.ok()) prepared.push_back(std::move(one).value());
   }
@@ -130,7 +130,7 @@ class EquivalenceTest : public ::testing::TestWithParam<Instance> {
     const Instance& p = GetParam();
     schema_ = testing_util::RandomSchemaGraph(p.seed, p.num_types,
                                               p.num_edges);
-    auto prepared = PreparedSchema::Create(schema_, PreparedSchemaOptions{});
+    auto prepared = PreparedSchema::Create(schema_);
     ASSERT_TRUE(prepared.ok());
     prepared_ = std::make_unique<PreparedSchema>(std::move(prepared).value());
   }
@@ -205,9 +205,9 @@ TEST_P(EquivalenceTest, EntropyMeasureAgreesToo) {
   // schema (the random schema has no entity graph, so re-derive one from
   // the paper example sizes by reusing coverage as a stand-in is not
   // possible; instead simply check with random-walk keys × coverage).
-  PreparedSchemaOptions options;
-  options.key_measure = KeyMeasure::kRandomWalk;
-  auto prepared = PreparedSchema::Create(schema_, options);
+  MeasureSelection measures;
+  measures.key = "randomwalk";
+  auto prepared = PreparedSchema::Create(schema_, measures);
   ASSERT_TRUE(prepared.ok());
   const Instance& p = GetParam();
   const SizeConstraint size{p.k, p.n};
@@ -282,7 +282,7 @@ TEST(PrunedWalkTest, MatchesTheExhaustiveWalkOnAFlatRing) {
   }
   // With coverage keys every score ties exactly: the pruned walk scores
   // all of L_k, and the first subset wins.
-  const auto prepared = PreparedSchema::Create(schema, PreparedSchemaOptions{});
+  const auto prepared = PreparedSchema::Create(schema);
   ASSERT_TRUE(prepared.ok());
   DiscoveryStats stats;
   const auto preview = AprioriDiscover(*prepared, SizeConstraint{3, 5},
@@ -352,7 +352,7 @@ TEST(PrunedWalkTest, SlackCoversTheSummationOrder) {
 
 TEST(PrunedWalkTest, RejectsALevelCap) {
   const SchemaGraph schema = testing_util::RandomSchemaGraph(8001, 8, 12);
-  const auto prepared = PreparedSchema::Create(schema, PreparedSchemaOptions{});
+  const auto prepared = PreparedSchema::Create(schema);
   ASSERT_TRUE(prepared.ok());
   DiscoveryStats untouched;
   untouched.subsets_enumerated = 12345;
@@ -377,7 +377,7 @@ class WideSchemaTest : public ::testing::TestWithParam<uint32_t> {
     const uint32_t num_types = GetParam();
     schema_ = testing_util::RandomSchemaGraph(7000 + num_types, num_types,
                                               2 * num_types);
-    auto prepared = PreparedSchema::Create(schema_, PreparedSchemaOptions{});
+    auto prepared = PreparedSchema::Create(schema_);
     ASSERT_TRUE(prepared.ok());
     prepared_ = std::make_unique<PreparedSchema>(std::move(prepared).value());
     ASSERT_GT(EligibleKeyTypes(*prepared_).size(), 64u);

@@ -10,10 +10,8 @@ namespace egp {
 namespace {
 
 PreparedSchema PreparePaper() {
-  auto prepared =
-      PreparedSchema::Create(SchemaGraph::FromEntityGraph(
-                                 BuildPaperExampleGraph()),
-                             PreparedSchemaOptions{});
+  auto prepared = PreparedSchema::Create(
+      SchemaGraph::FromEntityGraph(BuildPaperExampleGraph()));
   EXPECT_TRUE(prepared.ok());
   return std::move(prepared).value();
 }
@@ -49,7 +47,7 @@ TEST(FrontierTest, MatchesDpOnEveryCell) {
 
 TEST(FrontierTest, MonotoneInAttributeBudget) {
   const SchemaGraph schema = testing_util::RandomSchemaGraph(42, 10, 20);
-  auto prepared = PreparedSchema::Create(schema, PreparedSchemaOptions{});
+  auto prepared = PreparedSchema::Create(schema);
   ASSERT_TRUE(prepared.ok());
   auto frontier = ComputeScoreFrontier(*prepared, 5, 10);
   ASSERT_TRUE(frontier.ok());
@@ -71,12 +69,33 @@ TEST(FrontierTest, InfeasibleCellsNegative) {
   tiny.AddType("A", 3);
   tiny.AddType("B", 3);
   tiny.AddEdge("r", 0, 1, 2);
-  auto prepared = PreparedSchema::Create(tiny, PreparedSchemaOptions{});
+  auto prepared = PreparedSchema::Create(tiny);
   ASSERT_TRUE(prepared.ok());
   auto frontier = ComputeScoreFrontier(*prepared, 4, 6);
   ASSERT_TRUE(frontier.ok());
   EXPECT_GE(frontier->At(2, 2), 0.0);  // two eligible types
   EXPECT_LT(frontier->At(3, 4), 0.0);  // only two types exist
+}
+
+TEST(FrontierTest, AttributeBudgetAboveTheCandidateTotal) {
+  // No preview holds more non-keys than the schema has candidates, so
+  // every budget past the total reads the total's score, as the DP does.
+  const PreparedSchema prepared = PreparePaper();
+  const uint32_t total = static_cast<uint32_t>(prepared.TotalCandidates());
+  const uint32_t max_n = 100'000;
+  ASSERT_LT(total, max_n);
+  auto frontier = ComputeScoreFrontier(prepared, 3, max_n);
+  ASSERT_TRUE(frontier.ok());
+  for (uint32_t k = 1; k <= 3; ++k) {
+    EXPECT_EQ(frontier->At(k, max_n), frontier->At(k, total)) << "k=" << k;
+    EXPECT_EQ(frontier->At(k, total + 1), frontier->At(k, total))
+        << "k=" << k;
+    const auto preview =
+        DynamicProgrammingDiscover(prepared, SizeConstraint{k, max_n});
+    ASSERT_TRUE(preview.ok()) << "k=" << k;
+    EXPECT_NEAR(frontier->At(k, max_n), preview->Score(prepared), 1e-9)
+        << "k=" << k;
+  }
 }
 
 TEST(FrontierTest, MarginalTableValues) {

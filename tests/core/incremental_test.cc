@@ -113,8 +113,7 @@ TEST_F(IncrementalTest, RefreshedPreparationMatchesFromScratch) {
   ASSERT_TRUE(stats.Apply(GraphUpdate::AddEdge(genres_edge_)).ok());
   ASSERT_TRUE(stats.Apply(GraphUpdate::AddEntity(film_)).ok());
 
-  auto refreshed =
-      PreparedSchema::Create(stats.ToSchemaGraph(), PreparedSchemaOptions{});
+  auto refreshed = PreparedSchema::Create(stats.ToSchemaGraph());
   ASSERT_TRUE(refreshed.ok());
   EXPECT_DOUBLE_EQ(refreshed->KeyScore(film_), 5.0);
   // Genres coverage rose from 5 to 7: it now outranks Actor (6) in FILM's

@@ -31,8 +31,7 @@ class MusicDiscoveryTest : public ::testing::Test {
   static void SetUpTestSuite() {
     auto domain = GenerateDomainByName("music");
     ASSERT_TRUE(domain.ok()) << domain.status().ToString();
-    auto prepared =
-        PreparedSchema::Create(domain->schema, PreparedSchemaOptions{});
+    auto prepared = PreparedSchema::Create(domain->schema);
     ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
     prepared_ = new PreparedSchema(std::move(prepared).value());
   }

@@ -12,7 +12,7 @@ class PreviewTest : public ::testing::Test {
   void SetUp() override {
     graph_ = BuildPaperExampleGraph();
     schema_ = SchemaGraph::FromEntityGraph(graph_);
-    auto prepared = PreparedSchema::Create(schema_, PreparedSchemaOptions{});
+    auto prepared = PreparedSchema::Create(schema_);
     ASSERT_TRUE(prepared.ok());
     prepared_ = std::make_unique<PreparedSchema>(std::move(prepared).value());
   }

@@ -115,7 +115,7 @@ class TupleSamplerTest : public ::testing::Test {
   void SetUp() override {
     graph_ = BuildPaperExampleGraph();
     auto prepared = PreparedSchema::Create(
-        SchemaGraph::FromEntityGraph(graph_), PreparedSchemaOptions{});
+        SchemaGraph::FromEntityGraph(graph_));
     ASSERT_TRUE(prepared.ok());
     prepared_ = std::make_unique<PreparedSchema>(std::move(prepared).value());
     auto discovery = Discover(*prepared_, "auto", SizeConstraint{2, 6},
@@ -159,7 +159,7 @@ TEST_F(TupleSamplerTest, CellsMatchNeighborSets) {
   CellKinds kinds;
   for (const EntityGraph* graph : {&graph_, &repeated}) {
     auto prepared = PreparedSchema::Create(
-        SchemaGraph::FromEntityGraph(*graph), PreparedSchemaOptions{});
+        SchemaGraph::FromEntityGraph(*graph));
     ASSERT_TRUE(prepared.ok());
     const Preview preview = AllCandidatesPreview(*prepared);
     for (const SamplingStrategy strategy :
@@ -220,8 +220,7 @@ TEST_F(TupleSamplerTest, FrequencyWeightedCountsAnyTypeOfAMergedColumn) {
   // only in a COUNTRY and Cy nowhere, so the filled rows are Ann, Bob
   // and Dee whatever the jitter draws.
   const EntityGraph graph = BuildRepeatedEdgeGraph();
-  auto prepared = PreparedSchema::Create(SchemaGraph::FromEntityGraph(graph),
-                                         PreparedSchemaOptions{});
+  auto prepared = PreparedSchema::Create(SchemaGraph::FromEntityGraph(graph));
   ASSERT_TRUE(prepared.ok());
   const TypeId person = *prepared->schema().type_names().Find("PERSON");
   Preview preview;
@@ -258,7 +257,7 @@ TEST_F(TupleSamplerTest, FailsOnUnderivedSchema) {
   direct.AddType("A", 1);
   direct.AddType("B", 1);
   direct.AddEdge("r", 0, 1, 1);
-  auto prepared = PreparedSchema::Create(direct, PreparedSchemaOptions{});
+  auto prepared = PreparedSchema::Create(direct);
   ASSERT_TRUE(prepared.ok());
   Preview preview;
   PreviewTable table;

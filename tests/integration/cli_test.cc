@@ -163,6 +163,30 @@ TEST(CliTest, UnknownMeasureOrAlgorithmValueIsUsageError) {
   }
 }
 
+TEST(CliTest, ReportTakesMeasuresByRegistryName) {
+  // report and preview check --key/--nonkey against the same registry,
+  // so they reject an unknown name with the same usage error.
+  const std::string out = TempPath("cli_measure_out.txt");
+  const std::string err = TempPath("cli_measure_err.txt");
+  for (const char* command : {" preview ", " report "}) {
+    EXPECT_EQ(testing_util::RunCommandCapture(
+                  std::string(EGP_CLI_PATH) + command + EGP_SAMPLE_NT +
+                      " --key nope",
+                  out, err),
+              2)
+        << command;
+    EXPECT_NE(Slurp(err).find("egp: unknown --key measure 'nope'\n"),
+              std::string::npos)
+        << command;
+  }
+  ASSERT_EQ(RunCli(std::string("report ") + EGP_SAMPLE_NT +
+                       " --k 2 --n 5 --key randomwalk --nonkey entropy",
+                   out),
+            0);
+  EXPECT_NE(Slurp(out).find("## Most important entity types (randomwalk)"),
+            std::string::npos);
+}
+
 TEST(CliTest, NegativeFlagValueIsParsedAsValue) {
   // A value starting with '-' must bind to the preceding flag instead of
   // being dropped or misread as the next flag; the CLI then rejects the

@@ -40,18 +40,13 @@ TEST_F(GraphvizTest, SchemaDotStructure) {
   EXPECT_EQ(edges, schema_.num_edges());
 }
 
-TEST_F(GraphvizTest, CountsToggle) {
-  GraphvizOptions with_counts;
-  GraphvizOptions without;
-  without.show_counts = false;
-  const std::string a = SchemaToDot(schema_, with_counts);
-  const std::string b = SchemaToDot(schema_, without);
-  EXPECT_NE(a.find("(4)"), std::string::npos);   // S_cov(FILM)
-  EXPECT_EQ(b.find("(4)"), std::string::npos);
+TEST_F(GraphvizTest, LabelsCarryCounts) {
+  const std::string dot = SchemaToDot(schema_);
+  EXPECT_NE(dot.find("FILM\\n(4)"), std::string::npos);  // S_cov(FILM)
 }
 
 TEST_F(GraphvizTest, PreviewHighlightsKeysAndAttributes) {
-  auto prepared = PreparedSchema::Create(schema_, PreparedSchemaOptions{});
+  auto prepared = PreparedSchema::Create(schema_);
   ASSERT_TRUE(prepared.ok());
   auto discovery = Discover(*prepared, "auto", SizeConstraint{2, 6},
                             DistanceConstraint::None());
@@ -71,15 +66,19 @@ TEST_F(GraphvizTest, PreviewHighlightsKeysAndAttributes) {
 
 TEST_F(GraphvizTest, LabelsEscapedAndTruncated) {
   SchemaGraph schema;
+  // 46 characters, cut after 24 escaped ones.
   schema.AddType("TYPE \"WITH QUOTES\" AND A VERY LONG NAME INDEED", 1);
-  schema.AddType("B", 1);
+  schema.AddType("EXACTLY TWENTY-FOUR CHAR", 1);  // fits: not cut
   schema.AddEdge("rel \\ backslash", 0, 1, 1);
-  GraphvizOptions options;
-  options.max_label_length = 16;
-  const std::string dot = SchemaToDot(schema, options);
-  EXPECT_NE(dot.find("\\\""), std::string::npos);  // escaped quote
-  EXPECT_NE(dot.find("..."), std::string::npos);   // truncated
-  EXPECT_NE(dot.find("\\\\"), std::string::npos);  // escaped backslash
+  const std::string dot = SchemaToDot(schema);
+  EXPECT_NE(dot.find("label=\"TYPE \\\"WITH QUOTES\\\" AND...\\n(1)\""),
+            std::string::npos)
+      << dot;
+  EXPECT_NE(dot.find("label=\"EXACTLY TWENTY-FOUR CHAR\\n(1)\""),
+            std::string::npos)
+      << dot;
+  EXPECT_NE(dot.find("label=\"rel \\\\ backslash (1)\""), std::string::npos)
+      << dot;
 }
 
 }  // namespace

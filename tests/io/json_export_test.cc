@@ -32,7 +32,7 @@ class JsonExportTest : public ::testing::Test {
   void SetUp() override {
     graph_ = BuildPaperExampleGraph();
     auto prepared = PreparedSchema::Create(
-        SchemaGraph::FromEntityGraph(graph_), PreparedSchemaOptions{});
+        SchemaGraph::FromEntityGraph(graph_));
     ASSERT_TRUE(prepared.ok());
     prepared_ = std::make_unique<PreparedSchema>(std::move(prepared).value());
     auto discovery = Discover(*prepared_, "auto", SizeConstraint{2, 6},
@@ -112,7 +112,7 @@ TEST(JsonExportEdgeTest, EscapableEntityNames) {
   auto graph = b.Build();
   ASSERT_TRUE(graph.ok());
   auto prepared = PreparedSchema::Create(
-      SchemaGraph::FromEntityGraph(*graph), PreparedSchemaOptions{});
+      SchemaGraph::FromEntityGraph(*graph));
   ASSERT_TRUE(prepared.ok());
   Preview preview;
   PreviewTable table;

@@ -125,32 +125,25 @@ TEST(JsonParserTest, RejectsUnescapedControlCharacters) {
   EXPECT_FALSE(Parse("\"a\x1f\"").ok());
 }
 
-TEST(JsonParserTest, RejectsDuplicateKeysByDefault) {
-  const std::string doc = R"({"k":1,"k":2})";
-  const auto strict = Parse(doc);
+TEST(JsonParserTest, RejectsDuplicateKeys) {
+  const auto strict = Parse(R"({"k":1,"k":2})");
   ASSERT_FALSE(strict.ok());
   EXPECT_NE(strict.status().message().find("duplicate"), std::string::npos);
-
-  JsonParseOptions lax;
-  lax.reject_duplicate_keys = false;
-  const auto parsed = ParseJson(doc, lax);
-  ASSERT_TRUE(parsed.ok());
-  ASSERT_EQ(parsed->object().size(), 2u);
-  EXPECT_DOUBLE_EQ(parsed->Find("k")->number_value(), 1.0);  // first wins
 }
 
 TEST(JsonParserTest, EnforcesDepthLimit) {
-  JsonParseOptions options;
-  options.max_depth = 8;
-  std::string nested;  // 9 levels: one past the limit
-  for (int i = 0; i < 9; ++i) nested += "[";
-  for (int i = 0; i < 9; ++i) nested += "]";
-  EXPECT_FALSE(ParseJson(nested, options).ok()) << "depth 9 vs limit 8";
-  std::string ok = nested.substr(1, nested.size() - 2);  // exactly 8: fine
-  EXPECT_TRUE(ParseJson(ok, options).ok());
+  ASSERT_EQ(kJsonMaxDepth, 64u);
+  const std::string at_limit =
+      std::string(kJsonMaxDepth, '[') + std::string(kJsonMaxDepth, ']');
+  EXPECT_TRUE(Parse(at_limit).ok()) << "64 levels parse";
+  const std::string past_limit = "[" + at_limit + "]";
+  const auto rejected = Parse(past_limit);
+  ASSERT_FALSE(rejected.ok()) << "65 levels fail";
+  EXPECT_NE(rejected.status().message().find("nesting deeper than 64"),
+            std::string::npos);
 
   // A pathological 100k-bracket body must be rejected cheaply, not
-  // overflow the stack (the default limit applies).
+  // overflow the stack.
   std::string hostile(100000, '[');
   EXPECT_FALSE(Parse(hostile).ok());
   std::string hostile_obj;

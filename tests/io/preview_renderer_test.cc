@@ -13,7 +13,7 @@ class RendererTest : public ::testing::Test {
   void SetUp() override {
     graph_ = BuildPaperExampleGraph();
     auto prepared = PreparedSchema::Create(
-        SchemaGraph::FromEntityGraph(graph_), PreparedSchemaOptions{});
+        SchemaGraph::FromEntityGraph(graph_));
     ASSERT_TRUE(prepared.ok());
     prepared_ = std::make_unique<PreparedSchema>(std::move(prepared).value());
     auto discovery = Discover(*prepared_, "auto", SizeConstraint{2, 6},

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/scoring_registry.h"
 #include "datagen/paper_example.h"
 
 namespace egp {
@@ -68,12 +69,36 @@ TEST(ReportTest, InfeasibleDiscoveryPropagates) {
 TEST(ReportTest, RandomWalkEntropyMeasures) {
   const EntityGraph graph = BuildPaperExampleGraph();
   ReportOptions options;
-  options.measures.key_measure = KeyMeasure::kRandomWalk;
-  options.measures.nonkey_measure = NonKeyMeasure::kEntropy;
+  options.measures.key = "randomwalk";
+  options.measures.nonkey = "entropy";
   options.size = {2, 5};
   const auto report = GeneratePreviewReport(graph, options);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_NE(report->find("RandomWalk"), std::string::npos);
+  EXPECT_NE(report->find("## Most important entity types (randomwalk)"),
+            std::string::npos);
+}
+
+TEST(ReportTest, RegisteredKeyMeasureNamesTheRanking) {
+  // Any registered measure can drive a report, not just the paper's.
+  ASSERT_TRUE(ScoringRegistry::Global()
+                  .RegisterKeyMeasure(
+                      "report-test-uniform",
+                      [](const ScoringContext& context) {
+                        return Result<std::vector<double>>(
+                            std::vector<double>(context.schema.num_types(),
+                                                1.0));
+                      })
+                  .ok());
+  const EntityGraph graph = BuildPaperExampleGraph();
+  ReportOptions options;
+  options.measures.key = "report-test-uniform";
+  options.size = {2, 6};
+  const auto report = GeneratePreviewReport(graph, options);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_NE(
+      report->find("## Most important entity types (report-test-uniform)"),
+      std::string::npos);
+  EXPECT_NE(report->find("| 1 | "), std::string::npos);
 }
 
 }  // namespace

@@ -250,14 +250,46 @@ TEST(HttpServerTest, HeadResponsesCarryNoBody) {
   EXPECT_EQ(response.find("\"method\""), std::string::npos);
 }
 
-TEST(HttpServerTest, InlineModeServesWithoutWorkers) {
+TEST(HttpServerTest, OneWorkerNeverStallsTheLoop) {
+  // One worker still runs handlers off the event-loop thread: while the
+  // only handler blocks, the loop keeps accepting and answers a
+  // connection over the cap with its 503 at once.
+  std::atomic<bool> entered{false};
+  std::atomic<bool> release{false};
   HttpServerOptions options = FastOptions();
-  options.workers = 1;  // connections served on the accept thread
-  auto server = StartEcho(options);
-  HttpClient client("127.0.0.1", server->port());
-  const auto response = client.Get("/inline");
-  ASSERT_TRUE(response.ok());
-  EXPECT_EQ(response->status, 200);
+  options.workers = 1;
+  options.max_connections = 1;
+  auto started = HttpServer::Start(
+      [&entered, &release](const HttpRequest&) {
+        entered.store(true);
+        while (!release.load()) std::this_thread::sleep_for(1ms);
+        HttpResponse response;
+        response.body = "{}";
+        return response;
+      },
+      options);
+  ASSERT_TRUE(started.ok()) << started.status().ToString();
+  auto server = std::move(started).value();
+
+  std::thread holder([&server] {
+    HttpClient client("127.0.0.1", server->port(), 5'000);
+    const auto response = client.Get("/held");
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response->status, 200);
+  });
+  for (int i = 0; i < 500 && !entered.load(); ++i) {
+    std::this_thread::sleep_for(10ms);
+  }
+  Result<HttpClientResponse> shed = Status::Internal("handler never ran");
+  if (entered.load()) {
+    HttpClient second("127.0.0.1", server->port(), 2'000);
+    shed = second.Get("/second");
+  }
+  release.store(true);
+  holder.join();
+  ASSERT_TRUE(shed.ok()) << shed.status().ToString();
+  EXPECT_EQ(shed->status, 503);
+  EXPECT_EQ(server->stats().rejected_connections, 1u);
 }
 
 TEST(HttpServerTest, SlowReaderGets408WhileOthersAreServed) {

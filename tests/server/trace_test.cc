@@ -90,7 +90,6 @@ std::unique_ptr<TracedServer> StartTracedServer(
   options.workers = 2;
   options.read_timeout_ms = 5000;
   options.write_timeout_ms = 5000;
-  options.trace_id_seed = 42;
   TracedServer* raw = traced.get();
   options.trace_sink = [raw](const RequestTrace& trace) {
     raw->recorder.Record(trace);

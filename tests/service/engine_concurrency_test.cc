@@ -29,15 +29,8 @@ struct RequestCase {
 /// calling the algorithm the request names directly, so the oracle does
 /// not share the Engine's dispatch.
 double GoldenScore(const EntityGraph& graph, const PreviewRequest& request) {
-  PreparedSchemaOptions options;
-  options.key_measure = request.measures.key == "randomwalk"
-                            ? KeyMeasure::kRandomWalk
-                            : KeyMeasure::kCoverage;
-  options.nonkey_measure = request.measures.nonkey == "entropy"
-                               ? NonKeyMeasure::kEntropy
-                               : NonKeyMeasure::kCoverage;
   auto prepared = PreparedSchema::Create(SchemaGraph::FromEntityGraph(graph),
-                                         options, &graph);
+                                         request.measures, &graph);
   EXPECT_TRUE(prepared.ok()) << prepared.status().ToString();
   Result<Preview> preview = Status::Internal("unset");
   if (request.algorithm == "bf") {

@@ -201,19 +201,5 @@ TEST(ScoringRegistryTest, PreparedSchemaRejectsNegativeAndNonFiniteScores) {
   }
 }
 
-TEST(ScoringRegistryTest, EnumCreatePathUsesRegistryNames) {
-  const EntityGraph graph = BuildPaperExampleGraph();
-  const SchemaGraph schema = SchemaGraph::FromEntityGraph(graph);
-  PreparedSchemaOptions options;
-  options.key_measure = KeyMeasure::kRandomWalk;
-  options.nonkey_measure = NonKeyMeasure::kEntropy;
-  const auto prepared = PreparedSchema::Create(schema, options, &graph);
-  ASSERT_TRUE(prepared.ok());
-  EXPECT_EQ(prepared->measures().key, "randomwalk");
-  EXPECT_EQ(prepared->measures().nonkey, "entropy");
-  EXPECT_EQ(prepared->options().key_measure, KeyMeasure::kRandomWalk);
-  EXPECT_EQ(prepared->options().nonkey_measure, NonKeyMeasure::kEntropy);
-}
-
 }  // namespace
 }  // namespace egp

@@ -263,6 +263,23 @@ Status ParseThreadsFlag(const Flags& flags, EngineOptions* options) {
   return Status::OK();
 }
 
+/// Reads --key/--nonkey, checked against the scoring registry, so
+/// preview and report accept the same names: any registered measure.
+Status ParseMeasureFlags(const Flags& flags, MeasureSelection* measures) {
+  measures->key = flags.Get("key", "coverage");
+  measures->nonkey = flags.Get("nonkey", "coverage");
+  const ScoringRegistry& registry = ScoringRegistry::Global();
+  if (!registry.HasKeyMeasure(measures->key)) {
+    return Status::InvalidArgument("unknown --key measure '" +
+                                   measures->key + "'");
+  }
+  if (!registry.HasNonKeyMeasure(measures->nonkey)) {
+    return Status::InvalidArgument("unknown --nonkey measure '" +
+                                   measures->nonkey + "'");
+  }
+  return Status::OK();
+}
+
 int CmdPreview(const std::string& path, const Flags& flags) {
   auto graph = LoadGraph(path);
   if (!graph.ok()) return Fail(graph.status());
@@ -276,22 +293,13 @@ int CmdPreview(const std::string& path, const Flags& flags) {
   const Status constraints = ParseConstraintFlags(
       flags, 2, 6, &request.size, &request.distance);
   if (!constraints.ok()) return UsageError(constraints.message());
-  request.measures.key = flags.Get("key", "coverage");
-  request.measures.nonkey = flags.Get("nonkey", "coverage");
   request.algorithm = flags.Get("algo", "auto");
   // Malformed values are usage errors (exit 2), not runtime failures:
   // validate names up front instead of letting the Engine report them.
   const auto algorithm = CanonicalAlgorithmName(request.algorithm);
   if (!algorithm.ok()) return UsageError(algorithm.status().message());
-  const ScoringRegistry& registry = ScoringRegistry::Global();
-  if (!registry.HasKeyMeasure(request.measures.key)) {
-    return UsageError("unknown --key measure '" + request.measures.key +
-                      "'");
-  }
-  if (!registry.HasNonKeyMeasure(request.measures.nonkey)) {
-    return UsageError("unknown --nonkey measure '" +
-                      request.measures.nonkey + "'");
-  }
+  const Status measures = ParseMeasureFlags(flags, &request.measures);
+  if (!measures.ok()) return UsageError(measures.message());
   const auto rows = flags.GetInt("rows", 4);
   if (!rows.ok()) return UsageError(rows.status().message());
   if (*rows < 0) return UsageError("--rows must be non-negative");
@@ -377,21 +385,8 @@ int CmdReport(const std::string& path, const Flags& flags) {
   const Status constraints =
       ParseConstraintFlags(flags, 3, 9, &options.size, &options.distance);
   if (!constraints.ok()) return UsageError(constraints.message());
-  // The report layer still takes the built-in measures by enum.
-  const std::string key = flags.Get("key", "coverage");
-  const std::string nonkey = flags.Get("nonkey", "coverage");
-  if (key == "randomwalk") {
-    options.measures.key_measure = KeyMeasure::kRandomWalk;
-  } else if (key != "coverage") {
-    return UsageError("unknown --key measure '" + key +
-                      "' (available: coverage, randomwalk)");
-  }
-  if (nonkey == "entropy") {
-    options.measures.nonkey_measure = NonKeyMeasure::kEntropy;
-  } else if (nonkey != "coverage") {
-    return UsageError("unknown --nonkey measure '" + nonkey +
-                      "' (available: coverage, entropy)");
-  }
+  const Status measures = ParseMeasureFlags(flags, &options.measures);
+  if (!measures.ok()) return UsageError(measures.message());
   options.include_dot = flags.Has("dot");
   const auto report = GeneratePreviewReport(graph->graph, options);
   if (!report.ok()) return Fail(report.status());

@@ -78,8 +78,9 @@ const char kUsage[] =
     "  --host H              bind address (default 127.0.0.1)\n"
     "  --port P              TCP port; 0 picks an ephemeral one\n"
     "                        (default 8080)\n"
-    "  --workers N           connection worker threads (default\n"
-    "                        max(2, hardware))\n"
+    "  --workers N           handler threads, off the event loop\n"
+    "                        (default max(2, hardware); 1 = one\n"
+    "                        handler at a time)\n"
     "  --engine-threads N    threads per PreparedSchema build (default\n"
     "                        hardware; 1 = serial)\n"
     "  --max-connections N   in-flight connection cap; beyond it new\n"

@@ -3,7 +3,8 @@
 
 Scope: first-party C++ under src/, tools/, bench/ (tests are exempt —
 they deliberately poke at internals, e.g. raw sockets for misbehaving
-clients). Eight rule families, each born from a real bug class here:
+clients), plus the Python scripts in tools/. Nine rule families, each
+born from a real bug class here:
 
   blocking-io   The event-loop serving core must never block on a
                 socket. The convenience blocking wrappers (SendAll,
@@ -60,10 +61,16 @@ clients). Eight rule families, each born from a real bug class here:
                 never scores all of L_k. Its declaration in
                 src/core/apriori.h is the one other mention.
 
+  python-assert A tools/*.py script checks with a raised error, never an
+                assert statement: `python3 -O` (or PYTHONOPTIMIZE)
+                strips asserts, and a checker whose checks vanish passes
+                every bad document (tools/validate_bench_json.py did).
+
 Exit status 0 when clean; 1 with `path:line: [rule] message` findings
 otherwise. Run from anywhere: paths resolve against the repo root.
 """
 
+import ast
 import os
 import re
 import sys
@@ -255,9 +262,24 @@ def scan_file(rel_path: str, findings: list) -> None:
                         f"{', '.join(sorted(allowed)) or 'nothing'})")
 
 
+def scan_python(rel_path: str, findings: list) -> None:
+    abs_path = os.path.join(REPO_ROOT, rel_path)
+    with open(abs_path, encoding="utf-8") as f:
+        tree = ast.parse(f.read(), filename=rel_path)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assert):
+            findings.append(
+                f"{rel_path}:{node.lineno}: [python-assert] assert "
+                f"statement — python3 -O strips it; raise an error instead")
+
+
 def main() -> int:
     findings: list = []
     scanned = 0
+    for name in sorted(os.listdir(os.path.join(REPO_ROOT, "tools"))):
+        if name.endswith(".py"):
+            scan_python(f"tools/{name}", findings)
+            scanned += 1
     for scan_dir in SCAN_DIRS:
         root = os.path.join(REPO_ROOT, scan_dir)
         for dirpath, _, filenames in os.walk(root):
