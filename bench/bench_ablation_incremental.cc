@@ -62,8 +62,11 @@ int main() {
       const EntityId id = builder.AddEntity(domain.graph.EntityName(e));
       for (TypeId t : domain.graph.TypesOf(e)) builder.AddEntityToType(id, t);
     }
-    for (const EdgeRecord& edge : domain.graph.edges()) {
-      EGP_CHECK(builder.AddEdge(edge.src, edge.rel_type, edge.dst).ok());
+    const FrozenGraph& adjacency = domain.graph.adjacency();
+    for (EntityId src = 0; src < domain.graph.num_entities(); ++src) {
+      for (const FrozenGraph::Arc& arc : adjacency.OutArcs(src)) {
+        EGP_CHECK(builder.AddEdge(src, arc.rel_type, arc.neighbor).ok());
+      }
     }
     auto rebuilt = builder.Build();
     EGP_CHECK(rebuilt.ok());

@@ -93,11 +93,17 @@ std::vector<double> SeedKeyRandomWalkDense(const SchemaGraph& schema,
   return pi;
 }
 
-/// Each relationship type's edges in edge-id order: the per-relationship
-/// lists the seed read, gathered once outside the timed region.
+/// Each relationship type's edges in (source, destination) order: the
+/// per-relationship lists the seed read, gathered once outside the timed
+/// region.
 std::vector<std::vector<EdgeRecord>> EdgesByRelType(const EntityGraph& graph) {
   std::vector<std::vector<EdgeRecord>> by_rel(graph.num_rel_types());
-  for (const EdgeRecord& e : graph.edges()) by_rel[e.rel_type].push_back(e);
+  for (EntityId src = 0; src < graph.num_entities(); ++src) {
+    for (const FrozenGraph::Arc& arc : graph.adjacency().OutArcs(src)) {
+      by_rel[arc.rel_type].push_back(EdgeRecord{src, arc.neighbor,
+                                                arc.rel_type});
+    }
+  }
   return by_rel;
 }
 

@@ -1,7 +1,6 @@
 #include "baseline/relational_view.h"
 
-#include <cmath>
-#include <unordered_map>
+#include <vector>
 
 #include "common/math_util.h"
 
@@ -9,23 +8,24 @@ namespace egp {
 namespace {
 
 /// Entropy of the distribution of target-entity occurrences for one
-/// relationship type seen from one side.
+/// relationship type seen from one side. A value's occurrence count is
+/// the length of its run of `rel` arcs pointing back at the anchor side;
+/// values are read in entity-id order, which fixes the summation order.
 double ColumnEntropy(const EntityGraph& graph, RelTypeId rel,
                      Direction direction, uint64_t* distinct,
                      uint64_t* occurrences) {
-  // Edges in id order: the histogram's insertion order, and so the order
-  // its counts are summed in, is fixed by the edge array.
-  std::unordered_map<EntityId, uint64_t> histogram;
-  *occurrences = 0;
-  for (const EdgeRecord& e : graph.edges()) {
-    if (e.rel_type != rel) continue;
-    ++histogram[direction == Direction::kOutgoing ? e.dst : e.src];
-    ++*occurrences;
-  }
+  const Direction back = direction == Direction::kOutgoing
+                             ? Direction::kIncoming
+                             : Direction::kOutgoing;
   std::vector<uint64_t> counts;
-  counts.reserve(histogram.size());
-  for (const auto& [value, count] : histogram) counts.push_back(count);
-  *distinct = histogram.size();
+  *occurrences = 0;
+  for (EntityId value = 0; value < graph.num_entities(); ++value) {
+    const size_t count = graph.adjacency().RelArcs(value, rel, back).size();
+    if (count == 0) continue;
+    counts.push_back(count);
+    *occurrences += count;
+  }
+  *distinct = counts.size();
   return EntropyLog2(counts);
 }
 

@@ -7,7 +7,7 @@
 // values across columns; materializing that product is infeasible (and
 // unnecessary), so the per-column statistics the importance measure needs
 // — value-frequency entropies and cardinalities — are computed directly
-// from the edge lists.
+// from the CSR arcs.
 #ifndef EGP_BASELINE_RELATIONAL_VIEW_H_
 #define EGP_BASELINE_RELATIONAL_VIEW_H_
 

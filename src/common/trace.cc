@@ -62,8 +62,6 @@ ScopedTracePhase::ScopedTracePhase(TracePhase phase)
 
 ScopedTracePhase::~ScopedTracePhase() { t_current_phase = previous_; }
 
-TraceIdGenerator::TraceIdGenerator(uint64_t seed) : rng_(seed) {}
-
 std::string TraceIdGenerator::Next() {
   uint64_t value;
   {

@@ -135,17 +135,15 @@ class ScopedRequestTrace {
   RequestTrace* previous_;
 };
 
-/// Thread-safe generator of 16-hex-char trace IDs, deterministic from
-/// its seed (the repo-wide reproducibility rule: no entropy sources).
+/// Thread-safe generator of 16-hex-char trace IDs, deterministic from a
+/// fixed seed (the repo-wide reproducibility rule: no entropy sources).
 class TraceIdGenerator {
  public:
-  explicit TraceIdGenerator(uint64_t seed = 0x7261636554726163ull);
-
   std::string Next();
 
  private:
   Mutex mu_{"trace_ids"};
-  Rng rng_ EGP_GUARDED_BY(mu_);
+  Rng rng_ EGP_GUARDED_BY(mu_) = Rng(0x7261636554726163ull);
 };
 
 }  // namespace egp

@@ -42,9 +42,4 @@ const std::string& EntityGraph::RelSurfaceName(RelTypeId r) const {
   return surface_names_.Get(RelType(r).surface_name);
 }
 
-const EdgeRecord& EntityGraph::Edge(EdgeId id) const {
-  EGP_CHECK(id < edges_.size()) << "bad edge id " << id;
-  return edges_[id];
-}
-
 }  // namespace egp

@@ -7,7 +7,7 @@
 // relationship types may share a surface name (e.g. the paper's two
 // "Award Winners" types) but are distinct identifiers.
 //
-// The edges are indexed once, by the CSR adjacency (adjacency()): each
+// The edges are kept once, as the CSR adjacency (adjacency()): each
 // entity's arcs per direction, grouped by relationship type.
 #ifndef EGP_GRAPH_ENTITY_GRAPH_H_
 #define EGP_GRAPH_ENTITY_GRAPH_H_
@@ -38,7 +38,7 @@ class EntityGraph {
 
   // --- Sizes -------------------------------------------------------------
   size_t num_entities() const { return entity_types_.size(); }
-  size_t num_edges() const { return edges_.size(); }
+  size_t num_edges() const { return adjacency_.num_arcs(); }
   size_t num_types() const { return type_members_.size(); }
   size_t num_rel_types() const { return rel_types_.size(); }
 
@@ -60,8 +60,6 @@ class EntityGraph {
   const std::string& RelSurfaceName(RelTypeId r) const;
 
   // --- Edges ---------------------------------------------------------------
-  const EdgeRecord& Edge(EdgeId id) const;
-  const std::vector<EdgeRecord>& edges() const { return edges_; }
   /// The edges as CSR adjacency, per entity and direction; built once by
   /// EntityGraphBuilder::Build() or viewed from an .egps snapshot.
   const FrozenGraph& adjacency() const { return adjacency_; }
@@ -84,7 +82,6 @@ class EntityGraph {
   std::vector<RelTypeInfo> rel_types_;
   std::vector<std::vector<TypeId>> entity_types_;     // per entity
   std::vector<std::vector<EntityId>> type_members_;   // per type
-  std::vector<EdgeRecord> edges_;
   FrozenGraph adjacency_;
 };
 

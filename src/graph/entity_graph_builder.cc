@@ -75,7 +75,7 @@ Status EntityGraphBuilder::AddEdge(EntityId src, RelTypeId rel_type,
         graph_.TypeName(info.dst_type).c_str(),
         graph_.RelSurfaceName(rel_type).c_str()));
   }
-  graph_.edges_.push_back(EdgeRecord{src, dst, rel_type});
+  edges_.push_back(EdgeRecord{src, dst, rel_type});
   return Status::OK();
 }
 
@@ -95,10 +95,10 @@ Result<EntityGraph> EntityGraphBuilder::Build() {
   if (graph_.num_entities() == 0) {
     return Status::FailedPrecondition("Build: graph has no entities");
   }
-  graph_.adjacency_ =
-      FrozenGraph::Freeze(graph_.num_entities(), graph_.edges_);
+  graph_.adjacency_ = FrozenGraph::Freeze(graph_.num_entities(), edges_);
   EntityGraph out = std::move(graph_);
   graph_ = EntityGraph();
+  edges_ = {};
   rel_type_index_.clear();
   return out;
 }

@@ -44,15 +44,15 @@ class EntityGraphBuilder {
   const std::vector<TypeId>& TypesOf(EntityId entity) const;
 
   size_t num_entities() const { return graph_.num_entities(); }
-  size_t num_edges() const { return graph_.num_edges(); }
 
-  /// Finalizes and returns the graph, freezing its edges into the CSR
-  /// adjacency; the builder is left empty. Fails if the graph has no
-  /// entities.
+  /// Finalizes and returns the graph, freezing the edges added so far
+  /// into its CSR adjacency; the builder is left empty. Fails if the
+  /// graph has no entities.
   Result<EntityGraph> Build();
 
  private:
   EntityGraph graph_;
+  std::vector<EdgeRecord> edges_;  // until Build() freezes them
   // (surface name id, src, dst) -> rel type id
   std::map<std::tuple<uint32_t, TypeId, TypeId>, RelTypeId> rel_type_index_;
 };

@@ -33,10 +33,10 @@ uint64_t SplitMix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-/// Order-independent fingerprint contribution of one adjacency triple;
-/// summed with wraparound so any multiset difference shifts the total.
-uint64_t MixTriple(uint32_t entity, uint32_t neighbor, uint32_t rel_type) {
-  return SplitMix64((static_cast<uint64_t>(entity) << 32 | neighbor) ^
+/// Order-independent fingerprint contribution of one edge; summed with
+/// wraparound so any multiset difference shifts the total.
+uint64_t MixEdge(uint32_t src, uint32_t dst, uint32_t rel_type) {
+  return SplitMix64((static_cast<uint64_t>(src) << 32 | dst) ^
                     SplitMix64(rel_type));
 }
 
@@ -151,6 +151,19 @@ Result<FrozenGraph> FrozenGraph::FromCsr(
         "forward/reverse arc counts differ: %zu vs %zu", out_arcs.size(),
         in_arcs.size()));
   }
+  uint64_t forward = 0, reverse = 0;
+  for (EntityId e = 0; e < num_entities; ++e) {
+    for (uint64_t a = out_offsets[e]; a < out_offsets[e + 1]; ++a) {
+      forward += MixEdge(e, out_arcs[a].neighbor, out_arcs[a].rel_type);
+    }
+    for (uint64_t a = in_offsets[e]; a < in_offsets[e + 1]; ++a) {
+      reverse += MixEdge(in_arcs[a].neighbor, e, in_arcs[a].rel_type);
+    }
+  }
+  if (forward != reverse) {
+    return Status::Corruption(
+        "reverse arcs are not the forward arcs transposed");
+  }
   FrozenGraph frozen;
   frozen.num_entities_ = num_entities;
   frozen.view_ = true;
@@ -196,28 +209,6 @@ std::vector<EntityId> FrozenGraph::NeighborSet(EntityId e, RelTypeId rel_type,
     }
   }
   return out;
-}
-
-bool FrozenGraph::MatchesEdges(size_t num_entities,
-                               std::span<const EdgeRecord> edges) const {
-  if (num_entities != num_entities_ || edges.size() != num_arcs()) {
-    return false;
-  }
-  uint64_t out_expected = 0, in_expected = 0;
-  for (const EdgeRecord& e : edges) {
-    out_expected += MixTriple(e.src, e.dst, e.rel_type);
-    in_expected += MixTriple(e.dst, e.src, e.rel_type);
-  }
-  uint64_t out_actual = 0, in_actual = 0;
-  for (EntityId e = 0; e < num_entities_; ++e) {
-    for (const Arc& arc : OutArcs(e)) {
-      out_actual += MixTriple(e, arc.neighbor, arc.rel_type);
-    }
-    for (const Arc& arc : InArcs(e)) {
-      in_actual += MixTriple(e, arc.neighbor, arc.rel_type);
-    }
-  }
-  return out_actual == out_expected && in_actual == in_expected;
 }
 
 size_t FrozenGraph::MemoryBytes() const {

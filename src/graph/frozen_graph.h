@@ -48,7 +48,11 @@ class FrozenGraph {
   /// offsets monotonically non-decreasing and ending at the arc counts,
   /// arcs in bounds (`neighbor < num_entities`, `rel_type <
   /// num_rel_types`) and each entity's run sorted by (rel_type,
-  /// neighbor) — so corrupt input yields a Status, never UB later.
+  /// neighbor) — so corrupt input yields a Status, never UB later. The
+  /// in-arcs must also be the out-arcs transposed: O(E), by an
+  /// order-independent fingerprint of the (source, destination,
+  /// rel_type) multisets, so two well-formed halves of different graphs
+  /// are rejected too.
   static Result<FrozenGraph> FromCsr(size_t num_entities,
                                      size_t num_rel_types,
                                      std::span<const uint64_t> out_offsets,
@@ -80,13 +84,6 @@ class FrozenGraph {
   /// loops read value sets straight out of the CSR through this.
   std::span<const Arc> RelArcs(EntityId e, RelTypeId rel_type,
                                Direction direction) const;
-
-  /// Whether the arcs are exactly `edges`, both directions, over
-  /// `num_entities` entities. O(E), by an order-independent fingerprint
-  /// of the (entity, neighbor, rel_type) multisets, so a structurally
-  /// valid CSR that describes some other edge array is caught.
-  bool MatchesEdges(size_t num_entities,
-                    std::span<const EdgeRecord> edges) const;
 
   /// Resident footprint of the CSR arrays, in bytes (for a FromCsr view
   /// this counts the backing bytes viewed, e.g. mapped file pages).

@@ -1,8 +1,8 @@
 // Dense id aliases, and the edge record made of them, used throughout
 // the library.
 //
-// Entities, entity types, relationship types and edges all get dense
-// 32-bit ids assigned in insertion order; names live in StringPools.
+// Entities, entity types and relationship types all get dense 32-bit ids
+// assigned in insertion order; names live in StringPools.
 #ifndef EGP_GRAPH_IDS_H_
 #define EGP_GRAPH_IDS_H_
 
@@ -14,7 +14,6 @@ namespace egp {
 using EntityId = uint32_t;
 using TypeId = uint32_t;     // entity type (schema graph vertex)
 using RelTypeId = uint32_t;  // relationship type (schema graph edge)
-using EdgeId = uint32_t;     // data-graph edge
 
 inline constexpr uint32_t kInvalidId = std::numeric_limits<uint32_t>::max();
 
@@ -22,7 +21,9 @@ inline constexpr uint32_t kInvalidId = std::numeric_limits<uint32_t>::max();
 /// kOutgoing corresponds to γ(τ, τ') and kIncoming to γ(τ', τ).
 enum class Direction : uint8_t { kOutgoing = 0, kIncoming = 1 };
 
-/// One directed relationship instance e(src, dst) with its type.
+/// One directed relationship instance e(src, dst) with its type: what
+/// EntityGraphBuilder collects and FrozenGraph::Freeze indexes. A built
+/// graph keeps its edges only as CSR arcs.
 struct EdgeRecord {
   EntityId src;
   EntityId dst;

@@ -12,7 +12,9 @@ SchemaGraph SchemaGraph::FromEntityGraph(const EntityGraph& graph) {
     schema.AddType(graph.TypeName(t), graph.TypeEntityCount(t));
   }
   std::vector<uint64_t> support(graph.num_rel_types(), 0);
-  for (const EdgeRecord& e : graph.edges()) ++support[e.rel_type];
+  for (const FrozenGraph::Arc& arc : graph.adjacency().out_arcs()) {
+    ++support[arc.rel_type];
+  }
   for (RelTypeId r = 0; r < graph.num_rel_types(); ++r) {
     if (support[r] == 0) continue;  // Es membership requires a data edge (§2).
     const RelTypeInfo& info = graph.RelType(r);

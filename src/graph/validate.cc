@@ -15,32 +15,31 @@ ValidationReport ValidateEntityGraph(const EntityGraph& graph) {
     }
   };
 
-  // Edge endpoint typing.
-  for (EdgeId id = 0; id < graph.num_edges(); ++id) {
-    const EdgeRecord& e = graph.Edge(id);
-    if (e.src >= graph.num_entities() || e.dst >= graph.num_entities()) {
-      violate(StrFormat("edge %u has out-of-range endpoint", id));
-      continue;
+  // Edge endpoint typing, per out-arc: the in-arcs are the out-arcs
+  // transposed (Freeze builds them so; FromCsr rejects anything else).
+  const FrozenGraph& adjacency = graph.adjacency();
+  for (EntityId src = 0; src < adjacency.num_entities(); ++src) {
+    for (const FrozenGraph::Arc& arc : adjacency.OutArcs(src)) {
+      if (src >= graph.num_entities() ||
+          arc.neighbor >= graph.num_entities() ||
+          arc.rel_type >= graph.num_rel_types()) {
+        violate(StrFormat("arc %u -> %u has an out-of-range id", src,
+                          arc.neighbor));
+        continue;
+      }
+      const RelTypeInfo& info = graph.RelType(arc.rel_type);
+      if (!graph.EntityHasType(src, info.src_type)) {
+        violate(StrFormat("arc %u -> %u: source '%s' lacks type '%s'", src,
+                          arc.neighbor, graph.EntityName(src).c_str(),
+                          graph.TypeName(info.src_type).c_str()));
+      }
+      if (!graph.EntityHasType(arc.neighbor, info.dst_type)) {
+        violate(StrFormat("arc %u -> %u: destination '%s' lacks type '%s'",
+                          src, arc.neighbor,
+                          graph.EntityName(arc.neighbor).c_str(),
+                          graph.TypeName(info.dst_type).c_str()));
+      }
     }
-    if (e.rel_type >= graph.num_rel_types()) {
-      violate(StrFormat("edge %u has out-of-range relationship type", id));
-      continue;
-    }
-    const RelTypeInfo& info = graph.RelType(e.rel_type);
-    if (!graph.EntityHasType(e.src, info.src_type)) {
-      violate(StrFormat("edge %u: source '%s' lacks type '%s'", id,
-                        graph.EntityName(e.src).c_str(),
-                        graph.TypeName(info.src_type).c_str()));
-    }
-    if (!graph.EntityHasType(e.dst, info.dst_type)) {
-      violate(StrFormat("edge %u: destination '%s' lacks type '%s'", id,
-                        graph.EntityName(e.dst).c_str(),
-                        graph.TypeName(info.dst_type).c_str()));
-    }
-  }
-
-  if (!graph.adjacency().MatchesEdges(graph.num_entities(), graph.edges())) {
-    violate("CSR adjacency disagrees with the edge array");
   }
 
   // Membership symmetry: TypesOf(v) <-> EntitiesOfType(t).

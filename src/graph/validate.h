@@ -6,7 +6,6 @@
 //   * every edge's endpoints carry the endpoint types its relationship
 //     type requires;
 //   * type membership lists and per-entity type lists agree;
-//   * the CSR adjacency holds exactly the edge array, both directions;
 //   * names are unique within each pool.
 #ifndef EGP_GRAPH_VALIDATE_H_
 #define EGP_GRAPH_VALIDATE_H_

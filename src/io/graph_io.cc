@@ -73,13 +73,17 @@ Status WriteEntityGraph(const EntityGraph& graph, std::ostream& out) {
           << "\n";
     }
   }
-  for (const EdgeRecord& edge : graph.edges()) {
-    const RelTypeInfo& info = graph.RelType(edge.rel_type);
-    out << "edge\t" << graph.EntityName(edge.src) << "\t"
-        << graph.RelSurfaceName(edge.rel_type) << "\t"
-        << graph.TypeName(info.src_type) << "\t"
-        << graph.TypeName(info.dst_type) << "\t"
-        << graph.EntityName(edge.dst) << "\n";
+  // Edges in (source, relationship type, destination) order: the CSR's
+  // own order. The reltype lines above fix the relationship type ids.
+  for (EntityId src = 0; src < graph.num_entities(); ++src) {
+    for (const FrozenGraph::Arc& arc : graph.adjacency().OutArcs(src)) {
+      const RelTypeInfo& info = graph.RelType(arc.rel_type);
+      out << "edge\t" << graph.EntityName(src) << "\t"
+          << graph.RelSurfaceName(arc.rel_type) << "\t"
+          << graph.TypeName(info.src_type) << "\t"
+          << graph.TypeName(info.dst_type) << "\t"
+          << graph.EntityName(arc.neighbor) << "\n";
+    }
   }
   if (!out) return Status::IOError("write failed");
   return Status::OK();

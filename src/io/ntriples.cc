@@ -245,14 +245,22 @@ Status WriteNTriples(const EntityGraph& graph, std::ostream& out) {
       if (buffer.size() > (1 << 15)) flush();
     }
   }
-  for (const EdgeRecord& edge : graph.edges()) {
-    AppendToken(&buffer, graph.EntityName(edge.src));
-    buffer += ' ';
-    AppendToken(&buffer, graph.RelSurfaceName(edge.rel_type));
-    buffer += ' ';
-    AppendToken(&buffer, graph.EntityName(edge.dst));
-    buffer += " .\n";
-    if (buffer.size() > (1 << 15)) flush();
+  // Edges in (relationship type, source, destination) order. A reader
+  // declares each relationship type at its first edge, so this order
+  // gives a re-read the same relationship type ids.
+  for (RelTypeId r = 0; r < graph.num_rel_types(); ++r) {
+    for (EntityId src = 0; src < graph.num_entities(); ++src) {
+      for (const FrozenGraph::Arc& arc :
+           graph.adjacency().RelArcs(src, r, Direction::kOutgoing)) {
+        AppendToken(&buffer, graph.EntityName(src));
+        buffer += ' ';
+        AppendToken(&buffer, graph.RelSurfaceName(r));
+        buffer += ' ';
+        AppendToken(&buffer, graph.EntityName(arc.neighbor));
+        buffer += " .\n";
+        if (buffer.size() > (1 << 15)) flush();
+      }
+    }
   }
   flush();
   if (!out) return Status::IOError("write failed");

@@ -121,17 +121,16 @@ HttpRequestParser::State HttpRequestParser::Feed(std::string_view data) {
     // Wait for the blank line, bounding how much head we will buffer.
     const size_t head_end = buffer_.find("\r\n\r\n");
     if (head_end == std::string::npos) {
-      if (buffer_.size() > limits_.max_head_bytes) {
+      if (buffer_.size() > kMaxHeadBytes) {
         return Fail(431, "request head exceeds " +
-                             std::to_string(limits_.max_head_bytes) +
-                             " bytes");
+                             std::to_string(kMaxHeadBytes) + " bytes");
       }
       state_ = State::kNeedMore;
       return state_;
     }
-    if (head_end + 4 > limits_.max_head_bytes) {
+    if (head_end + 4 > kMaxHeadBytes) {
       return Fail(431, "request head exceeds " +
-                           std::to_string(limits_.max_head_bytes) + " bytes");
+                           std::to_string(kMaxHeadBytes) + " bytes");
     }
     const State parsed = ParseHead();
     if (parsed == State::kError) return parsed;

@@ -40,8 +40,6 @@ struct HttpRequest {
 };
 
 struct HttpParserLimits {
-  /// Request line + headers, including the blank line.
-  size_t max_head_bytes = 16 * 1024;
   size_t max_body_bytes = 4 * 1024 * 1024;
 };
 
@@ -52,6 +50,8 @@ struct HttpParserLimits {
 class HttpRequestParser {
  public:
   enum class State { kNeedMore, kComplete, kError };
+  /// Request line + headers, including the blank line.
+  static constexpr size_t kMaxHeadBytes = 16 * 1024;
 
   explicit HttpRequestParser(const HttpParserLimits& limits = {})
       : limits_(limits) {}

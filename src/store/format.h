@@ -1,9 +1,9 @@
-// On-disk layout of the .egps snapshot format (version 1).
+// On-disk layout of the .egps snapshot format (version 2).
 //
 // An .egps file is a self-describing, little-endian, sectioned binary
-// image of one entity graph plus its FrozenGraph CSR arrays, built so a
-// server can open a dataset in milliseconds instead of re-parsing text
-// and re-deriving adjacency:
+// image of one entity graph, whose edges are its FrozenGraph CSR arrays,
+// built so a server can open a dataset in milliseconds instead of
+// re-parsing text and re-deriving adjacency:
 //
 //   [SnapshotHeader]                      40 bytes, fixed
 //   [SectionEntry x section_count]        32 bytes each (the TOC)
@@ -20,9 +20,10 @@
 //   type_members    CSR of per-type member lists, preserving the original
 //                   membership order (tuple sampling is order-sensitive,
 //                   so this is stored, not re-derived sorted)
-//   edges           EdgeRecord-shaped u32 triples (src, dst, rel_type)
 //   out/in_offsets  u64[num_entities + 1] CSR offsets of FrozenGraph
-//   out/in_arcs     FrozenGraph::Arc (u32 neighbor, u32 rel_type) arrays
+//   out/in_arcs     FrozenGraph::Arc (u32 neighbor, u32 rel_type) arrays;
+//                   the in-arcs are the out-arcs transposed, and each
+//                   out-arc is one edge
 //
 // Every section carries an FNV-1a 64 checksum in the TOC; the TOC itself
 // is checksummed in the header. Readers validate magic, version,
@@ -35,6 +36,11 @@
 //   - Unknown section ids are ignored (forward-compatible additions);
 //     all sections listed above are required and their absence is a
 //     corruption error.
+//   - Version 1 also held an edges section (id 8: u32 src, dst, rel_type
+//     triples, a second copy of the out-arcs). Version 2 dropped it and
+//     the id is never reused. A reader still opens version 1: it
+//     checksums section 8 like any other and otherwise skips it, as an
+//     unknown id. `egp_compile old.egps new.egps` upgrades a file.
 //   - The format is little-endian only; the endianness tag reads back
 //     wrong on a big-endian machine and is rejected with a clear error.
 #ifndef EGP_STORE_FORMAT_H_
@@ -49,7 +55,9 @@ namespace egp {
 /// against text-mode mangling, like the PNG magic.
 inline constexpr unsigned char kSnapshotMagic[8] = {'E', 'G', 'P', 'S',
                                                     0x89, '\r', '\n', 0x1a};
-inline constexpr uint32_t kSnapshotVersion = 1;
+inline constexpr uint32_t kSnapshotVersion = 2;
+/// The oldest version a reader opens (see the rules above).
+inline constexpr uint32_t kSnapshotOldestVersion = 1;
 /// Written as a u32; a big-endian writer would produce the byte-swapped
 /// value, which a little-endian reader rejects.
 inline constexpr uint32_t kSnapshotEndianTag = 0x01020304u;
@@ -62,13 +70,16 @@ enum SnapshotSectionId : uint32_t {
   kSectionRelTypes = 5,
   kSectionEntityTypes = 6,
   kSectionTypeMembers = 7,
-  kSectionEdges = 8,
+  kSectionRetiredEdges = 8,  // version 1 only; skipped, never reused
   kSectionOutOffsets = 9,
   kSectionInOffsets = 10,
   kSectionOutArcs = 11,
   kSectionInArcs = 12,
 };
-inline constexpr uint32_t kSnapshotSectionCount = 12;
+/// Highest known id. Every id from 1 up to it is required, except
+/// kSectionRetiredEdges, so a writer emits one fewer sections.
+inline constexpr uint32_t kSnapshotLastSectionId = kSectionInArcs;
+inline constexpr uint32_t kSnapshotSectionCount = kSnapshotLastSectionId - 1;
 /// Hard cap on the TOC length a reader will even look at, so a corrupt
 /// section_count cannot drive a huge allocation or scan.
 inline constexpr uint32_t kSnapshotMaxSections = 1024;
@@ -116,13 +127,6 @@ struct RelTypeRecord {
 };
 static_assert(sizeof(RelTypeRecord) == 12);
 
-/// On-disk shape of one data edge (matches EdgeRecord).
-struct EdgeTriple {
-  uint32_t src;
-  uint32_t dst;
-  uint32_t rel_type;
-};
-static_assert(sizeof(EdgeTriple) == 12);
 #pragma pack(pop)
 
 inline constexpr uint64_t kFnvOffsetBasis = 1469598103934665603ull;

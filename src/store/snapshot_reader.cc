@@ -30,7 +30,6 @@ struct GraphAssembler {
                               std::vector<RelTypeInfo> rel_types,
                               std::vector<std::vector<TypeId>> entity_types,
                               std::vector<std::vector<EntityId>> type_members,
-                              std::vector<EdgeRecord> edges,
                               FrozenGraph adjacency) {
     EntityGraph graph;
     graph.entity_names_ = std::move(entity_names);
@@ -39,7 +38,6 @@ struct GraphAssembler {
     graph.rel_types_ = std::move(rel_types);
     graph.entity_types_ = std::move(entity_types);
     graph.type_members_ = std::move(type_members);
-    graph.edges_ = std::move(edges);
     graph.adjacency_ = std::move(adjacency);
     return graph;
   }
@@ -293,10 +291,12 @@ Result<StoredGraph> OpenSnapshotBytes(std::span<const uint8_t> bytes,
         "snapshot: endianness tag mismatch (written on a big-endian "
         "machine, or corrupt)");
   }
-  if (header.version != kSnapshotVersion) {
+  if (header.version < kSnapshotOldestVersion ||
+      header.version > kSnapshotVersion) {
     return Status::InvalidArgument(StrFormat(
-        "snapshot: unsupported format version %u (this reader supports %u)",
-        header.version, kSnapshotVersion));
+        "snapshot: unsupported format version %u (this reader supports %u "
+        "to %u)",
+        header.version, kSnapshotOldestVersion, kSnapshotVersion));
   }
   if (header.file_bytes != bytes.size()) {
     return Corrupt(StrFormat("file is %zu bytes but header says %llu "
@@ -321,9 +321,13 @@ Result<StoredGraph> OpenSnapshotBytes(std::span<const uint8_t> bytes,
   }
 
   // --- TOC ---------------------------------------------------------------
-  // Ids above the known range are skipped (forward compatibility);
-  // duplicates of known ids are rejected.
-  Section sections[kSnapshotSectionCount + 1];
+  // Unknown ids, and version 1's retired edges section, are checksummed
+  // and skipped; duplicates of known ids are rejected.
+  const auto known = [](uint32_t id) {
+    return id >= 1 && id <= kSnapshotLastSectionId &&
+           id != kSectionRetiredEdges;
+  };
+  Section sections[kSnapshotLastSectionId + 1];
   const size_t payload_start = sizeof(header) + toc_bytes;
   for (uint32_t i = 0; i < header.section_count; ++i) {
     SectionEntry entry;
@@ -340,7 +344,7 @@ Result<StoredGraph> OpenSnapshotBytes(std::span<const uint8_t> bytes,
             entry.checksum) {
       return Corrupt(StrFormat("checksum mismatch in section %u", entry.id));
     }
-    if (entry.id >= 1 && entry.id <= kSnapshotSectionCount) {
+    if (known(entry.id)) {
       Section& slot = sections[entry.id];
       if (slot.present) {
         return Corrupt(StrFormat("duplicate section %u", entry.id));
@@ -350,8 +354,8 @@ Result<StoredGraph> OpenSnapshotBytes(std::span<const uint8_t> bytes,
       slot.present = true;
     }
   }
-  for (uint32_t id = 1; id <= kSnapshotSectionCount; ++id) {
-    if (!sections[id].present) {
+  for (uint32_t id = 1; id <= kSnapshotLastSectionId; ++id) {
+    if (known(id) && !sections[id].present) {
       return Corrupt(StrFormat("required section %u missing", id));
     }
   }
@@ -453,37 +457,6 @@ Result<StoredGraph> OpenSnapshotBytes(std::span<const uint8_t> bytes,
     return Corrupt("type membership totals disagree");
   }
 
-  // --- Edges -------------------------------------------------------------
-  if (sections[kSectionEdges].size != num_edges * sizeof(EdgeTriple)) {
-    return Corrupt("edge section has the wrong size");
-  }
-  std::vector<EdgeRecord> edges;
-  edges.reserve(num_edges);
-  for (uint64_t i = 0; i < num_edges; ++i) {
-    EdgeTriple triple;
-    std::memcpy(&triple,
-                sections[kSectionEdges].data + i * sizeof(EdgeTriple),
-                sizeof(triple));
-    if (triple.src >= num_entities || triple.dst >= num_entities ||
-        triple.rel_type >= num_rel_types) {
-      return Corrupt("edge references out-of-range ids");
-    }
-    // The §2 invariant: an edge's endpoints carry the endpoint types of
-    // its relationship type (EntityGraphBuilder::AddEdge enforces this
-    // at build time; re-validate rather than trust the file).
-    const RelTypeInfo& info = rel_types[triple.rel_type];
-    const auto& src_types = entity_types[triple.src];
-    const auto& dst_types = entity_types[triple.dst];
-    if (std::find(src_types.begin(), src_types.end(), info.src_type) ==
-            src_types.end() ||
-        std::find(dst_types.begin(), dst_types.end(), info.dst_type) ==
-            dst_types.end()) {
-      return Corrupt("edge endpoint lacks its relationship type's "
-                     "endpoint type");
-    }
-    edges.push_back(EdgeRecord{triple.src, triple.dst, triple.rel_type});
-  }
-
   // --- CSR ---------------------------------------------------------------
   const auto csr_u64 = [&](SnapshotSectionId id, const char* name,
                            uint64_t count) -> Result<std::span<const uint64_t>> {
@@ -519,16 +492,30 @@ Result<StoredGraph> OpenSnapshotBytes(std::span<const uint8_t> bytes,
       FrozenGraph::FromCsr(num_entities, num_rel_types, out_offsets,
                            in_offsets, out_arcs, in_arcs,
                            std::move(backing)));
-  // FromCsr proved the arrays well-formed; they must also describe *this*
-  // graph's edges (e.g. not a resealed file with swapped neighbors).
-  if (!adjacency.MatchesEdges(num_entities, edges)) {
-    return Corrupt("CSR adjacency disagrees with the edge array");
+  // FromCsr proved the arrays well-formed and each other's transpose, so
+  // every edge is one out-arc. The §2 invariant: an edge's endpoints
+  // carry the endpoint types of its relationship type
+  // (EntityGraphBuilder::AddEdge enforces this at build time; re-validate
+  // rather than trust the file).
+  const auto has_type = [&entity_types](EntityId e, TypeId t) {
+    const auto& types = entity_types[e];
+    return std::find(types.begin(), types.end(), t) != types.end();
+  };
+  for (EntityId src = 0; src < num_entities; ++src) {
+    for (const FrozenGraph::Arc& arc : adjacency.OutArcs(src)) {
+      const RelTypeInfo& info = rel_types[arc.rel_type];
+      if (!has_type(src, info.src_type) ||
+          !has_type(arc.neighbor, info.dst_type)) {
+        return Corrupt("arc endpoint lacks its relationship type's "
+                       "endpoint type");
+      }
+    }
   }
   StoredGraph stored;
   stored.graph = GraphAssembler::Assemble(
       std::move(entity_names), std::move(type_names),
       std::move(surface_names), std::move(rel_types),
-      std::move(entity_types), std::move(type_members), std::move(edges),
+      std::move(entity_types), std::move(type_members),
       std::move(adjacency));
   return stored;
 }

@@ -9,12 +9,12 @@
 //     demand, live in the shared page cache, and any number of server
 //     processes serving the same snapshot share one physical copy.
 //
-// Either way the rest of the EntityGraph (names, type membership, edge
-// list) is materialized into ordinary structures, and every section is
-// validated — magic, version, endianness, size, checksums, offsets, id
-// bounds, CSR monotonicity and sortedness — before anything is trusted,
-// so a corrupt, truncated or wrong-version file yields a clean Status,
-// never undefined behaviour.
+// Either way the rest of the EntityGraph (names, type membership) is
+// materialized into ordinary structures, and every section is validated
+// — magic, version, endianness, size, checksums, offsets, id bounds, CSR
+// monotonicity, sortedness and transposition, edge endpoint types —
+// before anything is trusted, so a corrupt, truncated or wrong-version
+// file yields a clean Status, never undefined behaviour.
 #ifndef EGP_STORE_SNAPSHOT_READER_H_
 #define EGP_STORE_SNAPSHOT_READER_H_
 

@@ -181,12 +181,6 @@ Status EmitSnapshot(const EntityGraph& graph, ByteSink& sink) {
         return graph.EntitiesOfType(static_cast<TypeId>(t));
       });
 
-  std::vector<EdgeTriple> edges;
-  edges.reserve(graph.num_edges());
-  for (const EdgeRecord& e : graph.edges()) {
-    edges.push_back(EdgeTriple{e.src, e.dst, e.rel_type});
-  }
-
   // --- Assemble the section list (ids in TOC order) --------------------
   std::vector<SectionChunks> sections(kSnapshotSectionCount);
   sections[0].id = kSectionMeta;
@@ -203,19 +197,17 @@ Status EmitSnapshot(const EntityGraph& graph, ByteSink& sink) {
   entity_types.FillSection(&sections[5]);
   sections[6].id = kSectionTypeMembers;
   type_members.FillSection(&sections[6]);
-  sections[7].id = kSectionEdges;
-  sections[7].Add(edges.data(), edges.size() * sizeof(EdgeTriple));
-  sections[8].id = kSectionOutOffsets;
-  sections[8].Add(adjacency.out_offsets().data(),
+  sections[7].id = kSectionOutOffsets;
+  sections[7].Add(adjacency.out_offsets().data(),
                   adjacency.out_offsets().size() * sizeof(uint64_t));
-  sections[9].id = kSectionInOffsets;
-  sections[9].Add(adjacency.in_offsets().data(),
+  sections[8].id = kSectionInOffsets;
+  sections[8].Add(adjacency.in_offsets().data(),
                   adjacency.in_offsets().size() * sizeof(uint64_t));
-  sections[10].id = kSectionOutArcs;
-  sections[10].Add(adjacency.out_arcs().data(),
-                   adjacency.out_arcs().size() * sizeof(FrozenGraph::Arc));
-  sections[11].id = kSectionInArcs;
-  sections[11].Add(adjacency.in_arcs().data(),
+  sections[9].id = kSectionOutArcs;
+  sections[9].Add(adjacency.out_arcs().data(),
+                  adjacency.out_arcs().size() * sizeof(FrozenGraph::Arc));
+  sections[10].id = kSectionInArcs;
+  sections[10].Add(adjacency.in_arcs().data(),
                    adjacency.in_arcs().size() * sizeof(FrozenGraph::Arc));
 
   // --- Lay out the TOC --------------------------------------------------

@@ -14,6 +14,7 @@
 #include <string>
 #include <thread>
 
+#include "io/json_parser.h"
 #include "server/http_client.h"
 #include "tests/testing/subprocess.h"
 
@@ -248,6 +249,40 @@ TEST(ChaosBinaryTest, LoadgenRstClientsDontDisturbTheServer) {
   EXPECT_TRUE(server.WaitForFdBaseline(baseline))
       << "fd leak: " << CountOpenFds(server.pid()) << " open, baseline "
       << baseline;
+}
+
+TEST(ChaosBinaryTest, LoadgenReportsEachConnectionClass) {
+  ServerProcess server;
+  ASSERT_TRUE(server.Boot()) << server.Stdout();
+  const std::string out = TempPath("chaos_loadgen_classes.json");
+  const int exit_code = testing_util::RunCommand(
+      std::string(EGP_LOADGEN_PATH) + " --port " +
+          std::to_string(server.port()) +
+          " --connections 2 --slow-connections 1 --trickle-interval-ms 1"
+          " --requests 3 --json",
+      out);
+  ASSERT_EQ(exit_code, 0) << Slurp(out);
+  const auto report = ParseJson(Slurp(out));
+  ASSERT_TRUE(report.ok()) << report.status().ToString() << "\n"
+                           << Slurp(out);
+  ASSERT_TRUE(report->is_object());
+  ASSERT_NE(report->Find("completed"), nullptr);
+  EXPECT_EQ(report->Find("completed")->number_value(), 6.0);
+  const JsonValue* classes = report->Find("classes");
+  ASSERT_NE(classes, nullptr) << Slurp(out);
+  for (const char* name : {"well_behaved", "slow"}) {
+    SCOPED_TRACE(name);
+    const JsonValue* of_class = classes->Find(name);
+    ASSERT_NE(of_class, nullptr);
+    ASSERT_NE(of_class->Find("completed"), nullptr);
+    EXPECT_EQ(of_class->Find("completed")->number_value(), 3.0);
+    const JsonValue* latency = of_class->Find("latency_ms");
+    ASSERT_NE(latency, nullptr);
+    for (const char* field : {"mean", "p50", "p90", "p99", "max"}) {
+      ASSERT_NE(latency->Find(field), nullptr) << field;
+      EXPECT_GT(latency->Find(field)->number_value(), 0.0) << field;
+    }
+  }
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/strings.h"
 #include "core/brute_force.h"
 #include "datagen/paper_example.h"
 #include "tests/testing/random_schema.h"
@@ -76,7 +77,7 @@ TEST(BeamSearchTest, EqualScoresKeepTheSmallestKeys) {
   SchemaGraph schema;
   for (const char* name : {"A", "B", "C", "D"}) schema.AddType(name, 5);
   for (TypeId t = 0; t < 4; ++t) {
-    schema.AddEdge("r" + std::to_string(t), t, (t + 1) % 4, 3);
+    schema.AddEdge(StrFormat("r%u", t), t, (t + 1) % 4, 3);
   }
   auto prepared = PreparedSchema::Create(schema);
   ASSERT_TRUE(prepared.ok());

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/strings.h"
 #include "datagen/paper_example.h"
 
 namespace egp {
@@ -128,7 +129,7 @@ TEST(ComposeTieTest, EqualGainsGoToTheSmallerTypeFirst) {
   SchemaGraph schema;
   for (const char* name : {"A", "B", "C", "D"}) schema.AddType(name, 5);
   for (TypeId t = 0; t < 4; ++t) {
-    schema.AddEdge("r" + std::to_string(t), t, (t + 1) % 4, 3);
+    schema.AddEdge(StrFormat("r%u", t), t, (t + 1) % 4, 3);
   }
   auto prepared = PreparedSchema::Create(schema);
   ASSERT_TRUE(prepared.ok());

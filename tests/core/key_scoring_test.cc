@@ -6,6 +6,7 @@
 #include <numeric>
 #include <string>
 
+#include "common/strings.h"
 #include "datagen/paper_example.h"
 
 namespace egp {
@@ -68,7 +69,7 @@ TEST(RandomWalkTest, HubDominatesStarGraph) {
 TEST(RandomWalkTest, SymmetricGraphIsUniform) {
   // A 4-cycle with equal weights: all types equally central.
   SchemaGraph schema;
-  for (int i = 0; i < 4; ++i) schema.AddType("T" + std::to_string(i), 1);
+  for (int i = 0; i < 4; ++i) schema.AddType(StrFormat("T%d", i), 1);
   for (int i = 0; i < 4; ++i) {
     schema.AddEdge("r", static_cast<TypeId>(i),
                    static_cast<TypeId>((i + 1) % 4), 5);

@@ -120,13 +120,16 @@ std::string Serve(const PreparedSchema& prepared, const Request& r) {
   }
   std::string line = RequestName(r);
   if (!preview.ok()) {
-    line += "\t" + std::string(StatusCodeName(preview.status().code())) +
-            "\t" + preview.status().message();
+    line += '\t';
+    line += StatusCodeName(preview.status().code());
+    line += '\t';
+    line += preview.status().message();
   } else {
     std::string keys;
     std::string tables;
     for (const PreviewTable& table : preview->tables) {
-      keys += (keys.empty() ? "" : ",") + std::to_string(table.key);
+      if (!keys.empty()) keys += ',';
+      keys += std::to_string(table.key);
       tables += tables.empty() ? "" : " ";
       tables += std::to_string(table.key) + ":";
       for (const NonKeyCandidate& c : table.nonkeys) {

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "common/strings.h"
 #include "datagen/generator.h"
 #include "datagen/paper_example.h"
 #include "graph/entity_graph_builder.h"
@@ -76,8 +77,8 @@ TEST(EntropyTest, AllDistinctValuesMaximizeEntropy) {
   const TypeId city = b.AddEntityType("C");
   const RelTypeId rel = b.AddRelationshipType("in", person, city);
   for (int i = 0; i < 10; ++i) {
-    const EntityId p = b.AddEntity("p" + std::to_string(i));
-    const EntityId c = b.AddEntity("c" + std::to_string(i));
+    const EntityId p = b.AddEntity(StrFormat("p%d", i));
+    const EntityId c = b.AddEntity(StrFormat("c%d", i));
     b.AddEntityToType(p, person);
     b.AddEntityToType(c, city);
     ASSERT_TRUE(b.AddEdge(p, rel, c).ok());
@@ -96,7 +97,7 @@ TEST(EntropyTest, AllSameValueIsZero) {
   const EntityId paris = b.AddEntity("paris");
   b.AddEntityToType(paris, city);
   for (int i = 0; i < 5; ++i) {
-    const EntityId p = b.AddEntity("p" + std::to_string(i));
+    const EntityId p = b.AddEntity(StrFormat("p%d", i));
     b.AddEntityToType(p, person);
     ASSERT_TRUE(b.AddEdge(p, rel, paris).ok());
   }
@@ -140,11 +141,11 @@ TEST(EntropyTest, EmptyTuplesExcludedFromDenominator) {
   const TypeId city = b.AddEntityType("C");
   const RelTypeId rel = b.AddRelationshipType("in", person, city);
   for (int i = 0; i < 4; ++i) {
-    const EntityId p = b.AddEntity("p" + std::to_string(i));
+    const EntityId p = b.AddEntity(StrFormat("p%d", i));
     b.AddEntityToType(p, person);
   }
   for (int i = 0; i < 2; ++i) {
-    const EntityId c = b.AddEntity("c" + std::to_string(i));
+    const EntityId c = b.AddEntity(StrFormat("c%d", i));
     b.AddEntityToType(c, city);
     ASSERT_TRUE(
         b.AddEdge(static_cast<EntityId>(i), rel, c).ok());
@@ -178,9 +179,10 @@ TEST(ComputeNonKeyEntropyTest, FailsWithoutRelTypeMapping) {
 }
 
 TEST(ComputeNonKeyEntropyTest, FastPathMatchesReferenceOnGeneratedDomain) {
-  // ComputeNonKeyEntropy reads value sets off the CSR adjacency; the
-  // reference groups the edge array's value sets directly. They must
-  // agree on every (edge, direction) of a realistic generated graph.
+  // ComputeNonKeyEntropy reads each direction's value sets off that
+  // direction's arcs; the reference groups the value sets it reads off
+  // the opposite direction's arcs. They must agree on every (edge,
+  // direction) of a realistic generated graph.
   GeneratorOptions options;
   options.scale = 0.0003;
   auto domain = GenerateDomainByName("tv", options);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "graph/graph_stats.h"
@@ -63,11 +64,17 @@ TEST_P(GeneratorDomainTest, DeterministicUnderSeed) {
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(a->graph.num_entities(), b->graph.num_entities());
   EXPECT_EQ(a->graph.num_edges(), b->graph.num_edges());
-  // Spot-check structural identity on edges.
-  for (EdgeId e = 0; e < std::min<size_t>(50, a->graph.num_edges()); ++e) {
-    EXPECT_EQ(a->graph.Edge(e).src, b->graph.Edge(e).src);
-    EXPECT_EQ(a->graph.Edge(e).dst, b->graph.Edge(e).dst);
-  }
+  // Structural identity on every edge: the whole CSR, both offset
+  // tables and the out-arcs (the in-arcs are their transpose).
+  const FrozenGraph& fa = a->graph.adjacency();
+  const FrozenGraph& fb = b->graph.adjacency();
+  EXPECT_TRUE(std::ranges::equal(fa.out_offsets(), fb.out_offsets()));
+  EXPECT_TRUE(std::ranges::equal(fa.in_offsets(), fb.in_offsets()));
+  EXPECT_TRUE(std::ranges::equal(
+      fa.out_arcs(), fb.out_arcs(),
+      [](const FrozenGraph::Arc& x, const FrozenGraph::Arc& y) {
+        return x.neighbor == y.neighbor && x.rel_type == y.rel_type;
+      }));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllDomains, GeneratorDomainTest,

@@ -20,10 +20,11 @@ TEST(FrozenGraphTest, ArcCountsMatch) {
   const FrozenGraph& frozen = graph.adjacency();
   EXPECT_EQ(frozen.num_entities(), graph.num_entities());
   EXPECT_EQ(frozen.num_arcs(), graph.num_edges());
+  // Each direction's degrees, counted from the other direction's arcs.
   std::vector<size_t> out(graph.num_entities()), in(graph.num_entities());
-  for (const EdgeRecord& e : graph.edges()) {
-    ++out[e.src];
-    ++in[e.dst];
+  for (EntityId e = 0; e < graph.num_entities(); ++e) {
+    for (const FrozenGraph::Arc& arc : frozen.InArcs(e)) ++out[arc.neighbor];
+    for (const FrozenGraph::Arc& arc : frozen.OutArcs(e)) ++in[arc.neighbor];
   }
   for (EntityId e = 0; e < graph.num_entities(); ++e) {
     EXPECT_EQ(frozen.OutDegree(e), out[e]);
@@ -77,19 +78,32 @@ TEST(FrozenGraphTest, NeighborSetsMatchOnGeneratedDomain) {
   }
 }
 
-TEST(FrozenGraphTest, MatchesOnlyItsOwnEdges) {
+TEST(FrozenGraphTest, FromCsrRejectsArraysThatAreNotTransposes) {
   const EntityGraph graph = BuildPaperExampleGraph();
   const FrozenGraph& frozen = graph.adjacency();
   const size_t n = graph.num_entities();
-  std::vector<EdgeRecord> edges = graph.edges();
-  EXPECT_TRUE(frozen.MatchesEdges(n, edges));
-  std::reverse(edges.begin(), edges.end());  // edge order is free
-  EXPECT_TRUE(frozen.MatchesEdges(n, edges));
-  EXPECT_FALSE(frozen.MatchesEdges(n + 1, edges));
-  std::swap(edges[0].src, edges[0].dst);
-  EXPECT_FALSE(frozen.MatchesEdges(n, edges));
-  edges.pop_back();
-  EXPECT_FALSE(frozen.MatchesEdges(n, edges));
+  const auto wrap = [&](std::span<const FrozenGraph::Arc> in_arcs) {
+    return FrozenGraph::FromCsr(n, graph.num_rel_types(),
+                                frozen.out_offsets(), frozen.in_offsets(),
+                                frozen.out_arcs(), in_arcs, nullptr);
+  };
+  ASSERT_TRUE(wrap(frozen.in_arcs()).ok());
+
+  // Re-point the in-arc of an entity with exactly one: still in bounds
+  // and sorted, with the same counts, but no longer the transpose.
+  std::vector<FrozenGraph::Arc> in_arcs(frozen.in_arcs().begin(),
+                                        frozen.in_arcs().end());
+  EntityId single = 0;
+  while (single < n && frozen.InDegree(single) != 1) ++single;
+  ASSERT_LT(single, n);
+  FrozenGraph::Arc& arc = in_arcs[frozen.in_offsets()[single]];
+  arc.neighbor = static_cast<EntityId>((arc.neighbor + 1) % n);
+  const auto rejected = wrap(in_arcs);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(rejected.status().message().find("transposed"),
+            std::string::npos)
+      << rejected.status().message();
 }
 
 TEST(FrozenGraphTest, MemoryAccountingIsPlausible) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/strings.h"
 #include "datagen/paper_example.h"
 
 namespace egp {
@@ -10,7 +11,7 @@ namespace {
 SchemaGraph PathGraph(size_t n) {
   SchemaGraph schema;
   for (size_t i = 0; i < n; ++i) {
-    schema.AddType("T" + std::to_string(i), 1);
+    schema.AddType(StrFormat("T%zu", i), 1);
   }
   for (size_t i = 0; i + 1 < n; ++i) {
     schema.AddEdge("r", static_cast<TypeId>(i), static_cast<TypeId>(i + 1),

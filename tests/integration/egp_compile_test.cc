@@ -21,6 +21,9 @@ namespace {
 #ifndef EGP_SAMPLE_NT
 #error "EGP_SAMPLE_NT must be defined by the build"
 #endif
+#ifndef EGP_SAMPLE_V1_EGPS
+#error "EGP_SAMPLE_V1_EGPS must be defined by the build"
+#endif
 
 using testing_util::RunCommand;
 using testing_util::Slurp;
@@ -61,6 +64,31 @@ TEST(EgpCompileTest, CompileThenPreviewIsByteIdentical) {
   EXPECT_NE(Slurp(stats_out).find("20 entities"), std::string::npos);
 
   std::remove(snapshot.c_str());
+}
+
+TEST(EgpCompileTest, UpgradesAVersionOneSnapshot) {
+  // sample_v1.egps is data/sample.nt compiled by the version-1 writer.
+  // Recompiling it writes the exact bytes of a fresh compile of the text.
+  const std::string fresh = TempPath("fresh_sample.egps");
+  const std::string upgraded = TempPath("upgraded_sample.egps");
+  const std::string out = TempPath("upgrade_out.txt");
+  ASSERT_EQ(RunCommand(std::string(EGP_COMPILE_PATH) + " " + EGP_SAMPLE_NT +
+                           " " + fresh,
+                       out),
+            0)
+      << Slurp(out);
+  ASSERT_EQ(RunCommand(std::string(EGP_COMPILE_PATH) + " " +
+                           EGP_SAMPLE_V1_EGPS + " " + upgraded + " --verify",
+                       out),
+            0)
+      << Slurp(out);
+  const std::string bytes = Slurp(upgraded);
+  ASSERT_GT(bytes.size(), 12u);
+  EXPECT_EQ(bytes[8], 2) << "upgraded file is not version 2";
+  EXPECT_EQ(bytes, Slurp(fresh));
+  EXPECT_LT(bytes.size(), Slurp(EGP_SAMPLE_V1_EGPS).size());
+  std::remove(fresh.c_str());
+  std::remove(upgraded.c_str());
 }
 
 TEST(EgpCompileTest, ConvertDispatchesOnOutputExtension) {

@@ -5,6 +5,7 @@
 
 #include <cstdio>
 
+#include "common/strings.h"
 #include "datagen/paper_example.h"
 #include "io/ntriples.h"
 #include "store/snapshot_writer.h"
@@ -97,7 +98,7 @@ TEST(DatasetCatalogTest, ParallelLoadMatchesSequential) {
   // thread and with the auto fan-out must produce identical catalogs.
   std::vector<DatasetSpec> specs;
   for (int i = 0; i < 8; ++i) {
-    specs.push_back(DatasetSpec{"d" + std::to_string(i), EGP_SAMPLE_NT});
+    specs.push_back(DatasetSpec{StrFormat("d%d", i), EGP_SAMPLE_NT});
   }
   CatalogLoadOptions sequential;
   sequential.load_threads = 1;

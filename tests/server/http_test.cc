@@ -172,14 +172,30 @@ TEST(HttpParserTest, RejectsObsoleteHeaderFolding) {
 }
 
 TEST(HttpParserTest, EnforcesHeadLimit) {
-  HttpParserLimits limits;
-  limits.max_head_bytes = 128;
-  HttpRequestParser parser(limits);
-  // Oversized before the blank line ever arrives.
-  const std::string huge =
-      "GET / HTTP/1.1\r\nX-Padding: " + std::string(200, 'a');
-  ASSERT_EQ(parser.Feed(huge), State::kError);
-  EXPECT_EQ(parser.error_status(), 431);
+  constexpr size_t kLimit = HttpRequestParser::kMaxHeadBytes;
+  ASSERT_EQ(kLimit, 16u * 1024);
+  // A head of `size` bytes, blank line included.
+  const auto head = [](size_t size) {
+    const std::string prefix = "GET / HTTP/1.1\r\nX-Padding: ";
+    return prefix + std::string(size - prefix.size() - 4, 'a') + "\r\n\r\n";
+  };
+  {
+    HttpRequestParser parser;
+    ASSERT_EQ(parser.Feed(head(kLimit)), State::kComplete);
+    EXPECT_EQ(parser.Take().headers.size(), 1u);
+  }
+  {
+    HttpRequestParser parser;
+    ASSERT_EQ(parser.Feed(head(kLimit + 1)), State::kError);
+    EXPECT_EQ(parser.error_status(), 431);
+  }
+  {
+    // Oversized before the blank line ever arrives.
+    HttpRequestParser parser;
+    const std::string open_head = head(kLimit + 5).substr(0, kLimit + 1);
+    ASSERT_EQ(parser.Feed(open_head), State::kError);
+    EXPECT_EQ(parser.error_status(), 431);
+  }
 }
 
 TEST(HttpParserTest, EnforcesBodyLimit) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstring>
 #include <functional>
 #include <memory>
@@ -119,13 +120,18 @@ TEST(SnapshotCorruptTest, WrongVersionAndEndiannessRejected) {
   SnapshotHeader header;
   std::memcpy(&header, bytes.data(), sizeof(header));
 
-  std::vector<uint8_t> wrong_version = bytes;
-  header.version = kSnapshotVersion + 1;
-  std::memcpy(wrong_version.data(), &header, sizeof(header));
-  const auto version_result = Open(std::move(wrong_version));
-  ASSERT_FALSE(version_result.ok());
-  EXPECT_NE(version_result.status().message().find("version"),
-            std::string::npos);
+  // Versions 1 and 2 open (sample_v1.egps covers 1); 0 and 3 do not.
+  for (const uint32_t version : {0u, 3u}) {
+    std::vector<uint8_t> wrong_version = bytes;
+    header.version = version;
+    std::memcpy(wrong_version.data(), &header, sizeof(header));
+    const auto version_result = Open(std::move(wrong_version));
+    ASSERT_FALSE(version_result.ok());
+    EXPECT_NE(version_result.status().message().find(
+                  "unsupported format version " + std::to_string(version)),
+              std::string::npos)
+        << version_result.status().message();
+  }
 
   std::memcpy(&header, bytes.data(), sizeof(header));
   std::vector<uint8_t> wrong_endian = bytes;
@@ -195,17 +201,40 @@ SectionEntry FindSection(const std::vector<uint8_t>& bytes, uint32_t id) {
 TEST(SnapshotCorruptTest, HostileStructuralEditsRejected) {
   const std::vector<uint8_t> valid = ValidSnapshotBytes();
 
-  // Edge endpoint out of range.
+  // An arc endpoint that lacks its relationship type's endpoint type:
+  // rel's destination type rewritten from U to T, so the arcs a -> b and
+  // a -> c (both U) break the §2 invariant while every array stays
+  // well-formed and transposed.
   {
-    const SectionEntry edges = FindSection(valid, kSectionEdges);
+    const SectionEntry rels = FindSection(valid, kSectionRelTypes);
     auto bytes = ResealedPatch(valid, [&](std::vector<uint8_t>& b) {
-      const uint32_t huge = 0xFFFF;
-      std::memcpy(b.data() + edges.offset, &huge, sizeof(huge));
+      const uint32_t type_t = 0;
+      std::memcpy(b.data() + rels.offset + offsetof(RelTypeRecord, dst_type),
+                  &type_t, sizeof(type_t));
     });
     for (const bool verify : {true, false}) {
       const auto result = Open(bytes, verify);
       ASSERT_FALSE(result.ok());
       EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
+      EXPECT_NE(result.status().message().find("lacks its relationship"),
+                std::string::npos)
+          << result.status().message();
+    }
+  }
+  // An arc endpoint out of range.
+  {
+    const SectionEntry arcs = FindSection(valid, kSectionOutArcs);
+    auto bytes = ResealedPatch(valid, [&](std::vector<uint8_t>& b) {
+      const uint32_t huge = 0xFFFF;
+      std::memcpy(b.data() + arcs.offset, &huge, sizeof(huge));
+    });
+    for (const bool verify : {true, false}) {
+      const auto result = Open(bytes, verify);
+      ASSERT_FALSE(result.ok());
+      EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
+      EXPECT_NE(result.status().message().find("out of range"),
+                std::string::npos)
+          << result.status().message();
     }
   }
   // Entity type id out of range.
@@ -262,8 +291,8 @@ TEST(SnapshotCorruptTest, HostileStructuralEditsRejected) {
     });
     EXPECT_FALSE(Open(std::move(bytes)).ok());
   }
-  // Structurally valid arcs that disagree with the edge array: entity
-  // c's reverse arc re-pointed from a to b (in bounds, run of one stays
+  // Structurally valid in-arcs that are not the out-arcs transposed:
+  // entity c's in-arc re-pointed from a to b (in bounds, run of one stays
   // sorted, checksums resealed). The multiset fingerprint must catch it.
   {
     const SectionEntry arcs = FindSection(valid, kSectionInArcs);
@@ -272,11 +301,14 @@ TEST(SnapshotCorruptTest, HostileStructuralEditsRejected) {
       std::memcpy(b.data() + arcs.offset + 8, &entity_b,
                   sizeof(entity_b));
     });
-    const auto result = Open(std::move(bytes));
-    ASSERT_FALSE(result.ok());
-    EXPECT_NE(result.status().message().find("disagrees with the edge"),
-              std::string::npos)
-        << result.status().message();
+    for (const bool verify : {true, false}) {
+      const auto result = Open(bytes, verify);
+      ASSERT_FALSE(result.ok());
+      EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
+      EXPECT_NE(result.status().message().find("transposed"),
+                std::string::npos)
+          << result.status().message();
+    }
   }
   // Section pushed outside the file.
   {
@@ -292,20 +324,23 @@ TEST(SnapshotCorruptTest, HostileStructuralEditsRejected) {
     });
     EXPECT_FALSE(Open(std::move(bytes)).ok());
   }
-  // A required section relabeled away.
-  {
+  // A required section relabeled away: as an unknown id, and as the
+  // retired edges id. Both are skipped, so meta goes missing.
+  for (const uint32_t id : {900u, uint32_t{kSectionRetiredEdges}}) {
     auto bytes = ResealedPatch(valid, [&](std::vector<uint8_t>& b) {
       SnapshotHeader header;
       std::memcpy(&header, b.data(), sizeof(header));
       SectionEntry entry;
       uint8_t* slot = b.data() + sizeof(header);
       std::memcpy(&entry, slot, sizeof(entry));
-      entry.id = 900;  // unknown ids are skipped; meta now missing
+      entry.id = id;
       std::memcpy(slot, &entry, sizeof(entry));
     });
     const auto result = Open(std::move(bytes));
     ASSERT_FALSE(result.ok());
-    EXPECT_NE(result.status().message().find("missing"), std::string::npos);
+    EXPECT_NE(result.status().message().find("section 1 missing"),
+              std::string::npos)
+        << result.status().message();
   }
   // Duplicate string in the entity-name table (swap blob bytes so both
   // names read "a").

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "common/rng.h"
+#include "common/strings.h"
 #include "graph/schema_graph.h"
 
 namespace egp {
@@ -18,7 +19,7 @@ inline SchemaGraph RandomSchemaGraph(uint64_t seed, uint32_t num_types,
   Rng rng(seed);
   SchemaGraph schema;
   for (uint32_t t = 0; t < num_types; ++t) {
-    schema.AddType("T" + std::to_string(t),
+    schema.AddType(StrFormat("T%u", t),
                    static_cast<uint64_t>(rng.NextInt(1, 100)));
   }
   for (uint32_t e = 0; e < num_edges; ++e) {
@@ -27,7 +28,7 @@ inline SchemaGraph RandomSchemaGraph(uint64_t seed, uint32_t num_types,
     if (dst == src && !rng.NextBernoulli(0.1)) {
       dst = (dst + 1) % num_types;
     }
-    schema.AddEdge("r" + std::to_string(e), src, dst,
+    schema.AddEdge(StrFormat("r%u", e), src, dst,
                    static_cast<uint64_t>(rng.NextInt(1, 50)));
   }
   return schema;

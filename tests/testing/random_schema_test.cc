@@ -7,6 +7,8 @@
 
 #include <vector>
 
+#include "common/strings.h"
+
 namespace egp {
 namespace {
 
@@ -42,7 +44,7 @@ TEST(RandomSchemaTest, RequestedShapeIsHonored) {
   EXPECT_EQ(schema.num_types(), 9u);
   EXPECT_EQ(schema.num_edges(), 21u);
   for (TypeId t = 0; t < schema.num_types(); ++t) {
-    EXPECT_EQ(schema.TypeName(t), "T" + std::to_string(t));
+    EXPECT_EQ(schema.TypeName(t), StrFormat("T%u", t));
     EXPECT_GE(schema.TypeEntityCount(t), 1u);
     EXPECT_LE(schema.TypeEntityCount(t), 100u);
   }

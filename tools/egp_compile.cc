@@ -1,9 +1,10 @@
 // egp_compile: compiles a text entity graph (.nt or .egt) into the .egps
 // binary snapshot format of src/store/, so servers and the CLI can open
 // it in milliseconds (zero-copy mmap) instead of re-parsing text and
-// re-freezing adjacency on every start.
+// re-freezing adjacency on every start. An .egps input of an older
+// format version is re-written in the current one.
 //
-//   egp_compile <in.(nt|egt)> <out.egps> [--verify]
+//   egp_compile <in.(nt|egt|egps)> <out.egps> [--verify]
 //
 //   --verify      re-open the written snapshot (both load paths) and
 //                 cross-check counts before reporting success
@@ -27,10 +28,11 @@ namespace {
 using namespace egp;
 
 const char kUsage[] =
-    "usage: egp_compile <in.(nt|egt)> <out.egps> [--verify]\n"
+    "usage: egp_compile <in.(nt|egt|egps)> <out.egps> [--verify]\n"
     "\n"
-    "compiles a text entity graph into the .egps binary snapshot format;\n"
-    "egp_server / egp open .egps files directly (detected by magic).\n";
+    "compiles a text entity graph into the .egps binary snapshot format\n"
+    "(an older .egps is upgraded); egp_server / egp open .egps files\n"
+    "directly (detected by magic).\n";
 
 int UsageError(const std::string& message) {
   std::fprintf(stderr, "egp_compile: %s\n%s", message.c_str(), kUsage);

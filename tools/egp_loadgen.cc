@@ -12,14 +12,16 @@
 // achieved throughput and the latency distribution; --json emits a
 // machine-readable document instead.
 //
-// Slow-client mix: with --trickle-bytes B (and optionally
-// --trickle-interval-ms I), the first --slow-connections connections
-// (default: all, when trickling is on) send each request in B-byte
-// chunks with I ms of sleep between chunks — the misbehaving-client
-// shape that must cost the server an idle connection, not a pinned
-// worker. Their latencies are pooled with the rest; the point of the
-// flag in CI is that the run still exits 0 (every request completes,
-// none 408s) while well-behaved connections stay fast.
+// Slow-client mix: the first --slow-connections connections (default:
+// all, when --trickle-bytes is given) send each request in B-byte
+// chunks (--trickle-bytes, default 32 when only --slow-connections is
+// given) with I ms of sleep between chunks (--trickle-interval-ms) —
+// the misbehaving-client shape that must cost the server an idle
+// connection, not a pinned worker. Besides the all-request figures, the
+// well-behaved and the slow connections then get a latency summary
+// each, so the slow clients cannot hide the well-behaved tail. The
+// point of the flag in CI is that the run still exits 0 (every request
+// completes, none 408s) while well-behaved connections stay fast.
 //
 // Rude-client mix: --abort-connections N adds N threads that each loop
 // --requests times connecting, sending a *partial* request (complete
@@ -36,7 +38,6 @@
 // 2 bad usage.
 #include <sys/socket.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -44,10 +45,12 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/stat_util.h"
 #include "common/timer.h"
+#include "io/json_writer.h"
 #include "server/http_client.h"
 #include "server/socket.h"
 
@@ -83,9 +86,38 @@ struct WorkerResult {
   std::string slowest_request_id;
 };
 
-/// egp::Quantile with the all-requests-failed case mapped to 0.
-double Percentile(const std::vector<double>& values, double q) {
-  return values.empty() ? 0.0 : Quantile(values, q);
+/// Count and distribution of one set of request latencies; all zero
+/// when no request completed.
+struct LatencySummary {
+  uint64_t count = 0;
+  double mean = 0, p50 = 0, p90 = 0, p99 = 0, max = 0;
+};
+
+LatencySummary SummarizeLatencies(const std::vector<double>& ms) {
+  LatencySummary summary;
+  summary.count = ms.size();
+  if (ms.empty()) return summary;
+  summary.mean = Mean(ms);
+  summary.p50 = Quantile(ms, 0.50);
+  summary.p90 = Quantile(ms, 0.90);
+  summary.p99 = Quantile(ms, 0.99);
+  summary.max = Quantile(ms, 1.0);
+  return summary;
+}
+
+void PrintLatency(const LatencySummary& s) {
+  std::printf("mean %.3f ms, p50 %.3f, p90 %.3f, p99 %.3f, max %.3f\n",
+              s.mean, s.p50, s.p90, s.p99, s.max);
+}
+
+void WriteSummary(JsonWriter& json, const LatencySummary& s) {
+  json.BeginObject()
+      .Key("mean").Double(s.mean)
+      .Key("p50").Double(s.p50)
+      .Key("p90").Double(s.p90)
+      .Key("p99").Double(s.p99)
+      .Key("max").Double(s.max)
+      .EndObject();
 }
 
 }  // namespace
@@ -186,6 +218,7 @@ int main(int argc, char** argv) {
     }
   }
   if (method == "GET") body.clear();
+  if (trickle_bytes == 0 && slow_connections > 0) trickle_bytes = 32;
   if (trickle_bytes == 0) {
     slow_connections = 0;
   } else if (slow_connections < 0 || slow_connections > connections) {
@@ -259,14 +292,21 @@ int main(int argc, char** argv) {
   for (std::thread& worker : workers) worker.join();
   const double wall_seconds = wall.ElapsedSeconds();
 
-  std::vector<double> latencies;
+  // Latencies of all requests, and per class: [0] well-behaved
+  // connections, [1] slow ones (the first slow_connections).
+  std::vector<double> latencies, class_latencies[2];
   uint64_t failures = 0;
   uint64_t bad_statuses = 0;
   double slowest_ms = -1.0;
   std::string slowest_request_id;
-  for (WorkerResult& result : results) {
+  for (size_t c = 0; c < results.size(); ++c) {
+    const WorkerResult& result = results[c];
     latencies.insert(latencies.end(), result.latencies_ms.begin(),
                      result.latencies_ms.end());
+    std::vector<double>& by_class =
+        class_latencies[c < static_cast<size_t>(slow_connections) ? 1 : 0];
+    by_class.insert(by_class.end(), result.latencies_ms.begin(),
+                    result.latencies_ms.end());
     failures += result.failures;
     bad_statuses += result.bad_statuses;
     if (result.slowest_ms > slowest_ms) {
@@ -276,34 +316,44 @@ int main(int argc, char** argv) {
   }
   uint64_t aborted = 0;
   for (const uint64_t n : aborted_per_thread) aborted += n;
-  std::sort(latencies.begin(), latencies.end());
-  const uint64_t completed = latencies.size();
-  const double rps =
-      wall_seconds > 0 ? static_cast<double>(completed) / wall_seconds : 0.0;
-  double mean = 0.0;
-  for (const double l : latencies) mean += l;
-  if (completed > 0) mean /= static_cast<double>(completed);
+  const LatencySummary all = SummarizeLatencies(latencies);
+  const LatencySummary well_behaved = SummarizeLatencies(class_latencies[0]);
+  const LatencySummary slow = SummarizeLatencies(class_latencies[1]);
+  const double rps = wall_seconds > 0
+                         ? static_cast<double>(all.count) / wall_seconds
+                         : 0.0;
 
   if (json_output) {
-    std::printf(
-        "{\"connections\":%ld,\"slow_connections\":%ld,"
-        "\"abort_connections\":%ld,"
-        "\"requests_per_connection\":%ld,"
-        "\"completed\":%llu,\"failures\":%llu,\"bad_statuses\":%llu,"
-        "\"aborted\":%llu,"
-        "\"wall_seconds\":%.6f,\"throughput_rps\":%.2f,"
-        "\"latency_ms\":{\"mean\":%.3f,\"p50\":%.3f,\"p90\":%.3f,"
-        "\"p99\":%.3f,\"max\":%.3f},"
-        "\"slowest_ms\":%.3f,\"slowest_request_id\":\"%s\"}\n",
-        connections, slow_connections, abort_connections, requests,
-        static_cast<unsigned long long>(completed),
-        static_cast<unsigned long long>(failures),
-        static_cast<unsigned long long>(bad_statuses),
-        static_cast<unsigned long long>(aborted), wall_seconds, rps,
-        mean, Percentile(latencies, 0.50), Percentile(latencies, 0.90),
-        Percentile(latencies, 0.99),
-        latencies.empty() ? 0.0 : latencies.back(),
-        slowest_ms < 0 ? 0.0 : slowest_ms, slowest_request_id.c_str());
+    std::string out;
+    JsonWriter json(&out);
+    json.BeginObject()
+        .Key("connections").Int(connections)
+        .Key("slow_connections").Int(slow_connections)
+        .Key("abort_connections").Int(abort_connections)
+        .Key("requests_per_connection").Int(requests)
+        .Key("completed").Uint(all.count)
+        .Key("failures").Uint(failures)
+        .Key("bad_statuses").Uint(bad_statuses)
+        .Key("aborted").Uint(aborted)
+        .Key("wall_seconds").Double(wall_seconds)
+        .Key("throughput_rps").Double(rps)
+        .Key("latency_ms");
+    WriteSummary(json, all);
+    if (slow_connections > 0) {
+      json.Key("classes").BeginObject();
+      for (const auto& [name, summary] :
+           {std::pair{"well_behaved", well_behaved}, std::pair{"slow", slow}}) {
+        json.Key(name).BeginObject().Key("completed").Uint(summary.count);
+        json.Key("latency_ms");
+        WriteSummary(json, summary);
+        json.EndObject();
+      }
+      json.EndObject();
+    }
+    json.Key("slowest_ms").Double(slowest_ms < 0 ? 0.0 : slowest_ms)
+        .Key("slowest_request_id").String(slowest_request_id)
+        .EndObject();
+    std::printf("%s\n", out.c_str());
   } else {
     std::printf("%ld connection(s) x %ld request(s) -> %s %s\n", connections,
                 requests, method.c_str(), target.c_str());
@@ -319,15 +369,20 @@ int main(int argc, char** argv) {
                   abort_connections);
     }
     std::printf("completed : %llu (%llu transport failure(s), %llu non-2xx)\n",
-                static_cast<unsigned long long>(completed),
+                static_cast<unsigned long long>(all.count),
                 static_cast<unsigned long long>(failures),
                 static_cast<unsigned long long>(bad_statuses));
     std::printf("wall      : %.3f s  (%.1f req/s)\n", wall_seconds, rps);
-    std::printf("latency   : mean %.3f ms, p50 %.3f, p90 %.3f, p99 %.3f, "
-                "max %.3f\n",
-                mean, Percentile(latencies, 0.50),
-                Percentile(latencies, 0.90), Percentile(latencies, 0.99),
-                latencies.empty() ? 0.0 : latencies.back());
+    std::printf("latency   : ");
+    PrintLatency(all);
+    if (slow_connections > 0) {
+      for (const auto& [name, summary] :
+           {std::pair{"well-behaved", well_behaved}, std::pair{"slow", slow}}) {
+        std::printf("  %-12s: %llu request(s), ", name,
+                    static_cast<unsigned long long>(summary.count));
+        PrintLatency(summary);
+      }
+    }
     if (slowest_ms >= 0) {
       std::printf("slowest   : %.3f ms  X-Request-Id %s\n", slowest_ms,
                   slowest_request_id.empty() ? "(none)"
