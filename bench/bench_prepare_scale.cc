@@ -7,7 +7,12 @@
 //
 //   - at each requested thread count (ThreadPool-driven builds must be
 //     bit-identical to the serial build; verified here and in
-//     tests/core/prepare_determinism_test.cc), and
+//     tests/core/prepare_determinism_test.cc),
+//   - through an Engine at the widest thread count: its first build of
+//     the selection, which computes the non-key part, and a build of the
+//     same selection with a fresh smoothing, which reuses the memoized
+//     part and runs only the key scorer (the cold request a server
+//     serves once the non-key measure has been seen), and
 //   - against "seed" baselines: the original dense O(n²)-memory random
 //     walk and the per-direction edge-pair-copy + global-sort entropy,
 //     kept verbatim below so the algorithmic speedup stays measurable
@@ -36,6 +41,7 @@
 #include "core/candidates.h"
 #include "datagen/generator.h"
 #include "graph/schema_graph.h"
+#include "service/engine.h"
 
 namespace egp {
 namespace {
@@ -239,6 +245,31 @@ struct BuildResult {
   PrepareTimings timings;
 };
 
+/// The build of median total time among `timings` (the lower middle for
+/// an even count), phases and all.
+PrepareTimings MedianBuild(std::vector<PrepareTimings> timings) {
+  std::sort(timings.begin(), timings.end(),
+            [](const PrepareTimings& a, const PrepareTimings& b) {
+              return a.total_seconds < b.total_seconds;
+            });
+  return timings[(timings.size() - 1) / 2];
+}
+
+/// One phase object of the JSON document.
+std::string PhaseJson(const char* name, unsigned threads,
+                      const PrepareTimings& t) {
+  char buffer[320];
+  std::snprintf(buffer, sizeof(buffer),
+                "      \"%s\": {\"threads\": %u, \"total_seconds\": %.6f, "
+                "\"key_seconds\": %.6f, \"nonkey_seconds\": %.6f, "
+                "\"distance_seconds\": %.6f, "
+                "\"candidate_sort_seconds\": %.6f},\n",
+                name, threads, t.total_seconds, t.key_seconds,
+                t.nonkey_seconds, t.distance_seconds,
+                t.candidate_sort_seconds);
+  return buffer;
+}
+
 int Run(const BenchOptions& options) {
   std::string json;
   json += "{\n";
@@ -315,6 +346,49 @@ int Run(const BenchOptions& options) {
                    best.candidate_sort_seconds * 1e3);
     }
 
+    // Engine builds: per repeat a fresh Engine's first build of the
+    // selection, then the selection with a fresh smoothing, whose build
+    // assembles the memoized non-key part with new key scores.
+    const unsigned engine_threads = builds.back().threads;
+    std::vector<PrepareTimings> first_builds;
+    std::vector<PrepareTimings> memo_hit_builds;
+    for (int r = 0; r < options.repeat; ++r) {
+      EngineOptions engine_options;
+      engine_options.threads = engine_threads;
+      const Engine engine = Engine::FromGraph(domain->graph, engine_options);
+      MeasureSelection fresh = measures;
+      fresh.walk.smoothing *= 1.0 + static_cast<double>(r + 1) * 1e-9;
+      auto first = engine.Prepared(measures);
+      auto hit = first.ok() ? engine.Prepared(fresh) : first;
+      if (!hit.ok()) {
+        std::fprintf(stderr, "error: %s\n", hit.status().ToString().c_str());
+        return 1;
+      }
+      bool same = SameScores(*golden, **first);
+      if (same && r == 0) {
+        auto reference =
+            PreparedSchema::Create(domain->schema, fresh, &domain->graph);
+        same = reference.ok() && SameScores(*reference, **hit);
+      }
+      if (!same) {
+        std::fprintf(stderr,
+                     "FATAL: an Engine build diverged from "
+                     "PreparedSchema::Create on %s\n",
+                     name.c_str());
+        return 2;
+      }
+      first_builds.push_back((*first)->timings());
+      memo_hit_builds.push_back((*hit)->timings());
+    }
+    const PrepareTimings engine_first = MedianBuild(first_builds);
+    const PrepareTimings engine_hit = MedianBuild(memo_hit_builds);
+    std::fprintf(stderr,
+                 "[%s] engine threads=%u first build %.1fms (nonkey %.1f), "
+                 "memo-hit build %.3fms (key %.3f)\n",
+                 name.c_str(), engine_threads, engine_first.total_seconds * 1e3,
+                 engine_first.nonkey_seconds * 1e3,
+                 engine_hit.total_seconds * 1e3, engine_hit.key_seconds * 1e3);
+
     // Seed baselines: same scoring work, pre-optimization algorithms.
     double seed_key_seconds = 0.0;
     double seed_nonkey_seconds = 0.0;
@@ -363,6 +437,8 @@ int Run(const BenchOptions& options) {
       json += buffer;
     }
     json += "      ],\n";
+    json += PhaseJson("engine_first_build", engine_threads, engine_first);
+    json += PhaseJson("engine_memo_hit_build", engine_threads, engine_hit);
     if (options.baseline) {
       std::snprintf(buffer, sizeof(buffer),
                     "      \"seed_baseline\": {\"key_seconds\": %.6f, "

@@ -32,45 +32,40 @@ Status CheckScores(const std::string& measure,
 
 }  // namespace
 
-Result<PreparedSchema> PreparedSchema::Create(SchemaGraph schema,
-                                              const MeasureSelection& measures,
-                                              const EntityGraph* graph,
-                                              ThreadPool* pool) {
-  const Timer total_timer;
-  Timer phase_timer;
-  PreparedSchema prepared;
-  prepared.measures_ = measures;
-
-  const ScoringContext context{schema, graph, measures.walk, pool};
-  ScoringRegistry& registry = ScoringRegistry::Global();
-
-  KeyScorerFn key_scorer;
-  EGP_ASSIGN_OR_RETURN(key_scorer, registry.FindKeyMeasure(measures.key));
-  phase_timer.Reset();
-  EGP_ASSIGN_OR_RETURN(prepared.key_scores_, key_scorer(context));
-  prepared.timings_.key_seconds = phase_timer.ElapsedSeconds();
-  if (prepared.key_scores_.size() != schema.num_types()) {
-    return Status::Internal("key measure '" + measures.key + "' returned " +
-                            std::to_string(prepared.key_scores_.size()) +
-                            " scores for " +
+Result<std::vector<double>> ScoreKeys(const std::string& measure,
+                                      const ScoringContext& context) {
+  KeyScorerFn scorer;
+  EGP_ASSIGN_OR_RETURN(scorer,
+                       ScoringRegistry::Global().FindKeyMeasure(measure));
+  std::vector<double> scores;
+  EGP_ASSIGN_OR_RETURN(scores, scorer(context));
+  const SchemaGraph& schema = context.schema;
+  if (scores.size() != schema.num_types()) {
+    return Status::Internal("key measure '" + measure + "' returned " +
+                            std::to_string(scores.size()) + " scores for " +
                             std::to_string(schema.num_types()) + " types");
   }
-  EGP_RETURN_IF_ERROR(CheckScores(
-      "key measure '" + measures.key + "'", prepared.key_scores_,
-      [&schema](size_t t) {
+  EGP_RETURN_IF_ERROR(
+      CheckScores("key measure '" + measure + "'", scores, [&schema](size_t t) {
         return "type '" + schema.TypeName(static_cast<TypeId>(t)) + "'";
       }));
+  return scores;
+}
 
-  NonKeyScorerFn nonkey_scorer;
-  EGP_ASSIGN_OR_RETURN(nonkey_scorer,
-                       registry.FindNonKeyMeasure(measures.nonkey));
+Result<NonKeyPart> NonKeyPart::Compute(const std::string& measure,
+                                       const NonKeyScoringContext& context) {
+  const SchemaGraph& schema = context.schema;
+  NonKeyScorerFn scorer;
+  EGP_ASSIGN_OR_RETURN(scorer,
+                       ScoringRegistry::Global().FindNonKeyMeasure(measure));
+  NonKeyPart part;
+  Timer phase_timer;
   NonKeyScores nonkey;
-  phase_timer.Reset();
-  EGP_ASSIGN_OR_RETURN(nonkey, nonkey_scorer(context));
-  prepared.timings_.nonkey_seconds = phase_timer.ElapsedSeconds();
+  EGP_ASSIGN_OR_RETURN(nonkey, scorer(context));
+  part.nonkey_seconds = phase_timer.ElapsedSeconds();
   if (nonkey.outgoing.size() != schema.num_edges() ||
       nonkey.incoming.size() != schema.num_edges()) {
-    return Status::Internal("non-key measure '" + measures.nonkey +
+    return Status::Internal("non-key measure '" + measure +
                             "' returned a score vector not matching the " +
                             std::to_string(schema.num_edges()) +
                             " schema edges");
@@ -78,7 +73,7 @@ Result<PreparedSchema> PreparedSchema::Create(SchemaGraph schema,
   for (const Direction direction :
        {Direction::kOutgoing, Direction::kIncoming}) {
     EGP_RETURN_IF_ERROR(CheckScores(
-        "non-key measure '" + measures.nonkey + "'",
+        "non-key measure '" + measure + "'",
         direction == Direction::kOutgoing ? nonkey.outgoing : nonkey.incoming,
         [direction](size_t e) {
           return StrFormat("schema edge %zu (%s)", e, DirectionName(direction));
@@ -91,19 +86,19 @@ Result<PreparedSchema> PreparedSchema::Create(SchemaGraph schema,
   // the per-type sorts parallelize with a unique, append-order-independent
   // result.
   phase_timer.Reset();
-  const size_t num_types = schema.num_types();
-  prepared.candidates_.resize(num_types);
+  std::vector<TypeCandidates>& candidates = part.candidates;
+  candidates.resize(schema.num_types());
   for (uint32_t index = 0; index < schema.num_edges(); ++index) {
     const SchemaEdge& e = schema.Edge(index);
-    prepared.candidates_[e.src].sorted.push_back(
+    candidates[e.src].sorted.push_back(
         NonKeyCandidate{index, Direction::kOutgoing, nonkey.outgoing[index]});
-    prepared.candidates_[e.dst].sorted.push_back(
+    candidates[e.dst].sorted.push_back(
         NonKeyCandidate{index, Direction::kIncoming, nonkey.incoming[index]});
   }
   ParallelFor(
-      pool, 0, num_types,
-      [&prepared](size_t t) {
-        auto& cands = prepared.candidates_[t].sorted;
+      context.pool, 0, candidates.size(),
+      [&candidates](size_t t) {
+        auto& cands = candidates[t].sorted;
         std::sort(cands.begin(), cands.end(),
                   [](const NonKeyCandidate& a, const NonKeyCandidate& b) {
                     if (a.score != b.score) return a.score > b.score;
@@ -112,7 +107,7 @@ Result<PreparedSchema> PreparedSchema::Create(SchemaGraph schema,
                     }
                     return a.direction < b.direction;
                   });
-        auto& prefix = prepared.candidates_[t].prefix;
+        auto& prefix = candidates[t].prefix;
         prefix.resize(cands.size() + 1);
         prefix[0] = 0.0;
         for (size_t m = 0; m < cands.size(); ++m) {
@@ -120,19 +115,75 @@ Result<PreparedSchema> PreparedSchema::Create(SchemaGraph schema,
         }
       },
       /*grain=*/8);
-  prepared.timings_.candidate_sort_seconds = phase_timer.ElapsedSeconds();
+  part.candidate_sort_seconds = phase_timer.ElapsedSeconds();
+  return part;
+}
+
+size_t NonKeyPart::ApproximateBytes() const {
+  size_t bytes = sizeof(*this);
+  for (const TypeCandidates& tc : candidates) {
+    bytes += sizeof(TypeCandidates);
+    bytes += tc.sorted.capacity() * sizeof(NonKeyCandidate);
+    bytes += tc.prefix.capacity() * sizeof(double);
+  }
+  return bytes;
+}
+
+Result<PreparedSchema> PreparedSchema::Create(SchemaGraph schema,
+                                              const MeasureSelection& measures,
+                                              const EntityGraph* graph,
+                                              ThreadPool* pool) {
+  const Timer total_timer;
+  PrepareTimings timings;
+  SharedPreparation shared;
+  shared.schema = std::make_shared<const SchemaGraph>(std::move(schema));
+
+  Timer phase_timer;
+  std::vector<double> key_scores;
+  EGP_ASSIGN_OR_RETURN(
+      key_scores,
+      ScoreKeys(measures.key,
+                ScoringContext{*shared.schema, graph, measures.walk, pool}));
+  timings.key_seconds = phase_timer.ElapsedSeconds();
+
+  NonKeyPart nonkey;
+  EGP_ASSIGN_OR_RETURN(
+      nonkey, NonKeyPart::Compute(measures.nonkey,
+                                  NonKeyScoringContext{*shared.schema, graph,
+                                                       pool}));
+  timings.nonkey_seconds = nonkey.nonkey_seconds;
+  timings.candidate_sort_seconds = nonkey.candidate_sort_seconds;
+  shared.nonkey = std::make_shared<const NonKeyPart>(std::move(nonkey));
 
   phase_timer.Reset();
-  prepared.distances_ = std::make_shared<SchemaDistanceMatrix>(schema, pool);
-  prepared.timings_.distance_seconds = phase_timer.ElapsedSeconds();
-  prepared.schema_ = std::move(schema);
-  prepared.timings_.total_seconds = total_timer.ElapsedSeconds();
+  shared.distances =
+      std::make_shared<const SchemaDistanceMatrix>(*shared.schema, pool);
+  timings.distance_seconds = phase_timer.ElapsedSeconds();
+  timings.total_seconds = total_timer.ElapsedSeconds();
+  return Assemble(std::move(shared), measures, std::move(key_scores), timings);
+}
+
+PreparedSchema PreparedSchema::Assemble(SharedPreparation shared,
+                                        const MeasureSelection& measures,
+                                        std::vector<double> key_scores,
+                                        const PrepareTimings& timings) {
+  EGP_CHECK(shared.schema && shared.distances && shared.nonkey);
+  EGP_CHECK(key_scores.size() == shared.schema->num_types() &&
+            shared.nonkey->candidates.size() == key_scores.size() &&
+            shared.distances->num_types() == key_scores.size())
+      << "parts built over different schemas";
+  PreparedSchema prepared;
+  prepared.candidates_ = shared.nonkey->candidates.data();
+  prepared.shared_ = std::move(shared);
+  prepared.measures_ = measures;
+  prepared.timings_ = timings;
+  prepared.key_scores_ = std::move(key_scores);
   return prepared;
 }
 
 size_t PreparedSchema::TotalCandidates() const {
   size_t total = 0;
-  for (const TypeCandidates& c : candidates_) total += c.size();
+  for (const TypeCandidates& c : shared_.nonkey->candidates) total += c.size();
   return total;
 }
 

@@ -24,10 +24,10 @@ ScoringRegistry::ScoringRegistry() {
   key_measures_["randomwalk"] = [](const ScoringContext& context) {
     return ComputeKeyRandomWalk(context.schema, context.walk, context.pool);
   };
-  nonkey_measures_["coverage"] = [](const ScoringContext& context) {
+  nonkey_measures_["coverage"] = [](const NonKeyScoringContext& context) {
     return Result<NonKeyScores>(ComputeNonKeyCoverage(context.schema));
   };
-  nonkey_measures_["entropy"] = [](const ScoringContext& context) {
+  nonkey_measures_["entropy"] = [](const NonKeyScoringContext& context) {
     if (context.graph == nullptr) {
       return Result<NonKeyScores>(Status::InvalidArgument(
           "the 'entropy' non-key measure requires the entity graph, but "

@@ -26,8 +26,8 @@ namespace egp {
 
 class ThreadPool;
 
-/// Everything a scorer may consult. `graph` is null when only the schema
-/// graph is available (schema-only serving, synthetic workloads) —
+/// Everything a key scorer may consult. `graph` is null when only the
+/// schema graph is available (schema-only serving, synthetic workloads) —
 /// measures that need the data graph must fail cleanly in that case.
 /// `pool` is the thread pool the surrounding PreparedSchema build runs
 /// on, or null for a serial build; scorers may ParallelFor over it but
@@ -39,11 +39,22 @@ struct ScoringContext {
   ThreadPool* pool = nullptr;
 };
 
+/// Everything a non-key scorer may consult: ScoringContext without the
+/// walk options. A non-key score reads the graphs and its measure alone,
+/// so an Engine computes it once per measure name (NonKeyPart); with no
+/// other input in reach, the name is provably the whole memo key.
+struct NonKeyScoringContext {
+  const SchemaGraph& schema;
+  const EntityGraph* graph = nullptr;
+  ThreadPool* pool = nullptr;
+};
+
 /// S(τ) for every type; indexed by TypeId.
 using KeyScorerFn =
     std::function<Result<std::vector<double>>(const ScoringContext&)>;
 /// Sτ(γ) per schema edge and direction.
-using NonKeyScorerFn = std::function<Result<NonKeyScores>(const ScoringContext&)>;
+using NonKeyScorerFn =
+    std::function<Result<NonKeyScores>(const NonKeyScoringContext&)>;
 
 /// Selects scoring measures by registry name. The default configuration
 /// reproduces the paper's headline setting (coverage / coverage).
@@ -66,7 +77,8 @@ class ScoringRegistry {
 
   /// Registers a measure. Fails with AlreadyExists if the name is taken
   /// (including the built-in names) and InvalidArgument on an empty name
-  /// or scorer.
+  /// or scorer. A name therefore never changes meaning, which lets an
+  /// Engine keep a non-key measure's scores for its whole life.
   Status RegisterKeyMeasure(const std::string& name, KeyScorerFn scorer);
   Status RegisterNonKeyMeasure(const std::string& name, NonKeyScorerFn scorer);
 

@@ -15,16 +15,14 @@ SchemaDistanceMatrix::SchemaDistanceMatrix(const SchemaGraph& schema,
   // sweep parallelizes with bit-identical results (the reductions below
   // are over integers, where summation order cannot matter either).
   std::vector<std::vector<TypeId>> adjacency(n_);
-  ParallelFor(
-      pool, 0, n_, [&](size_t t) { adjacency[t] = schema.NeighborTypes(t); },
-      /*grain=*/16);
+  const auto neighbors = [&](size_t t) {
+    adjacency[t] = schema.NeighborTypes(t);
+  };
 
   std::vector<uint32_t> max_dist(n_, 0);
   std::vector<uint64_t> pairs(n_, 0);
   std::vector<uint64_t> sums(n_, 0);
-  // Dynamic scheduling: BFS cost varies with the source's component
-  // size, and every source writes only its own row/partials.
-  ParallelForDynamic(pool, 0, n_, [&](size_t source) {
+  const auto sweep = [&](size_t source) {
     uint32_t* row = &dist_[source * n_];
     row[source] = 0;
     // Vector-backed frontier: rows are dense enough that a queue's
@@ -46,7 +44,18 @@ SchemaDistanceMatrix::SchemaDistanceMatrix(const SchemaGraph& schema,
       ++pairs[source];
       sums[source] += row[v];
     }
-  });
+  };
+  if (pool == nullptr) {
+    // Plain loops, not a serial ParallelFor: an Engine builds its matrix
+    // this way, and the catalog creates engines inside a parallel body.
+    for (size_t t = 0; t < n_; ++t) neighbors(t);
+    for (size_t source = 0; source < n_; ++source) sweep(source);
+  } else {
+    ParallelFor(pool, 0, n_, neighbors, /*grain=*/16);
+    // Dynamic scheduling: BFS cost varies with the source's component
+    // size, and every source writes only its own row/partials.
+    ParallelForDynamic(pool, 0, n_, sweep);
+  }
 
   uint64_t finite_pairs = 0;
   uint64_t finite_sum = 0;

@@ -24,7 +24,9 @@ class SchemaDistanceMatrix {
 
   /// The per-source BFS sweeps run on `pool` when one is given (each
   /// source owns its row, so the matrix and the derived diameter /
-  /// average-path statistics are identical at any parallelism).
+  /// average-path statistics are identical at any parallelism). Without
+  /// one they run as plain loops, so a serial build may run inside a
+  /// ParallelFor body.
   explicit SchemaDistanceMatrix(const SchemaGraph& schema,
                                 ThreadPool* pool = nullptr);
 
@@ -40,6 +42,11 @@ class SchemaDistanceMatrix {
   double AveragePathLength() const { return average_path_length_; }
 
   size_t num_types() const { return n_; }
+
+  /// Rough resident size: the n×n matrix.
+  size_t ApproximateBytes() const {
+    return sizeof(*this) + dist_.capacity() * sizeof(uint32_t);
+  }
 
  private:
   size_t n_ = 0;

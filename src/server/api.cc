@@ -908,6 +908,19 @@ HttpResponse PreviewService::HandleDebugCache() const {
       json.Key("idleSeconds").Double(entry.idle_seconds);
       json.Key("approxBytes").Uint(entry.approx_bytes).EndObject();
     }
+    json.EndArray();
+    // What the entries share, counted once: the distance matrix and the
+    // non-key part of each non-key measure requested so far.
+    json.Key("distanceMatrixBytes")
+        .Uint(engine->distances().ApproximateBytes());
+    json.Key("nonkeyParts").BeginArray();
+    for (const Engine::NonKeyPartInfo& part : engine->nonkey_parts()) {
+      json.BeginObject().Key("measure").String(part.measure);
+      json.Key("ready").Bool(part.ready);
+      json.Key("building").Bool(part.building);
+      json.Key("approxBytes").Uint(part.approx_bytes);
+      json.Key("seconds").Double(part.seconds).EndObject();
+    }
     json.EndArray().EndObject();
   }
   json.EndArray().EndObject();

@@ -1,6 +1,7 @@
 #include "service/engine.h"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <future>
@@ -38,16 +39,25 @@ std::string MeasureCacheKey(const MeasureSelection& measures) {
   return key;
 }
 
+/// Appends `value` in std::to_chars' shortest form that reads back as
+/// the same double.
+void AppendShortestDouble(std::string* out, double value) {
+  char buffer[32];
+  const std::to_chars_result written =
+      std::to_chars(buffer, buffer + sizeof(buffer), value);
+  out->append(buffer, static_cast<size_t>(written.ptr - buffer));
+}
+
 /// Human-readable form of a cache key for /v1/debug/cache — same
-/// information as MeasureCacheKey, readable instead of collision-proof.
+/// information as MeasureCacheKey, readable instead of collision-proof
+/// (yet distinct keys display distinctly: doubles round-trip).
 std::string MeasureDisplay(const MeasureSelection& measures) {
   std::string out = "key=" + measures.key + " nonkey=" + measures.nonkey;
-  char buffer[96];
-  std::snprintf(buffer, sizeof(buffer), " walk(smoothing=%g,iters=%ld,tol=%g)",
-                measures.walk.smoothing,
-                static_cast<long>(measures.walk.max_iterations),
-                measures.walk.tolerance);
-  out += buffer;
+  out += " walk(smoothing=";
+  AppendShortestDouble(&out, measures.walk.smoothing);
+  out += ",iters=" + std::to_string(measures.walk.max_iterations) + ",tol=";
+  AppendShortestDouble(&out, measures.walk.tolerance);
+  out += ')';
   return out;
 }
 
@@ -56,7 +66,10 @@ std::string MeasureDisplay(const MeasureSelection& measures) {
 struct Engine::State {
   // Set for FromGraph engines; schema-only engines serve without it.
   std::optional<EntityGraph> graph;
-  SchemaGraph schema;
+  // Built once, serially, by FromGraph/FromSchema; every PreparedSchema
+  // shares them.
+  std::shared_ptr<const SchemaGraph> schema;
+  std::shared_ptr<const SchemaDistanceMatrix> distances;
   EngineOptions options;
 
   // Build parallelism (EngineOptions::threads, resolved): null when the
@@ -95,28 +108,111 @@ struct Engine::State {
     int64_t last_used_ns = 0;
   };
 
-  // Guards the cache map, the LRU tick, and the hit/miss counters. The
-  // cached PreparedSchema instances themselves are immutable and shared
-  // out as shared_ptr<const>, so only the map needs the lock.
-  mutable Mutex mu{"engine.prepared_cache"};
+  // Guards the cache map, the non-key memo, the LRU tick, and the
+  // hit/miss counters. The cached PreparedSchema instances and non-key
+  // parts themselves are immutable and shared out as shared_ptr<const>,
+  // so only the maps need the lock. Every request writes the lock and
+  // the counters after it, so they start a cache line of their own and
+  // never share one with the read-mostly snapshot fields above.
+  alignas(64) mutable Mutex mu{"engine.prepared_cache"};
   mutable std::map<std::string, Entry> cache EGP_GUARDED_BY(mu);
   mutable uint64_t tick EGP_GUARDED_BY(mu) = 0;
   mutable uint64_t hits EGP_GUARDED_BY(mu) = 0;
   mutable uint64_t misses EGP_GUARDED_BY(mu) = 0;
   mutable uint64_t evictions EGP_GUARDED_BY(mu) = 0;
+
+  // The non-key part per non-key measure name, filled like the cache: the
+  // first requester inserts a future and computes outside the lock, later
+  // ones wait on it. No eviction (the registry bounds the names); a
+  // failure is erased by the requester that computed it.
+  using NonKeyResult = Result<std::shared_ptr<const NonKeyPart>>;
+  mutable std::map<std::string, std::shared_future<NonKeyResult>> nonkey_parts
+      EGP_GUARDED_BY(mu);
+
+  // The non-key part for `measure`, computed in `context` unless it is
+  // memoized; `*computed` says which.
+  NonKeyResult NonKey(const std::string& measure,
+                      const NonKeyScoringContext& context, bool* computed)
+      EGP_EXCLUDES(mu);
+  // A prepared snapshot for `measures`: its key scores, assembled with
+  // the shared schema, distances and memoized non-key part.
+  Result<PreparedSchema> Build(const MeasureSelection& measures)
+      EGP_EXCLUDES(mu);
 };
 
+Engine::State::NonKeyResult Engine::State::NonKey(
+    const std::string& measure, const NonKeyScoringContext& context,
+    bool* computed) {
+  std::promise<NonKeyResult> promise;
+  std::shared_future<NonKeyResult> future;
+  {
+    MutexLock lock(&mu);
+    const auto [it, inserted] = nonkey_parts.try_emplace(measure);
+    if (inserted) it->second = promise.get_future().share();
+    future = it->second;
+    *computed = inserted;
+  }
+  if (!*computed) return future.get();
+  // A failure is dropped so a later request computes again. Only this
+  // call inserts or erases the entry under `measure` while it is
+  // present, so the entry erased here is its own.
+  const auto drop = [this, &measure] {
+    MutexLock lock(&mu);
+    nonkey_parts.erase(measure);
+  };
+  NonKeyResult result = Status::Internal("unset");
+  try {
+    auto part = NonKeyPart::Compute(measure, context);
+    result = part.ok() ? NonKeyResult(std::make_shared<const NonKeyPart>(
+                             std::move(part).value()))
+                       : NonKeyResult(part.status());
+  } catch (...) {
+    // A throwing scorer fails too: the waiters get its exception.
+    promise.set_exception(std::current_exception());
+    drop();
+    throw;
+  }
+  promise.set_value(result);
+  if (!result.ok()) drop();
+  return result;
+}
+
+Result<PreparedSchema> Engine::State::Build(const MeasureSelection& measures) {
+  ThreadPool* pool = BuildPool();
+  const EntityGraph* data = graph ? &*graph : nullptr;
+  const Timer total_timer;
+  PrepareTimings timings;
+  std::vector<double> key_scores;
+  EGP_ASSIGN_OR_RETURN(
+      key_scores, ScoreKeys(measures.key, ScoringContext{*schema, data,
+                                                         measures.walk, pool}));
+  timings.key_seconds = total_timer.ElapsedSeconds();
+  bool computed = false;
+  std::shared_ptr<const NonKeyPart> nonkey;
+  EGP_ASSIGN_OR_RETURN(
+      nonkey, NonKey(measures.nonkey, NonKeyScoringContext{*schema, data, pool},
+                     &computed));
+  if (computed) {
+    timings.nonkey_seconds = nonkey->nonkey_seconds;
+    timings.candidate_sort_seconds = nonkey->candidate_sort_seconds;
+  }
+  timings.total_seconds = total_timer.ElapsedSeconds();
+  return PreparedSchema::Assemble(
+      SharedPreparation{schema, distances, std::move(nonkey)}, measures,
+      std::move(key_scores), timings);
+}
+
 Engine Engine::FromGraph(EntityGraph graph, const EngineOptions& options) {
-  auto state = std::make_shared<State>();
-  state->schema = SchemaGraph::FromEntityGraph(graph);
-  state->graph = std::move(graph);
-  state->options = options;
-  return Engine(std::move(state));
+  Engine engine = FromSchema(SchemaGraph::FromEntityGraph(graph), options);
+  engine.state_->graph = std::move(graph);
+  return engine;
 }
 
 Engine Engine::FromSchema(SchemaGraph schema, const EngineOptions& options) {
   auto state = std::make_shared<State>();
-  state->schema = std::move(schema);
+  state->schema = std::make_shared<const SchemaGraph>(std::move(schema));
+  state->distances =
+      std::make_shared<const SchemaDistanceMatrix>(*state->schema);
   state->options = options;
   return Engine(std::move(state));
 }
@@ -125,7 +221,11 @@ const EntityGraph* Engine::graph() const {
   return state_->graph ? &*state_->graph : nullptr;
 }
 
-const SchemaGraph& Engine::schema() const { return state_->schema; }
+const SchemaGraph& Engine::schema() const { return *state_->schema; }
+
+const SchemaDistanceMatrix& Engine::distances() const {
+  return *state_->distances;
+}
 
 Engine::CacheStats Engine::cache_stats() const {
   MutexLock lock(&state_->mu);
@@ -169,6 +269,27 @@ std::vector<Engine::CacheEntryInfo> Engine::cache_entries() const {
   out.reserve(ordered.size());
   for (auto& [tick, info] : ordered) {
     (void)tick;
+    out.push_back(std::move(info));
+  }
+  return out;
+}
+
+std::vector<Engine::NonKeyPartInfo> Engine::nonkey_parts() const {
+  State& state = *state_;
+  std::vector<NonKeyPartInfo> out;
+  MutexLock lock(&state.mu);
+  out.reserve(state.nonkey_parts.size());
+  for (const auto& [measure, future] : state.nonkey_parts) {
+    NonKeyPartInfo info;
+    info.measure = measure;
+    info.building = future.wait_for(std::chrono::seconds(0)) !=
+                    std::future_status::ready;
+    if (!info.building && future.get().ok()) {
+      const NonKeyPart& part = *future.get().value();
+      info.ready = true;
+      info.approx_bytes = part.ApproximateBytes();
+      info.seconds = part.nonkey_seconds + part.candidate_sort_seconds;
+    }
     out.push_back(std::move(info));
   }
   return out;
@@ -242,9 +363,7 @@ Result<std::shared_ptr<const PreparedSchema>> Engine::PreparedInternal(
     // requesters wait (on the future), everyone else proceeds.
     const ScopedTracePhase profiled_phase(TracePhase::kPrepare);
     Timer build_timer;
-    auto built = PreparedSchema::Create(
-        state.schema, measures, state.graph ? &*state.graph : nullptr,
-        state.BuildPool());
+    auto built = state.Build(measures);
     if (RequestTrace* trace = CurrentRequestTrace()) {
       EGP_LOG(Debug) << "cold prepared-schema build key=" << key
                      << " trace=" << trace->id << " seconds="

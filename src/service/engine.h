@@ -4,12 +4,16 @@
 // operation: a user explores one entity graph, re-issuing requests with
 // different (k, n, d) and scoring measures. The Engine is built for that
 // shape. It holds one immutable graph snapshot (shared, never copied per
-// request), memoizes the expensive per-measure-configuration state
-// (PreparedSchema: scored candidates, prefix sums, the all-pairs type
-// distance matrix) behind a mutex-guarded cache, and serves
-// PreviewRequest → Result<PreviewResponse> safely from any number of
-// threads. Follow-up requests that only change the constraints hit the
-// cache and pay just the discovery cost.
+// request) with its schema graph and all-pairs type distance matrix,
+// memoizes the per-measure-configuration state (PreparedSchema: key
+// scores) behind a mutex-guarded cache, and serves PreviewRequest →
+// Result<PreviewResponse> safely from any number of threads. Follow-up
+// requests that only change the constraints hit the cache and pay just
+// the discovery cost. The expensive part of a configuration, its non-key
+// scores sorted into Γτ (NonKeyPart), depends on the non-key measure
+// alone, so it is computed once per non-key measure name and shared by
+// every configuration that names it: a new key measure or walk setting
+// pays only its key scorer.
 //
 // The layer underneath (PreparedSchema, the Discover() dispatch and the
 // per-algorithm functions behind it, MaterializePreview) remains
@@ -34,6 +38,7 @@
 #include "core/scoring_registry.h"
 #include "core/tuple_sampler.h"
 #include "graph/entity_graph.h"
+#include "graph/schema_distance.h"
 #include "graph/schema_graph.h"
 
 namespace egp {
@@ -102,7 +107,8 @@ struct PreviewResponse {
 struct EngineOptions {
   /// Maximum memoized PreparedSchema instances (distinct measure
   /// configurations); the least-recently-used entry is evicted beyond
-  /// this. 0 means unbounded.
+  /// this. 0 means unbounded. The non-key parts they share are not
+  /// evicted with them.
   size_t prepared_cache_capacity = 16;
 
   /// Parallelism for PreparedSchema builds: 0 resolves to egp::Threads()
@@ -162,6 +168,9 @@ class Engine {
   /// The entity graph, or nullptr for a schema-only engine.
   const EntityGraph* graph() const;
   const SchemaGraph& schema() const;
+  /// The schema's distance matrix, built once with the engine and shared
+  /// by every prepared snapshot.
+  const SchemaDistanceMatrix& distances() const;
 
   /// Prepared-schema cache introspection (served on /metrics by the
   /// HTTP subsystem and printed by `egp_cli --verbose`). Counters are
@@ -176,8 +185,10 @@ class Engine {
 
   /// One prepared-cache entry, for GET /v1/debug/cache: which measure
   /// configurations are resident, how hot each one is, how old it is,
-  /// and roughly what it costs in memory. `ready` is false while the
-  /// build is still in flight (approx_bytes is then 0).
+  /// and roughly what it owns in memory (its key scores: the parts it
+  /// shares are listed once, by nonkey_parts() and distances()). `ready`
+  /// is false while the build is still in flight (approx_bytes is then
+  /// 0).
   struct CacheEntryInfo {
     std::string measures;      // human-readable configuration
     bool ready = false;        // build finished successfully
@@ -189,6 +200,21 @@ class Engine {
   };
   /// Current cache contents, most-recently-used first. Thread-safe.
   std::vector<CacheEntryInfo> cache_entries() const;
+
+  /// One memoized non-key part, for GET /v1/debug/cache. Parts are kept
+  /// for the engine's life: the registry refuses to rebind a measure
+  /// name, so a name's scores never go stale, and the registered names
+  /// bound how many there are. A failed computation is dropped, so a
+  /// later request retries it.
+  struct NonKeyPartInfo {
+    std::string measure;      // non-key measure name
+    bool ready = false;       // computed successfully
+    bool building = false;    // future not yet fulfilled
+    size_t approx_bytes = 0;  // NonKeyPart::ApproximateBytes()
+    double seconds = 0;       // the one computation: scoring + Γτ sorts
+  };
+  /// Memoized non-key parts, by measure name. Thread-safe.
+  std::vector<NonKeyPartInfo> nonkey_parts() const;
 
  private:
   struct State;

@@ -1,10 +1,11 @@
 #include "common/rng.h"
 
 #include <gtest/gtest.h>
+#include <time.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <utility>
 #include <vector>
@@ -241,22 +242,27 @@ TEST(RngTest, SampleIndicesLargeKDistinctAndLinear) {
   }
 
   // Ten times the picks may cost about ten times as much; a duplicate
-  // check that scans the picks would cost a hundred times as much.
-  const auto best_seconds = [](size_t n, size_t k) {
-    double best = 1e9;
-    for (uint64_t seed = 1; seed <= 5; ++seed) {
-      Rng timed(seed);
-      const auto start = std::chrono::steady_clock::now();
-      const size_t size = timed.SampleIndices(n, k).size();
-      const std::chrono::duration<double> took =
-          std::chrono::steady_clock::now() - start;
-      EXPECT_EQ(size, k);
-      best = std::min(best, took.count());
-    }
-    return best;
+  // check that scans the picks would cost a hundred times as much. Each
+  // run is timed on this thread's CPU clock, so time the scheduler gives
+  // other processes does not count, and the small and large runs
+  // alternate, so a slow stretch of the machine falls on both sizes.
+  const auto cpu_seconds = [](size_t n, size_t k, uint64_t seed) {
+    Rng timed(seed);
+    timespec start{};
+    timespec end{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &start);
+    const size_t size = timed.SampleIndices(n, k).size();
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &end);
+    EXPECT_EQ(size, k);
+    return static_cast<double>(end.tv_sec - start.tv_sec) +
+           static_cast<double>(end.tv_nsec - start.tv_nsec) * 1e-9;
   };
-  const double small = best_seconds(6000, 5000);
-  const double large = best_seconds(60000, 50000);
+  double small = 1e9;
+  double large = 1e9;
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    small = std::min(small, cpu_seconds(6000, 5000, seed));
+    large = std::min(large, cpu_seconds(60000, 50000, seed));
+  }
   EXPECT_LT(large, 40 * small) << "5000 picks: " << small
                                << " s, 50000 picks: " << large << " s";
 }

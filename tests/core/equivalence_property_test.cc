@@ -326,7 +326,7 @@ TEST(PrunedWalkTest, SlackCoversTheSummationOrder) {
     ASSERT_TRUE(ScoringRegistry::Global()
                     .RegisterNonKeyMeasure(
                         "pruned-walk-test-ulps",
-                        [ulp, tail](const ScoringContext& context) {
+                        [ulp, tail](const NonKeyScoringContext& context) {
                           NonKeyScores scores;
                           scores.outgoing = {1.0 + 3 * ulp, 1.0, tail, tail,
                                              tail, tail};

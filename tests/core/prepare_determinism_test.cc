@@ -11,9 +11,11 @@
 #include <vector>
 
 #include "common/parallel.h"
+#include "common/strings.h"
 #include "core/candidates.h"
 #include "core/key_scoring.h"
 #include "datagen/generator.h"
+#include "service/engine.h"
 #include "tests/testing/random_schema.h"
 
 namespace egp {
@@ -67,6 +69,39 @@ void CheckAllParallelisms(const SchemaGraph& schema,
   }
 }
 
+/// Engine-built preparations, at 1 and 4 threads, for selections that
+/// share `measures.nonkey` and differ in smoothing: every build after the
+/// first assembles the memoized non-key part, and each must equal a fresh
+/// Create bit for bit. `make_engine` builds an engine over the schema (and
+/// graph) under test.
+template <typename MakeEngine>
+void CheckEngineBuilds(const SchemaGraph& schema, MeasureSelection measures,
+                       const EntityGraph* graph, MakeEngine&& make_engine) {
+  for (unsigned threads : {1u, 4u}) {
+    EngineOptions options;
+    options.threads = threads;
+    const Engine engine = make_engine(options);
+    std::shared_ptr<const PreparedSchema> first;
+    for (int i = 0; i < 4; ++i) {
+      measures.walk.smoothing = 1e-5 * (1 + i);
+      auto fresh = PreparedSchema::Create(schema, measures, graph);
+      ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+      auto built = engine.Prepared(measures);
+      ASSERT_TRUE(built.ok()) << built.status().ToString();
+      SCOPED_TRACE(StrFormat("engine build %d", i));
+      ExpectBitIdentical(*fresh, **built, threads);
+      if (i == 0) {
+        first = *built;
+        continue;
+      }
+      EXPECT_EQ((*built)->timings().nonkey_seconds, 0.0);  // a memo hit
+      if (schema.num_types() > 0) {
+        EXPECT_EQ(&(*built)->Candidates(0), &first->Candidates(0));
+      }
+    }
+  }
+}
+
 TEST(PrepareDeterminismTest, RandomSchemasCoverageAndRandomWalk) {
   for (uint64_t seed : {7u, 21u, 98u}) {
     const SchemaGraph schema =
@@ -78,6 +113,10 @@ TEST(PrepareDeterminismTest, RandomSchemasCoverageAndRandomWalk) {
       SCOPED_TRACE(std::string("seed ") + std::to_string(seed) + " key " +
                    key);
       CheckAllParallelisms(schema, measures, nullptr);
+      CheckEngineBuilds(schema, measures, nullptr,
+                        [&schema](const EngineOptions& options) {
+                          return Engine::FromSchema(schema, options);
+                        });
     }
   }
 }
@@ -94,6 +133,11 @@ TEST(PrepareDeterminismTest, GeneratedDomainWithEntropy) {
     measures.nonkey = "entropy";
     SCOPED_TRACE(domain_name);
     CheckAllParallelisms(domain->schema, measures, &domain->graph);
+    CheckEngineBuilds(domain->schema, measures, &domain->graph,
+                      [&domain](const EngineOptions& engine_options) {
+                        return Engine::FromGraph(domain->graph,
+                                                 engine_options);
+                      });
   }
 }
 

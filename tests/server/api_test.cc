@@ -540,6 +540,34 @@ TEST(PreviewServiceTest, DebugCacheShowsPreparedEntries) {
   EXPECT_NE(warm.body.find("\"ready\":true"), std::string::npos);
   EXPECT_NE(warm.body.find("\"hits\":1"), std::string::npos);
   EXPECT_NE(warm.body.find("\"approxBytes\":"), std::string::npos);
+
+  // Two more selections that share the coverage non-key part: it is
+  // listed once, with the seconds its one computation took, and an entry
+  // counts only its own key scores.
+  service.Handle(Post("/v1/preview",
+                      R"({"k":2,"n":4,"measures":{"key":"randomwalk"}})"));
+  service.Handle(Post("/v1/preview", R"({"k":2,"n":4,"measures":)"
+                                     R"({"key":"randomwalk",)"
+                                     R"("walk":{"smoothing":0.001}}})"));
+  const HttpResponse shared = service.Handle(Get("/v1/debug/cache"));
+  ASSERT_EQ(shared.status, 200);
+  const auto doc = ParseJson(shared.body);
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  const JsonValue& dataset = doc->Find("datasets")->array().at(0);
+  const auto& entries = dataset.Find("entries")->array();
+  ASSERT_EQ(entries.size(), 3u) << shared.body;
+  const auto& parts = dataset.Find("nonkeyParts")->array();
+  ASSERT_EQ(parts.size(), 1u) << shared.body;
+  EXPECT_EQ(parts[0].Find("measure")->string_value(), "coverage");
+  EXPECT_TRUE(parts[0].Find("ready")->bool_value());
+  EXPECT_FALSE(parts[0].Find("building")->bool_value());
+  EXPECT_GE(parts[0].Find("seconds")->number_value(), 0.0);
+  const double part_bytes = parts[0].Find("approxBytes")->number_value();
+  EXPECT_GT(dataset.Find("distanceMatrixBytes")->number_value(), 0.0);
+  for (const JsonValue& entry : entries) {
+    EXPECT_LT(entry.Find("approxBytes")->number_value(), part_bytes)
+        << shared.body;
+  }
 }
 
 TEST(PreviewServiceTest, ProfileEndpointGatedBehindFlag) {

@@ -5,6 +5,9 @@
 // ThreadSanitizer in the tsan job (EGP_SANITIZE=thread).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -12,6 +15,7 @@
 #include "core/apriori.h"
 #include "core/beam_search.h"
 #include "core/dynamic_programming.h"
+#include "core/nonkey_scoring.h"
 #include "datagen/generator.h"
 #include "datagen/paper_example.h"
 #include "service/engine.h"
@@ -181,6 +185,58 @@ TEST(EngineConcurrencyTest, ConcurrentSuggestAndPreparedAreSafe) {
   }
   for (std::thread& thread : threads) thread.join();
   for (int t = 0; t < kThreads; ++t) EXPECT_EQ(errors[t], 0) << t;
+}
+
+// Calls to the counting non-key measure below.
+std::atomic<int> counted_calls{0};
+
+TEST(EngineConcurrencyTest, ConcurrentBuildsComputeANonKeyPartOnce) {
+  // Eight first requests for eight selections (one smoothing each) that
+  // share one non-key measure: one computes its non-key part, the other
+  // seven wait for it. The scorer dawdles so they all arrive while it
+  // runs.
+  ASSERT_TRUE(ScoringRegistry::Global()
+                  .RegisterNonKeyMeasure(
+                      "concurrency-test-counted",
+                      [](const NonKeyScoringContext& context) {
+                        counted_calls.fetch_add(1);
+                        std::this_thread::sleep_for(
+                            std::chrono::milliseconds(50));
+                        return Result<NonKeyScores>(
+                            ComputeNonKeyCoverage(context.schema));
+                      })
+                  .ok());
+  const Engine engine = Engine::FromGraph(BuildPaperExampleGraph());
+  constexpr int kThreads = 8;
+  std::vector<std::shared_ptr<const PreparedSchema>> prepared(kThreads);
+  std::vector<std::string> errors(kThreads);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      MeasureSelection measures;
+      measures.key = "randomwalk";
+      measures.nonkey = "concurrency-test-counted";
+      measures.walk.smoothing = 1e-5 * (1 + t);
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      auto result = engine.Prepared(measures);
+      if (result.ok()) {
+        prepared[t] = std::move(result).value();
+      } else {
+        errors[t] = result.status().ToString();
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_TRUE(errors[t].empty()) << "thread " << t << ": " << errors[t];
+  }
+  EXPECT_EQ(counted_calls.load(), 1);
+  EXPECT_EQ(engine.cache_stats().entries, static_cast<size_t>(kThreads));
+  for (int t = 1; t < kThreads; ++t) {
+    EXPECT_EQ(&prepared[t]->Candidates(0), &prepared[0]->Candidates(0)) << t;
+  }
 }
 
 }  // namespace

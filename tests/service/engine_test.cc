@@ -3,6 +3,8 @@
 // the schema-only serving mode.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -150,6 +152,110 @@ TEST(EngineTest, NearEqualWalkParametersDoNotAlias) {
   const auto response = engine.Preview(request);
   ASSERT_TRUE(response.ok());
   EXPECT_FALSE(response->prepared_cache_hit);
+}
+
+TEST(EngineTest, CacheDisplayTellsNearEqualSmoothingsApart) {
+  // /v1/debug/cache lists entries by this display; two smoothings that
+  // differ in the 10th significant digit are two entries and must read
+  // as two.
+  const Engine engine = PaperEngine();
+  PreviewRequest request;
+  request.size = {2, 6};
+  request.measures.key = "randomwalk";
+  request.measures.walk.smoothing = 1.000000001e-5;
+  ASSERT_TRUE(engine.Preview(request).ok());
+  request.measures.walk.smoothing = 1.000000002e-5;
+  ASSERT_TRUE(engine.Preview(request).ok());
+  request.measures = MeasureSelection{};
+  ASSERT_TRUE(engine.Preview(request).ok());
+  const std::vector<Engine::CacheEntryInfo> entries = engine.cache_entries();
+  ASSERT_EQ(entries.size(), 3u);
+  EXPECT_EQ(entries[2].measures,
+            "key=randomwalk nonkey=coverage "
+            "walk(smoothing=1.000000001e-05,iters=500,tol=1e-12)");
+  EXPECT_EQ(entries[1].measures,
+            "key=randomwalk nonkey=coverage "
+            "walk(smoothing=1.000000002e-05,iters=500,tol=1e-12)");
+  // The defaults read as they always have.
+  EXPECT_EQ(entries[0].measures,
+            "key=coverage nonkey=coverage "
+            "walk(smoothing=1e-05,iters=500,tol=1e-12)");
+}
+
+TEST(EngineTest, NonKeyPartIsComputedOncePerMeasure) {
+  // A new key measure or walk setting is a new entry, but its non-key
+  // part (the entropy scores, Γτ) is the one the first entry computed:
+  // the build reports no non-key, sort or distance time, and Γτ is the
+  // same memory.
+  const Engine engine = PaperEngine();
+  PreviewRequest request;
+  request.size = {2, 6};
+  request.measures.key = "randomwalk";
+  request.measures.nonkey = "entropy";
+  const auto first = engine.Preview(request);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first->prepare_timings.distance_seconds, 0.0);  // the engine's
+  request.measures.walk.smoothing = 1e-3;
+  const auto hit = engine.Preview(request);
+  ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+  EXPECT_FALSE(hit->prepared_cache_hit);
+  EXPECT_EQ(hit->prepare_timings.nonkey_seconds, 0.0);
+  EXPECT_EQ(hit->prepare_timings.candidate_sort_seconds, 0.0);
+  EXPECT_EQ(hit->prepare_timings.distance_seconds, 0.0);
+  EXPECT_EQ(&hit->prepared->Candidates(0), &first->prepared->Candidates(0));
+  EXPECT_EQ(&hit->prepared->distances(), &engine.distances());
+  EXPECT_EQ(&hit->prepared->schema(), &engine.schema());
+
+  const std::vector<Engine::NonKeyPartInfo> parts = engine.nonkey_parts();
+  ASSERT_EQ(parts.size(), 1u);
+  EXPECT_EQ(parts[0].measure, "entropy");
+  EXPECT_TRUE(parts[0].ready);
+  EXPECT_FALSE(parts[0].building);
+  EXPECT_GT(parts[0].approx_bytes, 0u);
+  const PrepareTimings& computed = first->prepare_timings;
+  EXPECT_EQ(parts[0].seconds,
+            computed.nonkey_seconds + computed.candidate_sort_seconds);
+}
+
+// Fails on its first call and throws on its second.
+std::atomic<int> flaky_calls{0};
+
+TEST(EngineTest, FailedNonKeyPartIsComputedAgain) {
+  ASSERT_TRUE(ScoringRegistry::Global()
+                  .RegisterNonKeyMeasure(
+                      "engine-test-flaky",
+                      [](const NonKeyScoringContext& context)
+                          -> Result<NonKeyScores> {
+                        const int call = flaky_calls.fetch_add(1);
+                        if (call == 0) {
+                          return Status::Unavailable("first call fails");
+                        }
+                        if (call == 1) throw std::runtime_error("second");
+                        return ComputeNonKeyCoverage(context.schema);
+                      })
+                  .ok());
+  const Engine engine = PaperEngine();
+  PreviewRequest request;
+  request.size = {2, 6};
+  request.measures.nonkey = "engine-test-flaky";
+  const auto failed = engine.Preview(request);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kUnavailable);
+  EXPECT_TRUE(engine.nonkey_parts().empty());  // the failure was dropped
+  EXPECT_EQ(engine.cache_stats().entries, 0u);
+  // A throwing scorer is dropped too, so it cannot poison the measure.
+  request.measures.walk.smoothing = 1e-3;
+  EXPECT_THROW(engine.Preview(request), std::runtime_error);
+  EXPECT_TRUE(engine.nonkey_parts().empty());
+
+  request.measures.walk.smoothing = 2e-3;  // a later, new selection
+  const auto retried = engine.Preview(request);
+  ASSERT_TRUE(retried.ok()) << retried.status().ToString();
+  EXPECT_EQ(flaky_calls.load(), 3);
+  request.measures.key = "randomwalk";  // a memo hit: no fourth call
+  ASSERT_TRUE(engine.Preview(request).ok());
+  EXPECT_EQ(flaky_calls.load(), 3);
+  EXPECT_EQ(engine.nonkey_parts().size(), 1u);
 }
 
 TEST(EngineTest, CopiedEngineSharesSnapshotAndCache) {

@@ -49,7 +49,7 @@ TEST(ScoringRegistryTest, BuiltInScorersMatchTheDirectFunctions) {
 
   auto entropy = peer.registry.FindNonKeyMeasure("entropy");
   ASSERT_TRUE(entropy.ok());
-  const auto nonkey = (*entropy)(context);
+  const auto nonkey = (*entropy)(NonKeyScoringContext{schema, &graph});
   ASSERT_TRUE(nonkey.ok());
   const auto direct = ComputeNonKeyEntropy(graph, schema);
   ASSERT_TRUE(direct.ok());
@@ -61,7 +61,7 @@ TEST(ScoringRegistryTest, EntropyWithoutTheDataGraphFails) {
   ScoringRegistryTestPeer peer;
   const SchemaGraph schema =
       SchemaGraph::FromEntityGraph(BuildPaperExampleGraph());
-  const ScoringContext context{schema, nullptr, RandomWalkOptions{}};
+  const NonKeyScoringContext context{schema, nullptr};
   auto entropy = peer.registry.FindNonKeyMeasure("entropy");
   ASSERT_TRUE(entropy.ok());
   const auto scores = (*entropy)(context);
@@ -104,7 +104,7 @@ TEST(ScoringRegistryTest, GlobalRegistrationFlowsIntoPreparedSchema) {
   ASSERT_TRUE(ScoringRegistry::Global()
                   .RegisterNonKeyMeasure(
                       "registry-test-halves",
-                      [](const ScoringContext& context) {
+                      [](const NonKeyScoringContext& context) {
                         NonKeyScores scores;
                         scores.outgoing.assign(context.schema.num_edges(),
                                                0.5);
@@ -169,7 +169,7 @@ TEST(ScoringRegistryTest, PreparedSchemaRejectsNegativeAndNonFiniteScores) {
     ASSERT_TRUE(ScoringRegistry::Global()
                     .RegisterNonKeyMeasure(
                         nonkey_name,
-                        [bad](const ScoringContext& context) {
+                        [bad](const NonKeyScoringContext& context) {
                           NonKeyScores scores;
                           scores.outgoing.assign(context.schema.num_edges(),
                                                  1.0);

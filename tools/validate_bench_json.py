@@ -48,6 +48,21 @@ def datasets_of(doc):
     return datasets
 
 
+PREPARE_PHASES = ("key", "nonkey", "distance", "candidate_sort")
+
+# Phases a memo-hit Engine build never runs: it assembles the memoized
+# non-key part (scores and Γτ sorts) and the engine's distance matrix.
+MEMO_HIT_SKIPS = ("nonkey", "distance", "candidate_sort")
+
+
+def check_build(build, where):
+    """One build: a positive total and a non-negative time per phase."""
+    number(build, "total_seconds", f"{where}.total_seconds")
+    for phase in PREPARE_PHASES:
+        key = f"{phase}_seconds"
+        number(build, key, f"{where}.{key}", allow_zero=True)
+
+
 def check_prepare(doc) -> int:
     datasets = datasets_of(doc)
     for d, dataset in enumerate(datasets):
@@ -59,10 +74,17 @@ def check_prepare(doc) -> int:
             raise ShapeError(f"{where}[0].threads: serial build must come "
                              f"first")
         for b, build in enumerate(builds):
-            number(build, "total_seconds", f"{where}[{b}].total_seconds")
-            for phase in ("key", "nonkey", "distance", "candidate_sort"):
-                key = f"{phase}_seconds"
-                number(build, key, f"{where}[{b}].{key}", allow_zero=True)
+            check_build(build, f"{where}[{b}]")
+        for name in ("engine_first_build", "engine_memo_hit_build"):
+            path = f"datasets[{d}].{name}"
+            check_build(field(dataset, name, path), path)
+        hit = dataset["engine_memo_hit_build"]
+        for phase in MEMO_HIT_SKIPS:
+            key = f"{phase}_seconds"
+            if hit[key] != 0:
+                raise ShapeError(f"datasets[{d}].engine_memo_hit_build.{key}:"
+                                 f" {hit[key]!r}, but a memo hit computes no "
+                                 f"{phase} phase")
     return len(datasets)
 
 
