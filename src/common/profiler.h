@@ -26,7 +26,7 @@
 // resolve), and returns folded-stack text ready for flamegraph.pl, one
 // line per unique stack:
 //
-//   prepare;egp::Engine::PreparedInternal;egp::ScoreEntropy 127
+//   prepare;egp::Engine::State::Build;egp::ComputeNonKeyEntropy 127
 //
 // with the phase name as the synthetic root frame, so flamegraphs split
 // CPU by request phase (read/admission/handler/prepare/discover/sample).

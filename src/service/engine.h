@@ -6,14 +6,16 @@
 // shape. It holds one immutable graph snapshot (shared, never copied per
 // request) with its schema graph and all-pairs type distance matrix,
 // memoizes the per-measure-configuration state (PreparedSchema: key
-// scores) behind a mutex-guarded cache, and serves PreviewRequest →
-// Result<PreviewResponse> safely from any number of threads. Follow-up
-// requests that only change the constraints hit the cache and pay just
-// the discovery cost. The expensive part of a configuration, its non-key
-// scores sorted into Γτ (NonKeyPart), depends on the non-key measure
-// alone, so it is computed once per non-key measure name and shared by
-// every configuration that names it: a new key measure or walk setting
-// pays only its key scorer.
+// scores) in an LRU-bounded memo (service/memo.h), and serves
+// PreviewRequest → Result<PreviewResponse> safely from any number of
+// threads. Follow-up requests that only change the constraints hit the
+// cache and pay just the discovery cost. The expensive part of a
+// configuration, its non-key scores sorted into Γτ (NonKeyPart), depends
+// on the non-key measure alone, so it is computed once per non-key
+// measure name and shared by every configuration that names it: a new
+// key measure or walk setting pays only its key scorer. Both memos fill
+// the same way: a failed build or computation leaves no entry behind, so
+// the next identical request computes again.
 //
 // The layer underneath (PreparedSchema, the Discover() dispatch and the
 // per-algorithm functions behind it, MaterializePreview) remains
@@ -156,13 +158,13 @@ class Engine {
   /// True when the prepared snapshot for `measures` is already built and
   /// usable — a request for it would be a cache hit that pays no build.
   /// A pure probe: no build is started, no hit/miss counter moves, and
-  /// LRU recency is untouched. An entry still being built (or one that
-  /// failed) reports false. The serving layer uses this to classify
-  /// requests as hot (cache hit) vs cold (PreparedSchema build) for
-  /// cost-based admission. Thread-safe; the answer is advisory — another
-  /// thread may complete or evict the entry right after. Eviction only
-  /// happens under cache-capacity pressure, so a "hot" answer going
-  /// stale is rare and costs one mis-classified build.
+  /// LRU recency is untouched. An entry still being built reports false.
+  /// The serving layer uses this to classify requests as hot (cache hit)
+  /// vs cold (PreparedSchema build) for cost-based admission.
+  /// Thread-safe; the answer is advisory — another thread may complete
+  /// or evict the entry right after. Eviction only happens under
+  /// cache-capacity pressure, so a "hot" answer going stale is rare and
+  /// costs one mis-classified build.
   bool IsPrepared(const MeasureSelection& measures = {}) const;
 
   /// The entity graph, or nullptr for a schema-only engine.
@@ -186,13 +188,13 @@ class Engine {
   /// One prepared-cache entry, for GET /v1/debug/cache: which measure
   /// configurations are resident, how hot each one is, how old it is,
   /// and roughly what it owns in memory (its key scores: the parts it
-  /// shares are listed once, by nonkey_parts() and distances()). `ready`
-  /// is false while the build is still in flight (approx_bytes is then
-  /// 0).
+  /// shares are listed once, by nonkey_parts() and distances()). A
+  /// listed entry is building or ready: a failed build is not listed.
+  /// While it builds, approx_bytes is 0.
   struct CacheEntryInfo {
     std::string measures;      // human-readable configuration
     bool ready = false;        // build finished successfully
-    bool building = false;     // future not yet fulfilled
+    bool building = false;     // build still in flight
     uint64_t hits = 0;         // cache hits served by this entry
     double age_seconds = 0;    // since insertion
     double idle_seconds = 0;   // since last hit (== age when never hit)
@@ -209,7 +211,7 @@ class Engine {
   struct NonKeyPartInfo {
     std::string measure;      // non-key measure name
     bool ready = false;       // computed successfully
-    bool building = false;    // future not yet fulfilled
+    bool building = false;    // computation still in flight
     size_t approx_bytes = 0;  // NonKeyPart::ApproximateBytes()
     double seconds = 0;       // the one computation: scoring + Γτ sorts
   };
@@ -219,9 +221,6 @@ class Engine {
  private:
   struct State;
   explicit Engine(std::shared_ptr<State> state) : state_(std::move(state)) {}
-
-  Result<std::shared_ptr<const PreparedSchema>> PreparedInternal(
-      const MeasureSelection& measures, bool* cache_hit) const;
 
   std::shared_ptr<State> state_;
 };

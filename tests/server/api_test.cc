@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -15,6 +17,7 @@
 
 #include "common/profiler.h"
 #include "common/strings.h"
+#include "core/key_scoring.h"
 #include "datagen/paper_example.h"
 #include "io/json_export.h"
 #include "io/ntriples.h"
@@ -568,6 +571,45 @@ TEST(PreviewServiceTest, DebugCacheShowsPreparedEntries) {
     EXPECT_LT(entry.Find("approxBytes")->number_value(), part_bytes)
         << shared.body;
   }
+}
+
+// Calls to the key measure below, which throws on its first call.
+std::atomic<int> throwing_key_calls{0};
+
+TEST(PreviewServiceTest, AThrownBuildCostsOneRequest) {
+  // The request whose build throws fails; the identical request after it
+  // serves, and the cache listing answers without the failed build.
+  ASSERT_TRUE(ScoringRegistry::Global()
+                  .RegisterKeyMeasure(
+                      "api-test-throws-once",
+                      [](const ScoringContext& context)
+                          -> Result<std::vector<double>> {
+                        if (throwing_key_calls.fetch_add(1) == 0) {
+                          throw std::runtime_error("first call throws");
+                        }
+                        return ComputeKeyCoverage(context.schema);
+                      })
+                  .ok());
+  PreviewService service = MakeService();
+  const std::string body =
+      R"({"k":2,"n":4,"measures":{"key":"api-test-throws-once"}})";
+  EXPECT_THROW(service.Handle(Post("/v1/preview", body)),
+               std::runtime_error);
+
+  HttpResponse cache;
+  cache.status = 0;
+  EXPECT_NO_THROW(cache = service.Handle(Get("/v1/debug/cache")));
+  EXPECT_EQ(cache.status, 200);
+  EXPECT_EQ(cache.body.find("api-test-throws-once"), std::string::npos)
+      << cache.body;
+  EXPECT_NE(cache.body.find("\"entries\":[]"), std::string::npos)
+      << cache.body;
+
+  HttpResponse retried;
+  retried.status = 0;
+  EXPECT_NO_THROW(retried = service.Handle(Post("/v1/preview", body)));
+  EXPECT_EQ(retried.status, 200) << retried.body;
+  EXPECT_EQ(throwing_key_calls.load(), 2);
 }
 
 TEST(PreviewServiceTest, ProfileEndpointGatedBehindFlag) {

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -15,6 +16,7 @@
 #include "core/apriori.h"
 #include "core/beam_search.h"
 #include "core/dynamic_programming.h"
+#include "core/key_scoring.h"
 #include "core/nonkey_scoring.h"
 #include "datagen/generator.h"
 #include "datagen/paper_example.h"
@@ -237,6 +239,128 @@ TEST(EngineConcurrencyTest, ConcurrentBuildsComputeANonKeyPartOnce) {
   for (int t = 1; t < kThreads; ++t) {
     EXPECT_EQ(&prepared[t]->Candidates(0), &prepared[0]->Candidates(0)) << t;
   }
+}
+
+// Calls to the key measure below, which sleeps and then throws on its
+// first call.
+std::atomic<int> sleepy_throw_calls{0};
+
+// What that measure throws. Every waiter catches the one exception object
+// the build stored, so it carries no state for them to read: libstdc++'s
+// exception reference count is not instrumented, and ThreadSanitizer
+// would report a read of a shared message against the last catcher's
+// free.
+struct ScorerThrew {};
+
+TEST(EngineConcurrencyTest, WaitersOnAThrownBuildGetItsException) {
+  // Eight first requests for one selection: one builds and its scorer
+  // throws while the rest wait. Each thread gets either the scorer's
+  // exception (it waited on that build) or a preview (it came after the
+  // failed entry was erased), never a broken promise.
+  ASSERT_TRUE(ScoringRegistry::Global()
+                  .RegisterKeyMeasure(
+                      "concurrency-test-throws-once",
+                      [](const ScoringContext& context)
+                          -> Result<std::vector<double>> {
+                        if (sleepy_throw_calls.fetch_add(1) == 0) {
+                          std::this_thread::sleep_for(
+                              std::chrono::milliseconds(50));
+                          throw ScorerThrew{};
+                        }
+                        return ComputeKeyCoverage(context.schema);
+                      })
+                  .ok());
+  const Engine engine = Engine::FromGraph(BuildPaperExampleGraph());
+  PreviewRequest request;
+  request.size = {2, 6};
+  request.measures.key = "concurrency-test-throws-once";
+  constexpr int kThreads = 8;
+  std::vector<std::string> outcomes(kThreads);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      try {
+        const auto response = engine.Preview(request);
+        outcomes[t] = response.ok() ? "served" : response.status().ToString();
+      } catch (const ScorerThrew&) {
+        outcomes[t] = "scorer threw";
+      } catch (const std::future_error& e) {
+        outcomes[t] = std::string("future_error: ") + e.what();
+      } catch (...) {
+        outcomes[t] = "another exception";
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  int threw = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    if (outcomes[t] == "scorer threw") {
+      ++threw;
+    } else {
+      EXPECT_EQ(outcomes[t], "served") << "thread " << t;
+    }
+  }
+  EXPECT_GE(threw, 1);  // at least the thread that built
+  Result<PreviewResponse> again = Status::Internal("unset");
+  EXPECT_NO_THROW(again = engine.Preview(request));
+  EXPECT_TRUE(again.ok()) << again.status().ToString();
+}
+
+// The key measure below holds its first call until released, then fails
+// it with an error; later calls succeed at once.
+std::atomic<int> held_calls{0};
+std::atomic<bool> release_held_call{false};
+
+TEST(EngineConcurrencyTest, AFailedBuildKeepsTheEntryInsertedAfterItsEviction) {
+  // With capacity 1, a held build is evicted and its selection inserted
+  // and built again. When the held build then fails, it must erase only
+  // its own insert: the entry built after it stays ready.
+  ASSERT_TRUE(ScoringRegistry::Global()
+                  .RegisterKeyMeasure(
+                      "concurrency-test-held",
+                      [](const ScoringContext& context)
+                          -> Result<std::vector<double>> {
+                        if (held_calls.fetch_add(1) == 0) {
+                          while (!release_held_call.load()) {
+                            std::this_thread::sleep_for(
+                                std::chrono::milliseconds(1));
+                          }
+                          return Status::Unavailable("held call fails");
+                        }
+                        return ComputeKeyCoverage(context.schema);
+                      })
+                  .ok());
+  EngineOptions options;
+  options.prepared_cache_capacity = 1;
+  const Engine engine = Engine::FromGraph(BuildPaperExampleGraph(), options);
+  MeasureSelection held;
+  held.key = "concurrency-test-held";
+  Result<std::shared_ptr<const PreparedSchema>> first =
+      Status::Internal("unset");
+  std::thread builder([&] { first = engine.Prepared(held); });
+  while (held_calls.load() == 0) std::this_thread::yield();
+
+  // Non-fatal checks until the held call is released and joined.
+  EXPECT_TRUE(engine.Prepared(MeasureSelection{}).ok());  // evicts it
+  EXPECT_EQ(engine.cache_stats().evictions, 1u);
+  EXPECT_TRUE(engine.Prepared(held).ok());  // inserted and built again
+  EXPECT_EQ(engine.cache_stats().evictions, 2u);
+  release_held_call.store(true);
+  builder.join();
+  ASSERT_FALSE(first.ok());
+  EXPECT_EQ(first.status().code(), StatusCode::kUnavailable);
+
+  EXPECT_TRUE(engine.IsPrepared(held));
+  const std::vector<Engine::CacheEntryInfo> entries = engine.cache_entries();
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_TRUE(entries[0].ready);
+  const uint64_t hits = engine.cache_stats().hits;
+  ASSERT_TRUE(engine.Prepared(held).ok());
+  EXPECT_EQ(engine.cache_stats().hits, hits + 1);
+  EXPECT_EQ(held_calls.load(), 2);
 }
 
 }  // namespace

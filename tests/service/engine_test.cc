@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "core/key_scoring.h"
 #include "datagen/paper_example.h"
 #include "io/ntriples.h"
 #include "service/engine.h"
@@ -243,19 +244,60 @@ TEST(EngineTest, FailedNonKeyPartIsComputedAgain) {
   EXPECT_EQ(failed.status().code(), StatusCode::kUnavailable);
   EXPECT_TRUE(engine.nonkey_parts().empty());  // the failure was dropped
   EXPECT_EQ(engine.cache_stats().entries, 0u);
-  // A throwing scorer is dropped too, so it cannot poison the measure.
-  request.measures.walk.smoothing = 1e-3;
+  // A throwing scorer is dropped too, from both memos, so it poisons
+  // neither the measure nor the selection: the same request computes
+  // again.
   EXPECT_THROW(engine.Preview(request), std::runtime_error);
   EXPECT_TRUE(engine.nonkey_parts().empty());
+  EXPECT_EQ(engine.cache_stats().entries, 0u);
 
-  request.measures.walk.smoothing = 2e-3;  // a later, new selection
-  const auto retried = engine.Preview(request);
+  Result<PreviewResponse> retried = Status::Internal("unset");
+  EXPECT_NO_THROW(retried = engine.Preview(request));
   ASSERT_TRUE(retried.ok()) << retried.status().ToString();
   EXPECT_EQ(flaky_calls.load(), 3);
   request.measures.key = "randomwalk";  // a memo hit: no fourth call
   ASSERT_TRUE(engine.Preview(request).ok());
   EXPECT_EQ(flaky_calls.load(), 3);
   EXPECT_EQ(engine.nonkey_parts().size(), 1u);
+}
+
+// Calls to the key measure below, which throws on its first call.
+std::atomic<int> throwing_key_calls{0};
+
+TEST(EngineTest, ThrownBuildLeavesNoEntryBehind) {
+  // The scorer's exception reaches the request that built, and nothing
+  // else: the probes answer, and the same selection builds again.
+  ASSERT_TRUE(ScoringRegistry::Global()
+                  .RegisterKeyMeasure(
+                      "engine-test-throws-once",
+                      [](const ScoringContext& context)
+                          -> Result<std::vector<double>> {
+                        if (throwing_key_calls.fetch_add(1) == 0) {
+                          throw std::runtime_error("first call throws");
+                        }
+                        return ComputeKeyCoverage(context.schema);
+                      })
+                  .ok());
+  const Engine engine = PaperEngine();
+  PreviewRequest request;
+  request.size = {2, 6};
+  request.measures.key = "engine-test-throws-once";
+  EXPECT_THROW(engine.Preview(request), std::runtime_error);
+
+  bool prepared = true;
+  EXPECT_NO_THROW(prepared = engine.IsPrepared(request.measures));
+  EXPECT_FALSE(prepared);
+  std::vector<Engine::CacheEntryInfo> entries(1);
+  EXPECT_NO_THROW(entries = engine.cache_entries());
+  EXPECT_TRUE(entries.empty());
+  EXPECT_EQ(engine.cache_stats().entries, 0u);
+
+  Result<PreviewResponse> served = Status::Internal("unset");
+  EXPECT_NO_THROW(served = engine.Preview(request));
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_FALSE(served->prepared_cache_hit);
+  EXPECT_EQ(throwing_key_calls.load(), 2);
+  EXPECT_TRUE(engine.IsPrepared(request.measures));
 }
 
 TEST(EngineTest, CopiedEngineSharesSnapshotAndCache) {

@@ -3,7 +3,7 @@
 
 Scope: first-party C++ under src/, tools/, bench/ (tests are exempt —
 they deliberately poke at internals, e.g. raw sockets for misbehaving
-clients), plus the Python scripts in tools/. Nine rule families, each
+clients), plus the Python scripts in tools/. Ten rule families, each
 born from a real bug class here:
 
   blocking-io   The event-loop serving core must never block on a
@@ -60,6 +60,15 @@ born from a real bug class here:
                 it), so the request path always runs the pruned walk and
                 never scores all of L_k. Its declaration in
                 src/core/apriori.h is the one other mention.
+
+  once-fill     A value computed once and shared with its waiters goes
+                through egp::Memo (src/service/memo.h), which erases a
+                failed or thrown computation before it fulfils the
+                future, so no entry holds a failure or a broken
+                promise. std::promise, std::future, std::shared_future
+                and #include <future> appear in no other file: the
+                Engine once had two hand-written fills, and one kept a
+                broken promise cached after a thrown build.
 
   python-assert A tools/*.py script checks with a raised error, never an
                 assert statement: `python3 -O` (or PYTHONOPTIMIZE)
@@ -153,6 +162,17 @@ EXHAUSTIVE_WALK_ALLOWED = {
 EXHAUSTIVE_WALK_ALLOWED_DIRS = ("bench/",)
 
 # ---------------------------------------------------------------------------
+# Rule: once-fill
+# ---------------------------------------------------------------------------
+# `std::future_status` and `std::future_error` do not match: the name
+# must end at a word boundary.
+ONCE_FILL_RE = re.compile(
+    r"\bstd::(promise|future|shared_future)\b|#\s*include\s*<future>")
+ONCE_FILL_ALLOWED = {
+    "src/service/memo.h",  # the one memo's fill
+}
+
+# ---------------------------------------------------------------------------
 # Rule: layering
 # ---------------------------------------------------------------------------
 # module -> modules it may #include from (first path component of a
@@ -243,6 +263,12 @@ def scan_file(rel_path: str, findings: list) -> None:
                 f"{rel_path}:{lineno}: [exhaustive-walk] Apriori's "
                 f"exhaustive walk outside bench/ — the request path runs "
                 f"the pruned walk (AprioriOptions{{}})")
+        if rel_path not in ONCE_FILL_ALLOWED and ONCE_FILL_RE.search(line):
+            findings.append(
+                f"{rel_path}:{lineno}: [once-fill] hand-written "
+                f"promise/future fill — memoize through egp::Memo from "
+                f"service/memo.h (it erases a failed computation before "
+                f"its waiters see it)")
         if module is not None:
             for inc in QUOTED_INCLUDE_RE.findall(line):
                 target = inc.split("/", 1)[0]
