@@ -7,16 +7,21 @@
 //
 //   - text parse:     ReadNTriplesFile (tokenize, intern, build indexes)
 //   - snapshot read:  OpenSnapshot kStream (one sequential read + verify)
-//   - snapshot mmap:  OpenSnapshot kMmap (zero-copy CSR; with and
-//                     without checksum verification)
+//   - snapshot mmap:  OpenSnapshot kMmap (zero-copy; with and without
+//                     checksum verification)
 //
-// and cross-checks that previews served from every path are
+// records the heap a kept mmap open holds (snapshot_mmap_heap_bytes:
+// glibc's in-use arena and mmapped-chunk bytes, after the open minus
+// before it, the minimum over --repeat), and cross-checks that previews served from every path are
 // byte-identical to the text-parsed graph (exit 2 on divergence).
 //
 //   bench_store_load [--domains basketball,architecture] [--scale 1.0]
 //                    [--repeat 3] [--dir DIR] [--out FILE]
+#include <malloc.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -59,6 +64,13 @@ double MinSeconds(int repeat, const std::function<void()>& fn) {
     if (r == 0 || elapsed < best) best = elapsed;
   }
   return best;
+}
+
+/// Heap bytes in use: arena chunks plus chunks malloc mmapped on its own
+/// (large arrays land there).
+size_t HeapBytes() {
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
 }
 
 size_t FileBytes(const std::string& path) {
@@ -158,6 +170,15 @@ int Run(const BenchOptions& options) {
       auto stored = OpenSnapshot(egps_path, mmap_options);
       if (!stored.ok()) std::exit(1);
     });
+    size_t mmap_heap_bytes = SIZE_MAX;
+    for (int r = 0; r < options.repeat; ++r) {
+      const size_t before = HeapBytes();
+      auto stored = OpenSnapshot(egps_path, mmap_options);
+      if (!stored.ok()) std::exit(1);
+      const size_t after = HeapBytes();
+      mmap_heap_bytes =
+          std::min(mmap_heap_bytes, after > before ? after - before : 0);
+    }
     SnapshotOpenOptions trusted_options;
     trusted_options.verify_checksums = false;
     const double mmap_noverify_seconds = MinSeconds(options.repeat, [&] {
@@ -204,11 +225,12 @@ int Run(const BenchOptions& options) {
 
     std::fprintf(stderr,
                  "[%s] %zu entities / %zu rels: parse %.1fms, stream "
-                 "%.1fms, mmap %.1fms (noverify %.1fms); %.2fx / %.2fx "
-                 "faster\n",
+                 "%.1fms, mmap %.1fms (noverify %.1fms, heap %.2f MB); "
+                 "%.2fx / %.2fx faster\n",
                  name.c_str(), parsed->num_entities(), parsed->num_edges(),
                  parse_seconds * 1e3, stream_seconds * 1e3,
                  mmap_seconds * 1e3, mmap_noverify_seconds * 1e3,
+                 mmap_heap_bytes / 1e6,
                  stream_seconds > 0 ? parse_seconds / stream_seconds : 0.0,
                  mmap_seconds > 0 ? parse_seconds / mmap_seconds : 0.0);
 
@@ -221,6 +243,8 @@ int Run(const BenchOptions& options) {
             std::to_string(parsed->num_edges()) + ",\n";
     json += "      \"nt_bytes\": " + std::to_string(nt_bytes) + ",\n";
     json += "      \"egps_bytes\": " + std::to_string(egps_bytes) + ",\n";
+    json += "      \"snapshot_mmap_heap_bytes\": " +
+            std::to_string(mmap_heap_bytes) + ",\n";
     std::snprintf(buffer, sizeof(buffer),
                   "      \"compile_seconds\": %.6f,\n"
                   "      \"parse_seconds\": %.6f,\n"

@@ -90,7 +90,7 @@ Result<MaterializedPreview> MaterializePreview(
       mat.columns.push_back(std::move(column));
     }
 
-    const std::vector<EntityId>& members = graph.EntitiesOfType(table.key);
+    const std::span<const EntityId> members = graph.EntitiesOfType(table.key);
     mat.total_tuples = members.size();
 
     std::vector<size_t> picked;

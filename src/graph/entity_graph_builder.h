@@ -5,10 +5,12 @@
 
 #include <map>
 #include <string_view>
-#include <utility>
+#include <tuple>
+#include <vector>
 
 #include "common/result.h"
 #include "common/status.h"
+#include "common/string_pool.h"
 #include "graph/entity_graph.h"
 
 namespace egp {
@@ -43,15 +45,21 @@ class EntityGraphBuilder {
   /// is the primary / first-asserted type).
   const std::vector<TypeId>& TypesOf(EntityId entity) const;
 
-  size_t num_entities() const { return graph_.num_entities(); }
+  size_t num_entities() const { return entity_types_.size(); }
 
-  /// Finalizes and returns the graph, freezing the edges added so far
-  /// into its CSR adjacency; the builder is left empty. Fails if the
-  /// graph has no entities.
+  /// Finalizes and returns the graph: flattens the names and type lists
+  /// into the graph's arrays and freezes the edges added so far into its
+  /// CSR adjacency; the builder is left empty. Fails if the graph has no
+  /// entities.
   Result<EntityGraph> Build();
 
  private:
-  EntityGraph graph_;
+  StringPool entity_names_;
+  StringPool type_names_;
+  StringPool surface_names_;
+  std::vector<RelTypeInfo> rel_types_;
+  std::vector<std::vector<TypeId>> entity_types_;    // per entity
+  std::vector<std::vector<EntityId>> type_members_;  // per type
   std::vector<EdgeRecord> edges_;  // until Build() freezes them
   // (surface name id, src, dst) -> rel type id
   std::map<std::tuple<uint32_t, TypeId, TypeId>, RelTypeId> rel_type_index_;

@@ -2,7 +2,7 @@
 // the library.
 //
 // Entities, entity types and relationship types all get dense 32-bit ids
-// assigned in insertion order; names live in StringPools.
+// assigned in insertion order; names live in name tables.
 #ifndef EGP_GRAPH_IDS_H_
 #define EGP_GRAPH_IDS_H_
 

@@ -14,6 +14,13 @@ ValidationReport ValidateEntityGraph(const EntityGraph& graph) {
       report.violations.push_back(std::move(message));
     }
   };
+  // Names as NUL-terminated strings, for StrFormat's %s.
+  const auto entity = [&graph](EntityId e) {
+    return std::string(graph.EntityName(e));
+  };
+  const auto type = [&graph](TypeId t) {
+    return std::string(graph.TypeName(t));
+  };
 
   // Edge endpoint typing, per out-arc: the in-arcs are the out-arcs
   // transposed (Freeze builds them so; FromCsr rejects anything else).
@@ -30,14 +37,14 @@ ValidationReport ValidateEntityGraph(const EntityGraph& graph) {
       const RelTypeInfo& info = graph.RelType(arc.rel_type);
       if (!graph.EntityHasType(src, info.src_type)) {
         violate(StrFormat("arc %u -> %u: source '%s' lacks type '%s'", src,
-                          arc.neighbor, graph.EntityName(src).c_str(),
-                          graph.TypeName(info.src_type).c_str()));
+                          arc.neighbor, entity(src).c_str(),
+                          type(info.src_type).c_str()));
       }
       if (!graph.EntityHasType(arc.neighbor, info.dst_type)) {
         violate(StrFormat("arc %u -> %u: destination '%s' lacks type '%s'",
                           src, arc.neighbor,
-                          graph.EntityName(arc.neighbor).c_str(),
-                          graph.TypeName(info.dst_type).c_str()));
+                          entity(arc.neighbor).c_str(),
+                          type(info.dst_type).c_str()));
       }
     }
   }
@@ -48,25 +55,25 @@ ValidationReport ValidateEntityGraph(const EntityGraph& graph) {
                                graph.EntitiesOfType(t).end());
     if (members.size() != graph.EntitiesOfType(t).size()) {
       violate(StrFormat("type '%s' has duplicate members",
-                        graph.TypeName(t).c_str()));
+                        type(t).c_str()));
     }
     for (EntityId v : members) {
       if (!graph.EntityHasType(v, t)) {
         violate(StrFormat("entity '%s' in members of '%s' but lacks the "
                           "type",
-                          graph.EntityName(v).c_str(),
-                          graph.TypeName(t).c_str()));
+                          entity(v).c_str(),
+                          type(t).c_str()));
       }
     }
   }
   for (EntityId v = 0; v < graph.num_entities(); ++v) {
     for (TypeId t : graph.TypesOf(v)) {
-      const auto& members = graph.EntitiesOfType(t);
+      const auto members = graph.EntitiesOfType(t);
       if (std::find(members.begin(), members.end(), v) == members.end()) {
         violate(StrFormat("entity '%s' has type '%s' but is not in its "
                           "member list",
-                          graph.EntityName(v).c_str(),
-                          graph.TypeName(t).c_str()));
+                          entity(v).c_str(),
+                          type(t).c_str()));
       }
     }
   }

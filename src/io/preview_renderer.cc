@@ -7,10 +7,10 @@
 namespace egp {
 namespace {
 
-std::string Truncate(std::string text, size_t width) {
-  if (text.size() <= width) return text;
-  if (width <= 3) return text.substr(0, width);
-  return text.substr(0, width - 3) + "...";
+std::string Truncate(std::string_view text, size_t width) {
+  if (text.size() <= width) return std::string(text);
+  if (width <= 3) return std::string(text.substr(0, width));
+  return std::string(text.substr(0, width - 3)) + "...";
 }
 
 std::string CellText(const EntityGraph& graph, const MaterializedCell& cell,
@@ -27,7 +27,7 @@ std::string CellText(const EntityGraph& graph, const MaterializedCell& cell,
   }
   if (shown < cell.values.size()) text += ", ...";
   if (braces) text += "}";
-  return Truncate(std::move(text), options.max_cell_width);
+  return Truncate(text, options.max_cell_width);
 }
 
 std::string ColumnHeader(const MaterializedColumn& column,

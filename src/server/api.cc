@@ -473,15 +473,24 @@ HttpResponse PreviewService::Handle(const HttpRequest& request) {
   Timer timer;
   std::string endpoint = "other";
   std::string dataset;
-  HttpResponse response = Route(request, &endpoint, &dataset);
-  response.headers.emplace_back("Server", "egp/" + version_);
-  const double seconds = timer.ElapsedSeconds();
-  metrics_.RecordRequest(endpoint, response.status, seconds);
-  // Dataset-scoped series only for names that resolved against the
-  // catalog — arbitrary client strings must not mint label values.
-  if (!dataset.empty()) {
-    metrics_.RecordDataset(dataset, response.status, seconds);
+  const auto record = [&](int status) {
+    const double seconds = timer.ElapsedSeconds();
+    metrics_.RecordRequest(endpoint, status, seconds);
+    // Dataset-scoped series only for names that resolved against the
+    // catalog — arbitrary client strings must not mint label values.
+    if (!dataset.empty()) metrics_.RecordDataset(dataset, status, seconds);
+  };
+  HttpResponse response;
+  try {
+    response = Route(request, &endpoint, &dataset);
+  } catch (...) {
+    // The transport answers a throwing handler with a 500
+    // (HttpServer::RunHandler); count it as one.
+    record(500);
+    throw;
   }
+  response.headers.emplace_back("Server", "egp/" + version_);
+  record(response.status);
   return response;
 }
 

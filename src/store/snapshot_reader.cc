@@ -22,37 +22,10 @@
 
 namespace egp {
 
-/// Fills EntityGraph's private members from validated snapshot sections
-/// (a friend of EntityGraph).
-struct GraphAssembler {
-  static EntityGraph Assemble(StringPool entity_names, StringPool type_names,
-                              StringPool surface_names,
-                              std::vector<RelTypeInfo> rel_types,
-                              std::vector<std::vector<TypeId>> entity_types,
-                              std::vector<std::vector<EntityId>> type_members,
-                              FrozenGraph adjacency) {
-    EntityGraph graph;
-    graph.entity_names_ = std::move(entity_names);
-    graph.type_names_ = std::move(type_names);
-    graph.surface_names_ = std::move(surface_names);
-    graph.rel_types_ = std::move(rel_types);
-    graph.entity_types_ = std::move(entity_types);
-    graph.type_members_ = std::move(type_members);
-    graph.adjacency_ = std::move(adjacency);
-    return graph;
-  }
-};
-
 namespace {
 
 Status Corrupt(const std::string& what) {
   return Status::Corruption("snapshot: " + what);
-}
-
-uint64_t ReadU64(const uint8_t* p) {
-  uint64_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
 }
 
 /// One section's payload bytes.
@@ -60,55 +33,6 @@ struct Section {
   const uint8_t* data = nullptr;
   size_t size = 0;
   bool present = false;
-};
-
-/// Bounds-checked little-endian cursor over one section.
-class SectionReader {
- public:
-  SectionReader(const Section& section, const char* name)
-      : p_(section.data), remaining_(section.size), name_(name) {}
-
-  Result<uint64_t> U64() {
-    if (remaining_ < sizeof(uint64_t)) {
-      return Corrupt(std::string(name_) + ": truncated payload");
-    }
-    const uint64_t v = ReadU64(p_);
-    p_ += sizeof(uint64_t);
-    remaining_ -= sizeof(uint64_t);
-    return v;
-  }
-
-  /// A span of `count` elements of a trivially copyable 4- or 8-byte-
-  /// aligned type, served in place (the section base is 8-aligned).
-  template <typename T>
-  Result<std::span<const T>> Array(uint64_t count) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    if (count > remaining_ / sizeof(T)) {
-      return Corrupt(std::string(name_) + ": array exceeds section");
-    }
-    std::span<const T> span{reinterpret_cast<const T*>(p_),
-                            static_cast<size_t>(count)};
-    p_ += count * sizeof(T);
-    remaining_ -= count * sizeof(T);
-    return span;
-  }
-
-  Result<std::span<const char>> Bytes(uint64_t count) {
-    return Array<char>(count);
-  }
-
-  size_t remaining() const { return remaining_; }
-  Status ExpectExhausted() const {
-    if (remaining_ != 0) {
-      return Corrupt(std::string(name_) + ": trailing bytes in section");
-    }
-    return Status::OK();
-  }
-
- private:
-  const uint8_t* p_;
-  size_t remaining_;
-  const char* name_;
 };
 
 /// Every offset table must be fully validated (start at 0, never
@@ -129,74 +53,87 @@ Status ValidateOffsets(std::span<const uint64_t> offsets, uint64_t limit,
   return Status::OK();
 }
 
-/// Parses a string-table section into a pool. Ids must come out dense
-/// and in file order; a duplicate string cannot intern densely and is
-/// rejected.
-Result<StringPool> ParseStringTable(const Section& section, const char* name,
-                                    uint64_t expected_count) {
-  SectionReader reader(section, name);
-  uint64_t count = 0;
-  EGP_ASSIGN_OR_RETURN(count, reader.U64());
-  if (count != expected_count) {
-    return Corrupt(std::string(name) + ": count disagrees with meta");
+/// A section that is exactly `count` elements of T, served in place
+/// (the section base is 8-aligned).
+template <typename T>
+Result<std::span<const T>> WholeSection(const Section& section,
+                                        const char* name, uint64_t count) {
+  if (section.size != count * sizeof(T)) {
+    return Corrupt(std::string(name) + " section has the wrong size");
   }
-  std::span<const uint64_t> offsets;
-  EGP_ASSIGN_OR_RETURN(offsets, reader.Array<uint64_t>(count + 1));
-  std::span<const char> blob;
-  EGP_ASSIGN_OR_RETURN(blob, reader.Bytes(reader.remaining()));
-  EGP_RETURN_IF_ERROR(ValidateOffsets(offsets, blob.size(), name));
-  StringPool pool;
-  for (uint64_t i = 0; i < count; ++i) {
-    const std::string_view text(blob.data() + offsets[i],
-                                offsets[i + 1] - offsets[i]);
-    if (pool.Intern(text) != i) {
-      return Corrupt(std::string(name) + ": duplicate string '" +
-                     std::string(text) + "'");
-    }
-  }
-  return pool;
+  return std::span<const T>(reinterpret_cast<const T*>(section.data),
+                            static_cast<size_t>(count));
 }
 
-/// Parses a u32-list CSR section into per-item vectors, with every
-/// element bounds-checked against `element_limit` and duplicates within
-/// one list rejected (the builder never produces them, and downstream
-/// counts assume set semantics). The timestamped `seen` scratch makes
-/// the duplicate check O(total).
-Result<std::vector<std::vector<uint32_t>>> ParseListCsr(
-    const Section& section, const char* name, uint64_t expected_count,
-    uint32_t element_limit) {
-  SectionReader reader(section, name);
-  uint64_t count = 0;
-  EGP_ASSIGN_OR_RETURN(count, reader.U64());
-  if (count != expected_count) {
-    return Corrupt(std::string(name) + ": count disagrees with meta");
+/// Parses a count + offsets + values section (a name table's chars or a
+/// membership list's ids), served in place (the section base is
+/// 8-aligned): the count must match meta, the values fill the rest of
+/// the section, and the offsets must cover them.
+template <typename T>
+Result<FlatLists<T>> ParseCsrSection(const Section& section,
+                                     const char* name, uint64_t count) {
+  const std::string label(name);
+  uint64_t stored_count = 0;
+  if (section.size < sizeof(stored_count)) {
+    return Corrupt(label + ": truncated payload");
   }
-  std::span<const uint64_t> offsets;
-  EGP_ASSIGN_OR_RETURN(offsets, reader.Array<uint64_t>(count + 1));
-  // The remainder of the section is exactly the flat element array; the
-  // offset table must cover it end to end.
-  const uint64_t total = reader.remaining() / sizeof(uint32_t);
-  std::span<const uint32_t> flat;
-  EGP_ASSIGN_OR_RETURN(flat, reader.Array<uint32_t>(total));
-  EGP_RETURN_IF_ERROR(reader.ExpectExhausted());
-  EGP_RETURN_IF_ERROR(ValidateOffsets(offsets, total, name));
+  std::memcpy(&stored_count, section.data, sizeof(stored_count));
+  if (stored_count != count) {
+    return Corrupt(label + ": count disagrees with meta");
+  }
+  const size_t rest = section.size - sizeof(stored_count);
+  if (count + 1 > rest / sizeof(uint64_t)) {
+    return Corrupt(label + ": array exceeds section");
+  }
+  const size_t offset_bytes = (count + 1) * sizeof(uint64_t);
+  if ((rest - offset_bytes) % sizeof(T) != 0) {
+    return Corrupt(label + ": trailing bytes in section");
+  }
+  const uint8_t* offsets = section.data + sizeof(stored_count);
+  const FlatLists<T> lists{
+      {reinterpret_cast<const uint64_t*>(offsets), count + 1},
+      {reinterpret_cast<const T*>(offsets + offset_bytes),
+       (rest - offset_bytes) / sizeof(T)}};
+  EGP_RETURN_IF_ERROR(
+      ValidateOffsets(lists.offsets, lists.values.size(), name));
+  return lists;
+}
 
+/// A name table, viewed in place; its index is Find's, and two equal
+/// names are reported by id (never by their bytes, which may be any
+/// length and not UTF-8).
+Result<NameTable> ParseNames(const Section& section, const char* name,
+                             uint64_t count) {
+  FlatLists<char> names;
+  EGP_ASSIGN_OR_RETURN(names, ParseCsrSection<char>(section, name, count));
+  Result<NameTable> table = NameTable::Index(names);
+  if (!table.ok()) {
+    return Corrupt(std::string(name) + ": " + table.status().message());
+  }
+  return table;
+}
+
+/// A membership list, viewed in place, with every element bounds-checked
+/// against `element_limit` and duplicates within one list rejected (the
+/// builder never produces them, and downstream counts assume set
+/// semantics). The timestamped `seen` scratch makes the duplicate check
+/// O(total).
+Result<IdLists> ParseIdLists(const Section& section, const char* name,
+                             uint64_t count, uint32_t element_limit) {
+  IdLists lists;
+  EGP_ASSIGN_OR_RETURN(lists, ParseCsrSection<uint32_t>(section, name, count));
   // `count` and every element are < 2^32, so a u32 stamp cannot collide
   // with the 0xFFFFFFFF initial value for any real list index.
   std::vector<uint32_t> seen(element_limit, ~uint32_t{0});
-  std::vector<std::vector<uint32_t>> lists(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    lists[i].reserve(offsets[i + 1] - offsets[i]);
-    for (uint64_t j = offsets[i]; j < offsets[i + 1]; ++j) {
-      const uint32_t value = flat[j];
+  for (uint32_t i = 0; i < count; ++i) {
+    for (const uint32_t value : lists[i]) {
       if (value >= element_limit) {
         return Corrupt(std::string(name) + ": element out of range");
       }
       if (seen[value] == i) {
         return Corrupt(std::string(name) + ": duplicate element in list");
       }
-      seen[value] = static_cast<uint32_t>(i);
-      lists[i].push_back(value);
+      seen[value] = i;
     }
   }
   return lists;
@@ -361,11 +298,9 @@ Result<StoredGraph> OpenSnapshotBytes(std::span<const uint8_t> bytes,
   }
 
   // --- Meta --------------------------------------------------------------
-  if (sections[kSectionMeta].size != kMetaFieldCount * sizeof(uint64_t)) {
-    return Corrupt("meta section has the wrong size");
-  }
-  uint64_t meta[kMetaFieldCount];
-  std::memcpy(meta, sections[kSectionMeta].data, sizeof(meta));
+  std::span<const uint64_t> meta;
+  EGP_ASSIGN_OR_RETURN(meta, WholeSection<uint64_t>(sections[kSectionMeta],
+                                                    "meta", kMetaFieldCount));
   const uint64_t num_entities = meta[kMetaNumEntities];
   const uint64_t num_edges = meta[kMetaNumEdges];
   const uint64_t num_types = meta[kMetaNumTypes];
@@ -383,35 +318,31 @@ Result<StoredGraph> OpenSnapshotBytes(std::span<const uint8_t> bytes,
     return Corrupt("arc counts disagree with the edge count");
   }
 
-  // --- String pools ------------------------------------------------------
-  StringPool entity_names, type_names, surface_names;
+  // --- Names ------------------------------------------------------------
+  EntityGraph::Parts parts;
+  EGP_ASSIGN_OR_RETURN(parts.entity_names,
+                       ParseNames(sections[kSectionEntityNames],
+                                  "entity names", num_entities));
   EGP_ASSIGN_OR_RETURN(
-      entity_names, ParseStringTable(sections[kSectionEntityNames],
-                                     "entity names", num_entities));
-  EGP_ASSIGN_OR_RETURN(type_names,
-                       ParseStringTable(sections[kSectionTypeNames],
-                                        "type names", num_types));
-  EGP_ASSIGN_OR_RETURN(
-      surface_names,
-      ParseStringTable(sections[kSectionSurfaceNames], "surface names",
-                       meta[kMetaNumSurfaceNames]));
+      parts.type_names,
+      ParseNames(sections[kSectionTypeNames], "type names", num_types));
+  EGP_ASSIGN_OR_RETURN(parts.surface_names,
+                       ParseNames(sections[kSectionSurfaceNames],
+                                  "surface names",
+                                  meta[kMetaNumSurfaceNames]));
 
   // --- Relationship types ------------------------------------------------
-  if (sections[kSectionRelTypes].size !=
-      num_rel_types * sizeof(RelTypeRecord)) {
-    return Corrupt("relationship type section has the wrong size");
-  }
-  std::vector<RelTypeInfo> rel_types;
+  std::span<const RelTypeRecord> records;
+  EGP_ASSIGN_OR_RETURN(records, WholeSection<RelTypeRecord>(
+                                    sections[kSectionRelTypes],
+                                    "relationship type", num_rel_types));
+  std::vector<RelTypeInfo>& rel_types = parts.rel_types;
   rel_types.reserve(num_rel_types);
   // The builder dedups relationship types by their identity triple;
   // re-validate rather than trust the file (a duplicate would give two
   // RelTypeIds with the same identity — a graph no builder can produce).
   std::set<std::tuple<uint32_t, uint32_t, uint32_t>> rel_identities;
-  for (uint64_t r = 0; r < num_rel_types; ++r) {
-    RelTypeRecord record;
-    std::memcpy(&record,
-                sections[kSectionRelTypes].data + r * sizeof(RelTypeRecord),
-                sizeof(record));
+  for (const RelTypeRecord& record : records) {
     if (record.surface_name >= meta[kMetaNumSurfaceNames] ||
         record.src_type >= num_types || record.dst_type >= num_types) {
       return Corrupt("relationship type references out-of-range ids");
@@ -427,82 +358,60 @@ Result<StoredGraph> OpenSnapshotBytes(std::span<const uint8_t> bytes,
   }
 
   // --- Type membership (both orientations, cross-validated) -------------
-  std::vector<std::vector<TypeId>> entity_types;
   EGP_ASSIGN_OR_RETURN(
-      entity_types,
-      ParseListCsr(sections[kSectionEntityTypes], "entity types",
+      parts.entity_types,
+      ParseIdLists(sections[kSectionEntityTypes], "entity types",
                    num_entities, static_cast<uint32_t>(num_types)));
-  std::vector<std::vector<EntityId>> type_members;
   EGP_ASSIGN_OR_RETURN(
-      type_members,
-      ParseListCsr(sections[kSectionTypeMembers], "type members", num_types,
+      parts.type_members,
+      ParseIdLists(sections[kSectionTypeMembers], "type members", num_types,
                    static_cast<uint32_t>(num_entities)));
+  const IdLists& entity_types = parts.entity_types;
+  const auto has_type = [&entity_types](EntityId e, TypeId t) {
+    return std::ranges::count(entity_types[e], t) != 0;
+  };
   // The two sections must be mutual inverses: every stored member pair
   // must appear in the entity's type list, and the pair totals must
   // match (both sides are duplicate-free, so equal totals + one-way
   // containment is a bijection).
-  uint64_t assertion_total = 0;
-  for (const auto& types : entity_types) assertion_total += types.size();
-  uint64_t member_total = 0;
-  for (TypeId t = 0; t < type_members.size(); ++t) {
-    member_total += type_members[t].size();
-    for (const EntityId e : type_members[t]) {
-      const auto& types = entity_types[e];
-      if (std::find(types.begin(), types.end(), t) == types.end()) {
+  for (TypeId t = 0; t < num_types; ++t) {
+    for (const EntityId e : parts.type_members[t]) {
+      if (!has_type(e, t)) {
         return Corrupt("type member list disagrees with entity type list");
       }
     }
   }
-  if (assertion_total != member_total) {
+  if (entity_types.values.size() != parts.type_members.values.size()) {
     return Corrupt("type membership totals disagree");
   }
 
   // --- CSR ---------------------------------------------------------------
-  const auto csr_u64 = [&](SnapshotSectionId id, const char* name,
-                           uint64_t count) -> Result<std::span<const uint64_t>> {
-    if (sections[id].size != count * sizeof(uint64_t)) {
-      return Corrupt(std::string(name) + " section has the wrong size");
-    }
-    return std::span<const uint64_t>(
-        reinterpret_cast<const uint64_t*>(sections[id].data),
-        static_cast<size_t>(count));
-  };
-  const auto csr_arcs = [&](SnapshotSectionId id, const char* name)
-      -> Result<std::span<const FrozenGraph::Arc>> {
-    if (sections[id].size != num_edges * sizeof(FrozenGraph::Arc)) {
-      return Corrupt(std::string(name) + " section has the wrong size");
-    }
-    return std::span<const FrozenGraph::Arc>(
-        reinterpret_cast<const FrozenGraph::Arc*>(sections[id].data),
-        static_cast<size_t>(num_edges));
-  };
   std::span<const uint64_t> out_offsets, in_offsets;
   std::span<const FrozenGraph::Arc> out_arcs, in_arcs;
-  EGP_ASSIGN_OR_RETURN(
-      out_offsets, csr_u64(kSectionOutOffsets, "out offsets",
-                           num_entities + 1));
-  EGP_ASSIGN_OR_RETURN(
-      in_offsets, csr_u64(kSectionInOffsets, "in offsets", num_entities + 1));
-  EGP_ASSIGN_OR_RETURN(out_arcs, csr_arcs(kSectionOutArcs, "out arcs"));
-  EGP_ASSIGN_OR_RETURN(in_arcs, csr_arcs(kSectionInArcs, "in arcs"));
+  EGP_ASSIGN_OR_RETURN(out_offsets, WholeSection<uint64_t>(
+                                        sections[kSectionOutOffsets],
+                                        "out offsets", num_entities + 1));
+  EGP_ASSIGN_OR_RETURN(in_offsets, WholeSection<uint64_t>(
+                                       sections[kSectionInOffsets],
+                                       "in offsets", num_entities + 1));
+  EGP_ASSIGN_OR_RETURN(out_arcs, WholeSection<FrozenGraph::Arc>(
+                                     sections[kSectionOutArcs], "out arcs",
+                                     num_edges));
+  EGP_ASSIGN_OR_RETURN(in_arcs, WholeSection<FrozenGraph::Arc>(
+                                    sections[kSectionInArcs], "in arcs",
+                                    num_edges));
 
-  FrozenGraph adjacency;
   EGP_ASSIGN_OR_RETURN(
-      adjacency,
+      parts.adjacency,
       FrozenGraph::FromCsr(num_entities, num_rel_types, out_offsets,
-                           in_offsets, out_arcs, in_arcs,
-                           std::move(backing)));
+                           in_offsets, out_arcs, in_arcs, backing));
   // FromCsr proved the arrays well-formed and each other's transpose, so
   // every edge is one out-arc. The §2 invariant: an edge's endpoints
   // carry the endpoint types of its relationship type
   // (EntityGraphBuilder::AddEdge enforces this at build time; re-validate
   // rather than trust the file).
-  const auto has_type = [&entity_types](EntityId e, TypeId t) {
-    const auto& types = entity_types[e];
-    return std::find(types.begin(), types.end(), t) != types.end();
-  };
   for (EntityId src = 0; src < num_entities; ++src) {
-    for (const FrozenGraph::Arc& arc : adjacency.OutArcs(src)) {
+    for (const FrozenGraph::Arc& arc : parts.adjacency.OutArcs(src)) {
       const RelTypeInfo& info = rel_types[arc.rel_type];
       if (!has_type(src, info.src_type) ||
           !has_type(arc.neighbor, info.dst_type)) {
@@ -511,12 +420,9 @@ Result<StoredGraph> OpenSnapshotBytes(std::span<const uint8_t> bytes,
       }
     }
   }
+  parts.backing = std::move(backing);
   StoredGraph stored;
-  stored.graph = GraphAssembler::Assemble(
-      std::move(entity_names), std::move(type_names),
-      std::move(surface_names), std::move(rel_types),
-      std::move(entity_types), std::move(type_members),
-      std::move(adjacency));
+  stored.graph = EntityGraph(std::move(parts));
   return stored;
 }
 

@@ -2,19 +2,22 @@
 //
 // Two open paths:
 //   - kStream: one sequential read of the file into a heap buffer; the
-//     graph's CSR adjacency is served from that buffer. No mmap involved
-//     — works on filesystems/containers where mapping is undesirable.
-//   - kMmap: the file is mapped read-only and the CSR adjacency spans
-//     point straight into the mapping (zero-copy): pages fault in on
-//     demand, live in the shared page cache, and any number of server
-//     processes serving the same snapshot share one physical copy.
+//     graph is served from that buffer. No mmap involved — works on
+//     filesystems/containers where mapping is undesirable.
+//   - kMmap: the file is mapped read-only and the graph's spans point
+//     straight into the mapping (zero-copy): pages fault in on demand,
+//     live in the shared page cache, and any number of server processes
+//     serving the same snapshot share one physical copy.
 //
-// Either way the rest of the EntityGraph (names, type membership) is
-// materialized into ordinary structures, and every section is validated
-// — magic, version, endianness, size, checksums, offsets, id bounds, CSR
-// monotonicity, sortedness and transposition, edge endpoint types —
-// before anything is trusted, so a corrupt, truncated or wrong-version
-// file yields a clean Status, never undefined behaviour.
+// Either way the graph's names, type membership lists and CSR adjacency
+// are the file's own sections, viewed in place; the only heap an open
+// adds is the relationship types and one hash index per name table.
+// Every section is validated — magic, version, endianness, size,
+// checksums, offsets, id bounds, unique names, duplicate-free and
+// mutually inverse membership lists, CSR monotonicity, sortedness and
+// transposition, edge endpoint types — before anything is trusted, so a
+// corrupt, truncated or wrong-version file yields a clean Status, never
+// undefined behaviour.
 #ifndef EGP_STORE_SNAPSHOT_READER_H_
 #define EGP_STORE_SNAPSHOT_READER_H_
 
@@ -27,11 +30,11 @@
 
 namespace egp {
 
-/// A loaded snapshot. The graph's adjacency() views the snapshot bytes
-/// and is bit-identical to what EntityGraphBuilder::Build() freezes.
+/// A loaded snapshot. The graph views the snapshot bytes, and its arrays
+/// are bit-identical to what EntityGraphBuilder::Build() builds.
 struct StoredGraph {
   EntityGraph graph;
-  /// True when the adjacency views a file mapping (kMmap open).
+  /// True when the graph views a file mapping (kMmap open).
   bool zero_copy = false;
 };
 
@@ -48,9 +51,9 @@ Result<StoredGraph> OpenSnapshot(const std::string& path,
                                  const SnapshotOpenOptions& options = {});
 
 /// Parses a snapshot image already in memory. `backing` must keep the
-/// bytes alive; the returned graph's adjacency views them. The image base
+/// bytes alive; the returned graph views them. The image base
 /// must be 8-byte aligned (mmap and heap allocations always are) —
-/// CSR arrays are served in place; a misaligned base is rejected with
+/// every array is served in place; a misaligned base is rejected with
 /// InvalidArgument, never read misaligned.
 Result<StoredGraph> OpenSnapshotBytes(std::span<const uint8_t> bytes,
                                       std::shared_ptr<const void> backing,

@@ -87,51 +87,16 @@ struct SectionChunks {
   }
 };
 
-/// Staging buffers for one string pool: u64 count, offsets, blob.
-struct StringTableBuffers {
-  uint64_t count = 0;
-  std::vector<uint64_t> offsets;
-  std::string blob;
-
-  explicit StringTableBuffers(const StringPool& pool) {
-    count = pool.size();
-    offsets.reserve(count + 1);
-    offsets.push_back(0);
-    for (uint32_t i = 0; i < count; ++i) {
-      blob += pool.Get(i);
-      offsets.push_back(blob.size());
-    }
-  }
-  void FillSection(SectionChunks* section) const {
-    section->Add(&count, sizeof(count));
-    section->Add(offsets.data(), offsets.size() * sizeof(uint64_t));
-    section->Add(blob.data(), blob.size());
-  }
-};
-
-/// Staging buffers for a CSR of u32 lists (entity types, type members).
-struct ListCsrBuffers {
-  uint64_t count = 0;
-  std::vector<uint64_t> offsets;
-  std::vector<uint32_t> flat;
-
-  template <typename ListOf>
-  ListCsrBuffers(size_t n, const ListOf& list_of) {
-    count = n;
-    offsets.reserve(n + 1);
-    offsets.push_back(0);
-    for (size_t i = 0; i < n; ++i) {
-      const auto& list = list_of(i);
-      flat.insert(flat.end(), list.begin(), list.end());
-      offsets.push_back(flat.size());
-    }
-  }
-  void FillSection(SectionChunks* section) const {
-    section->Add(&count, sizeof(count));
-    section->Add(offsets.data(), offsets.size() * sizeof(uint64_t));
-    section->Add(flat.data(), flat.size() * sizeof(uint32_t));
-  }
-};
+/// A count + offsets + values section (a name table or a membership
+/// list), written straight from the graph's arrays. `count` points into
+/// the meta array, which outlives the emit.
+template <typename T>
+void AddCsr(SectionChunks* section, const uint64_t& count,
+            const FlatLists<T>& lists) {
+  section->Add(&count, sizeof(count));
+  section->Add(lists.offsets.data(), lists.offsets.size_bytes());
+  section->Add(lists.values.data(), lists.values.size_bytes());
+}
 
 constexpr char kPadding[8] = {0};
 
@@ -148,7 +113,7 @@ Status EmitSnapshot(const EntityGraph& graph, ByteSink& sink) {
   }
   const FrozenGraph& adjacency = graph.adjacency();
 
-  // --- Stage the variable-width payloads -------------------------------
+  // --- Stage meta and the relationship-type records ------------------
   uint64_t meta[kMetaFieldCount] = {};
   meta[kMetaNumEntities] = graph.num_entities();
   meta[kMetaNumEdges] = graph.num_edges();
@@ -158,10 +123,6 @@ Status EmitSnapshot(const EntityGraph& graph, ByteSink& sink) {
   meta[kMetaNumOutArcs] = adjacency.out_arcs().size();
   meta[kMetaNumInArcs] = adjacency.in_arcs().size();
 
-  const StringTableBuffers entity_names(graph.entity_names());
-  const StringTableBuffers type_names(graph.type_names());
-  const StringTableBuffers surface_names(graph.surface_names());
-
   std::vector<RelTypeRecord> rel_types;
   rel_types.reserve(graph.num_rel_types());
   for (RelTypeId r = 0; r < graph.num_rel_types(); ++r) {
@@ -170,33 +131,23 @@ Status EmitSnapshot(const EntityGraph& graph, ByteSink& sink) {
         RelTypeRecord{info.surface_name, info.src_type, info.dst_type});
   }
 
-  const ListCsrBuffers entity_types(
-      graph.num_entities(),
-      [&graph](size_t e) -> const std::vector<TypeId>& {
-        return graph.TypesOf(static_cast<EntityId>(e));
-      });
-  const ListCsrBuffers type_members(
-      graph.num_types(),
-      [&graph](size_t t) -> const std::vector<EntityId>& {
-        return graph.EntitiesOfType(static_cast<TypeId>(t));
-      });
-
   // --- Assemble the section list (ids in TOC order) --------------------
   std::vector<SectionChunks> sections(kSnapshotSectionCount);
   sections[0].id = kSectionMeta;
   sections[0].Add(meta, sizeof(meta));
   sections[1].id = kSectionEntityNames;
-  entity_names.FillSection(&sections[1]);
+  AddCsr(&sections[1], meta[kMetaNumEntities], graph.entity_names().lists());
   sections[2].id = kSectionTypeNames;
-  type_names.FillSection(&sections[2]);
+  AddCsr(&sections[2], meta[kMetaNumTypes], graph.type_names().lists());
   sections[3].id = kSectionSurfaceNames;
-  surface_names.FillSection(&sections[3]);
+  AddCsr(&sections[3], meta[kMetaNumSurfaceNames],
+         graph.surface_names().lists());
   sections[4].id = kSectionRelTypes;
   sections[4].Add(rel_types.data(), rel_types.size() * sizeof(RelTypeRecord));
   sections[5].id = kSectionEntityTypes;
-  entity_types.FillSection(&sections[5]);
+  AddCsr(&sections[5], meta[kMetaNumEntities], graph.entity_types());
   sections[6].id = kSectionTypeMembers;
-  type_members.FillSection(&sections[6]);
+  AddCsr(&sections[6], meta[kMetaNumTypes], graph.type_members());
   sections[7].id = kSectionOutOffsets;
   sections[7].Add(adjacency.out_offsets().data(),
                   adjacency.out_offsets().size() * sizeof(uint64_t));

@@ -1,8 +1,8 @@
 // Writer side of the .egps snapshot store (see format.h for the layout).
 //
-// A snapshot is written from an EntityGraph; its CSR adjacency arrays
-// land in the file exactly as they lie in memory, which is what makes
-// the mmap open zero-copy.
+// A snapshot is written from an EntityGraph; its name tables, membership
+// lists and CSR adjacency arrays land in the file exactly as they lie in
+// memory, which is what makes the mmap open zero-copy.
 #ifndef EGP_STORE_SNAPSHOT_WRITER_H_
 #define EGP_STORE_SNAPSHOT_WRITER_H_
 

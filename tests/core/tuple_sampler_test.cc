@@ -240,7 +240,7 @@ TEST_F(TupleSamplerTest, FrequencyWeightedCountsAnyTypeOfAMergedColumn) {
     ASSERT_EQ(mat->tables[0].columns.size(), 1u);
     std::vector<std::string> keys;
     for (const MaterializedRow& row : mat->tables[0].rows) {
-      keys.push_back(graph.EntityName(row.key));
+      keys.emplace_back(graph.EntityName(row.key));
     }
     EXPECT_EQ(keys, (std::vector<std::string>{"Ann", "Bob", "Dee"}));
   }

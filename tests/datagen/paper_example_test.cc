@@ -98,7 +98,7 @@ TEST_F(PaperExampleTest, RelationshipCounts) {
       {"Producer", 2}, {"Executive Producer", 1},
   };
   for (RelTypeId r = 0; r < graph_.num_rel_types(); ++r) {
-    const std::string& name = graph_.RelSurfaceName(r);
+    const std::string name(graph_.RelSurfaceName(r));
     auto it = expected.find(name);
     if (it != expected.end()) {
       EXPECT_EQ(RelTypeEdgeCount(graph_, r), it->second) << name;

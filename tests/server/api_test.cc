@@ -446,7 +446,7 @@ TEST(PreviewServiceTest, DebugRequestsLimitAndDatasetFilters) {
   service.AttachFlightRecorder(&recorder);
   for (int i = 0; i < 5; ++i) {
     RequestTrace trace;
-    trace.id = "t" + std::to_string(i);
+    trace.id = StrFormat("t%d", i);
     trace.status = 200;
     trace.dataset = i % 2 == 0 ? "paper" : "other";
     trace.total_seconds = 0.001;
@@ -577,8 +577,9 @@ TEST(PreviewServiceTest, DebugCacheShowsPreparedEntries) {
 std::atomic<int> throwing_key_calls{0};
 
 TEST(PreviewServiceTest, AThrownBuildCostsOneRequest) {
-  // The request whose build throws fails; the identical request after it
-  // serves, and the cache listing answers without the failed build.
+  // The request whose build throws fails and is counted as the 500 the
+  // transport answers; the identical request after it serves, and the
+  // cache listing answers without the failed build.
   ASSERT_TRUE(ScoringRegistry::Global()
                   .RegisterKeyMeasure(
                       "api-test-throws-once",
@@ -595,6 +596,17 @@ TEST(PreviewServiceTest, AThrownBuildCostsOneRequest) {
       R"({"k":2,"n":4,"measures":{"key":"api-test-throws-once"}})";
   EXPECT_THROW(service.Handle(Post("/v1/preview", body)),
                std::runtime_error);
+
+  // A 500 with its latency, on the endpoint and on the resolved dataset.
+  const HttpResponse metrics = service.Handle(Get("/metrics"));
+  for (const char* sample :
+       {"egp_http_requests_total{endpoint=\"/v1/preview\",status=\"500\"} 1",
+        "egp_http_request_duration_seconds_count 1",
+        "egp_requests_total{dataset=\"paper\",status=\"500\"} 1",
+        "egp_dataset_request_duration_seconds_count{dataset=\"paper\"} 1"}) {
+    EXPECT_NE(metrics.body.find(sample), std::string::npos)
+        << sample << "\n" << metrics.body;
+  }
 
   HttpResponse cache;
   cache.status = 0;

@@ -517,7 +517,7 @@ TEST(EngineTest, SampledRowKeysArePinned) {
     for (const MaterializedTable& table : response->materialized.tables) {
       std::string keys = table.key_name + ":";
       for (const MaterializedRow& row : table.rows) {
-        keys += " " + engine.graph()->EntityName(row.key);
+        keys.append(" ").append(engine.graph()->EntityName(row.key));
       }
       tables.push_back(keys);
     }

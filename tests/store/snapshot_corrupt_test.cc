@@ -356,6 +356,35 @@ TEST(SnapshotCorruptTest, HostileStructuralEditsRejected) {
     EXPECT_NE(result.status().message().find("duplicate"),
               std::string::npos);
   }
+  // Two long names holding a 0xFF byte, made equal: the message names the
+  // two ids, never the bytes, which may be of any length and not UTF-8
+  // (it reaches the log and the /healthz and /v1/datasets bodies).
+  {
+    const std::string stem = std::string(4096, 'n') + "\xFF";
+    EntityGraphBuilder builder;
+    builder.AddTypedEntity(stem + "a", "T");
+    builder.AddTypedEntity(stem + "b", "T");
+    auto graph = builder.Build();
+    ASSERT_TRUE(graph.ok());
+    std::stringstream buffer(std::ios::in | std::ios::out |
+                             std::ios::binary);
+    ASSERT_TRUE(WriteSnapshot(*graph, buffer).ok());
+    const std::string image = buffer.str();
+    const std::vector<uint8_t> named(image.begin(), image.end());
+    const SectionEntry names = FindSection(named, kSectionEntityNames);
+    auto bytes = ResealedPatch(named, [&](std::vector<uint8_t>& b) {
+      // The blob ends with the second name's last byte: "b" -> "a".
+      b[names.offset + names.length - 1] = 'a';
+    });
+    const auto result = Open(std::move(bytes));
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
+    const std::string& message = result.status().message();
+    EXPECT_NE(message.find("duplicate"), std::string::npos) << message;
+    EXPECT_NE(message.find("ids 0 and 1"), std::string::npos) << message;
+    EXPECT_EQ(message.find('\xFF'), std::string::npos);
+    EXPECT_LT(message.size(), 200u) << message;
+  }
 }
 
 TEST(SnapshotCorruptTest, FileLevelErrors) {

@@ -5,7 +5,12 @@
 // byte-identical to previews from the source graph.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iterator>
+#include <map>
 #include <sstream>
 #include <vector>
 
@@ -17,6 +22,7 @@
 #include "io/json_export.h"
 #include "io/ntriples.h"
 #include "service/engine.h"
+#include "store/format.h"
 #include "store/snapshot_reader.h"
 #include "store/snapshot_writer.h"
 #include "tests/testing/reference_graph.h"
@@ -68,6 +74,10 @@ EntityGraph CornersGraph() {
   return std::move(graph).value();
 }
 
+std::vector<uint32_t> Ids(std::span<const uint32_t> ids) {
+  return {ids.begin(), ids.end()};
+}
+
 void ExpectSameGraph(const EntityGraph& a, const EntityGraph& b) {
   ASSERT_EQ(a.num_entities(), b.num_entities());
   ASSERT_EQ(a.num_edges(), b.num_edges());
@@ -75,14 +85,14 @@ void ExpectSameGraph(const EntityGraph& a, const EntityGraph& b) {
   ASSERT_EQ(a.num_rel_types(), b.num_rel_types());
   for (EntityId e = 0; e < a.num_entities(); ++e) {
     EXPECT_EQ(a.EntityName(e), b.EntityName(e));
-    EXPECT_EQ(a.TypesOf(e), b.TypesOf(e));
+    EXPECT_EQ(Ids(a.TypesOf(e)), Ids(b.TypesOf(e)));
     EXPECT_EQ(a.adjacency().OutDegree(e), b.adjacency().OutDegree(e));
     EXPECT_EQ(a.adjacency().InDegree(e), b.adjacency().InDegree(e));
   }
   for (TypeId t = 0; t < a.num_types(); ++t) {
     EXPECT_EQ(a.TypeName(t), b.TypeName(t));
     // Order preserved, not just the set: sampling is order-sensitive.
-    EXPECT_EQ(a.EntitiesOfType(t), b.EntitiesOfType(t));
+    EXPECT_EQ(Ids(a.EntitiesOfType(t)), Ids(b.EntitiesOfType(t)));
   }
   for (RelTypeId r = 0; r < a.num_rel_types(); ++r) {
     EXPECT_EQ(a.RelSurfaceName(r), b.RelSurfaceName(r));
@@ -279,6 +289,106 @@ TEST(SnapshotRoundtripTest, VersionOneSnapshotOpens) {
     ASSERT_TRUE(WriteSnapshot(stored->graph, upgraded).ok());
     EXPECT_EQ(upgraded.str(), fresh.str());
   }
+}
+
+/// Where each section of the snapshot at `path` lies in the memory that
+/// `graph`, opened from it, views: the file's TOC gives each section's
+/// offset, and the out-offsets section, which the adjacency serves in
+/// place, pins the image base.
+std::map<uint32_t, std::span<const char>> SectionsInMemory(
+    const std::string& path, const EntityGraph& graph) {
+  std::ifstream in(path, std::ios::binary);
+  const std::string file((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  SnapshotHeader header;
+  std::memcpy(&header, file.data(), sizeof(header));
+  std::vector<SectionEntry> toc(header.section_count);
+  std::memcpy(toc.data(), file.data() + sizeof(header),
+              toc.size() * sizeof(SectionEntry));
+  uint64_t out_offsets = 0;
+  for (const SectionEntry& entry : toc) {
+    if (entry.id == kSectionOutOffsets) out_offsets = entry.offset;
+  }
+  const char* base =
+      reinterpret_cast<const char*>(graph.adjacency().out_offsets().data()) -
+      out_offsets;
+  std::map<uint32_t, std::span<const char>> sections;
+  for (const SectionEntry& entry : toc) {
+    sections[entry.id] = {base + entry.offset, entry.length};
+  }
+  return sections;
+}
+
+/// True iff the elements of `range` (a name or an id list) lie inside
+/// `section`.
+bool Inside(const auto& range, std::span<const char> section) {
+  const auto begin = reinterpret_cast<uintptr_t>(std::data(range));
+  const auto end = begin + std::size(range) * sizeof(*std::data(range));
+  const auto low = reinterpret_cast<uintptr_t>(section.data());
+  return begin >= low && end <= low + section.size();
+}
+
+/// Every name and type list of `graph` is a view into its snapshot's
+/// sections, not a copy.
+void ExpectViewsSections(
+    const EntityGraph& graph,
+    const std::map<uint32_t, std::span<const char>>& sections) {
+  for (EntityId e = 0; e < graph.num_entities(); ++e) {
+    EXPECT_TRUE(Inside(graph.EntityName(e),
+                       sections.at(kSectionEntityNames)))
+        << "entity " << e;
+    EXPECT_TRUE(Inside(graph.TypesOf(e), sections.at(kSectionEntityTypes)))
+        << "entity " << e;
+  }
+  for (TypeId t = 0; t < graph.num_types(); ++t) {
+    EXPECT_TRUE(Inside(graph.TypeName(t), sections.at(kSectionTypeNames)))
+        << "type " << t;
+    EXPECT_TRUE(Inside(graph.EntitiesOfType(t),
+                       sections.at(kSectionTypeMembers)))
+        << "type " << t;
+  }
+  for (RelTypeId r = 0; r < graph.num_rel_types(); ++r) {
+    EXPECT_TRUE(Inside(graph.RelSurfaceName(r),
+                       sections.at(kSectionSurfaceNames)))
+        << "relationship type " << r;
+  }
+}
+
+TEST(SnapshotRoundtripTest, NamesAndTypeListsAreTheSnapshotsBytes) {
+  const EntityGraph built = CornersGraph();
+  const std::string path = TempPath("one_copy.egps");
+  ASSERT_TRUE(WriteSnapshotFile(built, path).ok());
+  for (const auto mode : {SnapshotOpenOptions::Mode::kStream,
+                          SnapshotOpenOptions::Mode::kMmap}) {
+    SCOPED_TRACE(mode == SnapshotOpenOptions::Mode::kMmap ? "mmap"
+                                                          : "stream");
+    SnapshotOpenOptions options;
+    options.mode = mode;
+    EntityGraph copy;
+    std::map<uint32_t, std::span<const char>> sections;
+    {
+      auto stored = OpenSnapshot(path, options);
+      ASSERT_TRUE(stored.ok()) << stored.status().ToString();
+      ASSERT_TRUE(stored->graph.adjacency().is_view());
+      sections = SectionsInMemory(path, stored->graph);
+      ExpectViewsSections(stored->graph, sections);
+      copy = stored->graph;
+      EXPECT_EQ(copy.EntityName(0).data(),
+                stored->graph.EntityName(0).data());
+      EXPECT_EQ(copy.TypesOf(0).data(), stored->graph.TypesOf(0).data());
+    }
+    // The copy shares the image and keeps it alive past the original.
+    ExpectViewsSections(copy, sections);
+    ExpectSameGraph(built, copy);
+  }
+  std::remove(path.c_str());
+
+  // A built graph's copy shares the arrays Build() flattened.
+  const EntityGraph copy = built;
+  EXPECT_EQ(copy.EntityName(0).data(), built.EntityName(0).data());
+  EXPECT_EQ(copy.TypeName(0).data(), built.TypeName(0).data());
+  EXPECT_EQ(copy.TypesOf(0).data(), built.TypesOf(0).data());
+  EXPECT_EQ(copy.EntitiesOfType(0).data(), built.EntitiesOfType(0).data());
 }
 
 TEST(SnapshotRoundtripTest, FrozenHandleSharesBacking) {

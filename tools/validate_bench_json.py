@@ -93,6 +93,7 @@ def check_store_load(doc) -> int:
     for d, dataset in enumerate(datasets):
         where = f"datasets[{d}]"
         for key in ("entities", "nt_bytes", "egps_bytes",
+                    "snapshot_mmap_heap_bytes",
                     "compile_seconds", "parse_seconds",
                     "snapshot_stream_seconds", "snapshot_mmap_seconds",
                     "snapshot_mmap_noverify_seconds",
