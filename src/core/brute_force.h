@@ -22,13 +22,15 @@ struct DiscoveryStats {
   /// Apriori: the members of L_k its walk reached — all of them on the
   /// exhaustive walk; on the pruned one, those not ruled out together
   /// with an ancestor or with a run of earlier siblings. Beam: the key
-  /// sets of every size it scored, over all its widening attempts.
+  /// sets of every size it reached, over all its widening attempts.
   uint64_t subsets_enumerated = 0;
   /// Brute force: the k-subsets that met the distance constraint, each
   /// scored. Apriori: the members of L_k it scored — |L_k| on the
   /// exhaustive walk; on the pruned one, the reached subsets whose own
-  /// bound could still beat the best so far. Beam: the key sets scored
-  /// by the attempt that succeeded.
+  /// bound could still beat the best so far. Beam: the key sets the
+  /// attempt that succeeded scored (every singleton, and on each later
+  /// level those whose bound could still make the beam); 0 when no
+  /// attempt succeeded.
   uint64_t subsets_scored = 0;
   bool truncated = false;  // brute force stopped early by max_subsets
 };

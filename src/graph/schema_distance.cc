@@ -75,4 +75,9 @@ uint32_t SchemaDistanceMatrix::Distance(TypeId a, TypeId b) const {
   return dist_[a * n_ + b];
 }
 
+std::span<const uint32_t> SchemaDistanceMatrix::Row(TypeId a) const {
+  EGP_CHECK(a < n_) << "distance row out of range";
+  return {dist_.data() + a * n_, n_};
+}
+
 }  // namespace egp

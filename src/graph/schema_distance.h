@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "graph/schema_graph.h"
@@ -33,6 +34,9 @@ class SchemaDistanceMatrix {
   /// Undirected shortest-path length; 0 for a == b; kUnreachable if the
   /// types are in different components.
   uint32_t Distance(TypeId a, TypeId b) const;
+
+  /// Every type's Distance from `a`, indexed by TypeId.
+  std::span<const uint32_t> Row(TypeId a) const;
 
   /// Longest finite distance (graph diameter over reachable pairs).
   uint32_t Diameter() const { return diameter_; }

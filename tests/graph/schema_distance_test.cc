@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+
 #include "common/strings.h"
 #include "datagen/paper_example.h"
 
@@ -44,6 +46,24 @@ TEST(SchemaDistanceTest, DistanceIsSymmetric) {
       EXPECT_EQ(dist.Distance(a, b), dist.Distance(b, a));
     }
   }
+}
+
+TEST(SchemaDistanceTest, RowHoldsEveryDistanceFromItsType) {
+  const SchemaGraph schema = SchemaGraph::FromEntityGraph(
+      BuildPaperExampleGraph());
+  const SchemaDistanceMatrix dist(schema);
+  for (TypeId a = 0; a < schema.num_types(); ++a) {
+    const std::span<const uint32_t> row = dist.Row(a);
+    ASSERT_EQ(row.size(), schema.num_types());
+    for (TypeId b = 0; b < schema.num_types(); ++b) {
+      EXPECT_EQ(row[b], dist.Distance(a, b));
+    }
+  }
+}
+
+TEST(SchemaDistanceDeathTest, RowOutOfRangeAborts) {
+  const SchemaDistanceMatrix dist(PathGraph(3));
+  EXPECT_DEATH({ (void)dist.Row(3); }, "distance row out of range");
 }
 
 TEST(SchemaDistanceTest, PathGraphDistances) {
