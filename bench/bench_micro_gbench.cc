@@ -1,6 +1,7 @@
 // google-benchmark microbenchmarks of the core primitives: schema
 // preparation, scoring, all-pairs distances and the three discovery
-// algorithms, on the exact-size paper schemas.
+// algorithms, on the exact-size paper schemas; and the response encode
+// of a sampled preview.
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
@@ -12,6 +13,8 @@
 #include "core/frontier.h"
 #include "graph/frozen_graph.h"
 #include "graph/schema_distance.h"
+#include "server/api.h"
+#include "service/engine.h"
 
 namespace {
 
@@ -156,6 +159,44 @@ void BM_ComposePreviewScore(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ComposePreviewScore);
+
+// The /v1/preview body of a sampled preview, encoded as the server
+// encodes it (PreviewResponseToJson), on basketball at the serving
+// benchmark's scale (1.0): k=4, n=8, with `rows` rows per table, over 16
+// sample seeds so each pass reads a spread of names. Bytes processed are
+// the bodies' bytes.
+void BM_EncodeSampledPreview(benchmark::State& state) {
+  static const Engine* const engine = [] {
+    GeneratorOptions options;
+    options.scale = 1.0;
+    auto domain = GenerateDomainByName("basketball", options);
+    EGP_CHECK(domain.ok()) << domain.status().ToString();
+    return new Engine(Engine::FromGraph(std::move(domain->graph)));
+  }();
+  std::vector<PreviewResponse> responses;
+  for (uint64_t seed = 1; seed <= 16; ++seed) {
+    PreviewRequest request;
+    request.size = {4, 8};
+    request.sample_rows = static_cast<size_t>(state.range(0));
+    request.sample_seed = seed;
+    auto response = engine->Preview(request);
+    EGP_CHECK(response.ok()) << response.status().ToString();
+    responses.push_back(std::move(response).value());
+  }
+  const std::string dataset = "basketball";
+  int64_t bytes = 0;
+  for (auto _ : state) {
+    for (const PreviewResponse& response : responses) {
+      std::string body = PreviewResponseToJson(*engine, dataset, response,
+                                               /*include_materialized=*/true);
+      bytes += static_cast<int64_t>(body.size());
+      benchmark::DoNotOptimize(body.data());
+    }
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(bytes);
+}
+BENCHMARK(BM_EncodeSampledPreview)->ArgName("rows")->Arg(5)->Arg(50);
 
 }  // namespace
 

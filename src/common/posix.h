@@ -19,11 +19,14 @@
 #include <fcntl.h>
 #include <sys/socket.h>
 #include <sys/types.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <cstddef>
+#include <span>
+#include <vector>
 
 #include "common/fault.h"
 
@@ -100,6 +103,37 @@ inline ssize_t PosixSend(int fd, const void* buf, size_t len, int flags,
     ssize_t n = 0;
     if (site == nullptr || !posix_internal::Preempt(site, &n, &take)) {
       n = ::send(fd, buf, take, flags);
+    }
+    if (n >= 0 || errno != EINTR) return n;
+  }
+}
+
+/// sendmsg of the vectors `iov`, in order, with no address or control
+/// data. A short fault clamps the bytes offered across all the vectors,
+/// as it clamps send's length.
+inline ssize_t PosixSendmsg(int fd, std::span<const iovec> iov, int flags,
+                            const char* site = nullptr) {
+  size_t total = 0;
+  for (const iovec& v : iov) total += v.iov_len;
+  for (;;) {
+    size_t take = total;
+    ssize_t n = 0;
+    if (site == nullptr || !posix_internal::Preempt(site, &n, &take)) {
+      std::vector<iovec> clamped;  // only under a short fault
+      std::span<const iovec> offer = iov;
+      if (take < total) {
+        for (const iovec& v : iov) {
+          if (take == 0) break;
+          clamped.push_back({v.iov_base, std::min(v.iov_len, take)});
+          take -= clamped.back().iov_len;
+        }
+        offer = clamped;
+      }
+      msghdr message{};
+      // sendmsg only reads the vectors.
+      message.msg_iov = const_cast<iovec*>(offer.data());
+      message.msg_iovlen = offer.size();
+      n = ::sendmsg(fd, &message, flags);
     }
     if (n >= 0 || errno != EINTR) return n;
   }

@@ -34,21 +34,11 @@ size_t NameTable::Slot(std::string_view name) const {
   return i;
 }
 
-std::string_view NameTable::Get(uint32_t id) const {
-  EGP_CHECK(id < size()) << "name id out of range: " << id;
-  const std::span<const char> name = names_[id];
-  return {name.data(), name.size()};
-}
-
 std::optional<uint32_t> NameTable::Find(std::string_view name) const {
   if (slots_ == nullptr) return std::nullopt;
   const uint32_t id = (*slots_)[Slot(name)];
   if (id == kInvalidId) return std::nullopt;
   return id;
-}
-
-std::string_view EntityGraph::EntityName(EntityId e) const {
-  return parts_.entity_names.Get(e);
 }
 
 std::span<const TypeId> EntityGraph::TypesOf(EntityId e) const {

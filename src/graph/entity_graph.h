@@ -25,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/check.h"
 #include "common/result.h"
 #include "graph/frozen_graph.h"
 #include "graph/ids.h"
@@ -57,8 +58,13 @@ class NameTable {
   /// naming the two ids, if two names are equal.
   static Result<NameTable> Index(FlatLists<char> names);
 
-  /// The name of an id; id must be valid.
-  std::string_view Get(uint32_t id) const;
+  /// The name of an id; id must be valid. Inline: encoding a sampled
+  /// preview looks up every cell's names.
+  std::string_view Get(uint32_t id) const {
+    EGP_CHECK(id < size()) << "name id out of range: " << id;
+    const std::span<const char> name = names_[id];
+    return {name.data(), name.size()};
+  }
   /// The id of `name` if present.
   std::optional<uint32_t> Find(std::string_view name) const;
   size_t size() const { return names_.size(); }
@@ -115,7 +121,9 @@ class EntityGraph {
   size_t num_rel_types() const { return parts_.rel_types.size(); }
 
   // --- Entities ----------------------------------------------------------
-  std::string_view EntityName(EntityId e) const;
+  std::string_view EntityName(EntityId e) const {
+    return parts_.entity_names.Get(e);
+  }
   /// Types the entity belongs to (entities may be multi-typed).
   std::span<const TypeId> TypesOf(EntityId e) const;
   bool EntityHasType(EntityId e, TypeId t) const;

@@ -201,8 +201,10 @@ std::span<const FrozenGraph::Arc> FrozenGraph::RelArcs(
 
 std::vector<EntityId> FrozenGraph::NeighborSet(EntityId e, RelTypeId rel_type,
                                                Direction direction) const {
+  const std::span<const Arc> run = RelArcs(e, rel_type, direction);
   std::vector<EntityId> out;
-  for (const Arc& arc : RelArcs(e, rel_type, direction)) {
+  out.reserve(run.size());  // bounds the de-duplicated size: one allocation
+  for (const Arc& arc : run) {
     // Runs are sorted by neighbor: dedupe adjacent multigraph repeats.
     if (out.empty() || out.back() != arc.neighbor) {
       out.push_back(arc.neighbor);

@@ -48,6 +48,33 @@ std::string_view TrimOws(std::string_view s) {
   return s;
 }
 
+/// SerializeHead's bytes, appended to `*out`.
+void AppendHead(const HttpResponse& response, bool keep_alive,
+                std::string* out) {
+  const bool keep = keep_alive && !response.close_connection;
+  *out += "HTTP/1.1 ";
+  *out += std::to_string(response.status);
+  *out += ' ';
+  *out += HttpStatusReason(response.status);
+  *out += "\r\n";
+  if (!response.content_type.empty()) {
+    *out += "Content-Type: ";
+    *out += response.content_type;
+    *out += "\r\n";
+  }
+  *out += "Content-Length: ";
+  *out += std::to_string(response.body.size());
+  *out += "\r\n";
+  *out += keep ? "Connection: keep-alive\r\n" : "Connection: close\r\n";
+  for (const auto& [name, value] : response.headers) {
+    *out += name;
+    *out += ": ";
+    *out += value;
+    *out += "\r\n";
+  }
+  *out += "\r\n";
+}
+
 }  // namespace
 
 std::string JsonErrorBody(int status, std::string_view message) {
@@ -287,32 +314,18 @@ std::string_view HttpStatusReason(int status) {
   }
 }
 
+std::string SerializeHead(const HttpResponse& response, bool keep_alive) {
+  std::string head;
+  head.reserve(256);
+  AppendHead(response, keep_alive, &head);
+  return head;
+}
+
 std::string SerializeResponse(const HttpResponse& response, bool keep_alive,
                               bool omit_body) {
-  const bool keep = keep_alive && !response.close_connection;
   std::string out;
-  out.reserve(128 + (omit_body ? 0 : response.body.size()));
-  out += "HTTP/1.1 ";
-  out += std::to_string(response.status);
-  out += ' ';
-  out += HttpStatusReason(response.status);
-  out += "\r\n";
-  if (!response.content_type.empty()) {
-    out += "Content-Type: ";
-    out += response.content_type;
-    out += "\r\n";
-  }
-  out += "Content-Length: ";
-  out += std::to_string(response.body.size());
-  out += "\r\n";
-  out += keep ? "Connection: keep-alive\r\n" : "Connection: close\r\n";
-  for (const auto& [name, value] : response.headers) {
-    out += name;
-    out += ": ";
-    out += value;
-    out += "\r\n";
-  }
-  out += "\r\n";
+  out.reserve(256 + (omit_body ? 0 : response.body.size()));
+  AppendHead(response, keep_alive, &out);
   if (!omit_body) out += response.body;
   return out;
 }

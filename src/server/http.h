@@ -126,10 +126,16 @@ bool HeaderListContainsToken(std::string_view value, std::string_view token);
 /// (parse/timeout errors) and the API layer so clients parse one shape.
 std::string JsonErrorBody(int status, std::string_view message);
 
-/// Full response bytes. `keep_alive` reflects the negotiated connection
-/// state (response.close_connection overrides it to false).
-/// `omit_body` serializes the head only — Content-Length still
-/// describes the body, as a HEAD response requires.
+/// The status line and headers, through the blank line. Content-Length
+/// describes response.body, which is not copied: the server sends the
+/// body after the head from where it lies (or, for a HEAD request, not
+/// at all). `keep_alive` reflects the negotiated connection state
+/// (response.close_connection overrides it to false).
+std::string SerializeHead(const HttpResponse& response, bool keep_alive);
+
+/// Full response bytes: SerializeHead, then the body. `omit_body`
+/// serializes the head only — Content-Length still describes the body,
+/// as a HEAD response requires.
 std::string SerializeResponse(const HttpResponse& response, bool keep_alive,
                               bool omit_body = false);
 

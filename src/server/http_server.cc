@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -290,7 +291,7 @@ void HttpServer::AcceptPending() {
       response.headers.emplace_back("Retry-After", "1");
       SetPhase(c, Connection::Phase::kWriting);
       c->close_after_write = true;
-      c->outbox = SerializeResponse(response, /*keep_alive=*/false);
+      QueueResponse(c, response, /*keep=*/false, /*omit_body=*/false);
       ArmDeadline(c, std::min(1'000, options_.write_timeout_ms));
       FlushOutbox(c);  // may close c
       continue;
@@ -631,27 +632,49 @@ void HttpServer::SendResponse(Connection* conn, HttpResponse& response,
   trace.status = response.status;
   response.headers.emplace_back("X-Request-Id", trace.id);
   const int64_t serialize_start_ns = MonotonicNanos();
-  conn->outbox = SerializeResponse(response, keep, omit_body);
+  QueueResponse(conn, response, keep, omit_body);
   const int64_t flush_start_ns = MonotonicNanos();
   trace.serialize_seconds =
       static_cast<double>(flush_start_ns - serialize_start_ns) * 1e-9;
-  trace.bytes_out = conn->outbox.size();
+  trace.bytes_out = conn->head.size() + conn->body.size();
   conn->flush_start_ns = flush_start_ns;
-  conn->outbox_sent = 0;
   // One absolute budget for the whole response: progress (a trickle-
   // reading peer taking a byte at a time) does not restart it.
   ArmDeadline(conn, options_.write_timeout_ms);
   FlushOutbox(conn);
 }
 
+void HttpServer::QueueResponse(Connection* conn, HttpResponse& response,
+                               bool keep, bool omit_body) {
+  conn->head = SerializeHead(response, keep);
+  if (omit_body) {
+    conn->body.clear();
+  } else {
+    conn->body = std::move(response.body);
+  }
+  conn->sent = 0;
+}
+
 void HttpServer::FlushOutbox(Connection* conn) {
   const ScopedTracePhase profiled_phase(TracePhase::kFlush);
-  while (conn->outbox_sent < conn->outbox.size()) {
-    const ssize_t n = PosixSend(
-        conn->fd.get(), conn->outbox.data() + conn->outbox_sent,
-        conn->outbox.size() - conn->outbox_sent, MSG_NOSIGNAL, "socket.send");
+  std::string& head = conn->head;
+  std::string& body = conn->body;
+  while (conn->sent < head.size() + body.size()) {
+    // One sendmsg for what is left of the head and of the body, so a
+    // partial write may end anywhere in either.
+    iovec parts[2] = {};
+    size_t count = 0;
+    if (conn->sent < head.size()) {
+      parts[count++] = {head.data() + conn->sent, head.size() - conn->sent};
+    }
+    const size_t body_sent = conn->sent - std::min(conn->sent, head.size());
+    if (body_sent < body.size()) {
+      parts[count++] = {body.data() + body_sent, body.size() - body_sent};
+    }
+    const ssize_t n = PosixSendmsg(conn->fd.get(), {parts, count},
+                                   MSG_NOSIGNAL, "socket.send");
     if (n > 0) {
-      conn->outbox_sent += static_cast<size_t>(n);
+      conn->sent += static_cast<size_t>(n);
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
@@ -679,8 +702,9 @@ void HttpServer::BeginNextRequest(Connection* conn) {
   }
   SetPhase(conn, Connection::Phase::kReading);
   conn->request_start_ns = MonotonicNanos();
-  conn->outbox.clear();
-  conn->outbox_sent = 0;
+  conn->head.clear();
+  std::string().swap(conn->body);  // frees the sent body now
+  conn->sent = 0;
   ArmDeadline(conn, options_.read_timeout_ms);
   SetEpoll(conn, EPOLLIN);
   // A pipelined request may already be buffered in the parser.

@@ -163,8 +163,12 @@ class HttpServer {
     enum class Phase : uint8_t { kReading, kHandling, kWriting } phase =
         Phase::kReading;
     HttpRequestParser parser;
-    std::string outbox;     // serialized response bytes still to write
-    size_t outbox_sent = 0;
+    // The response being written: its serialized head, then its body
+    // (moved in from the handler's response, empty for HEAD). `sent`
+    // counts the bytes of both already written.
+    std::string head;
+    std::string body;
+    size_t sent = 0;
     bool counted = false;   // admitted (counts against max_connections)
     bool close_after_write = false;
     bool request_was_head = false;
@@ -220,6 +224,8 @@ class HttpServer {
   void FailParse(Connection* conn);
   void SendResponse(Connection* conn, HttpResponse& response, bool keep,
                     bool omit_body);
+  static void QueueResponse(Connection* conn, HttpResponse& response,
+                            bool keep, bool omit_body);
   void BeginTrace(Connection* conn, const HttpRequest* request,
                   std::string_view outcome, int status);
   void FinishTrace(Connection* conn);

@@ -7,16 +7,13 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/logging.h"
-#include "common/mutex.h"
 #include "datagen/paper_example.h"
 #include "server/access_log.h"
 #include "server/admission.h"
@@ -24,42 +21,12 @@
 #include "server/flight_recorder.h"
 #include "server/http_client.h"
 #include "server/http_server.h"
+#include "tests/testing/trace_collector.h"
 
 namespace egp {
 namespace {
 
-using namespace std::chrono_literals;
-
-/// Collects finalized traces from the server's trace_sink (which runs
-/// on the event-loop thread) for the test thread to inspect.
-class TraceCollector {
- public:
-  void Add(const RequestTrace& trace) {
-    MutexLock lock(&mu_);
-    traces_.push_back(trace);
-  }
-
-  /// Blocks until at least `n` traces arrived (bounded wait: tests must
-  /// fail, not hang, when the sink never fires).
-  std::vector<RequestTrace> WaitFor(size_t n) {
-    const auto deadline = std::chrono::steady_clock::now() + 5s;
-    for (;;) {
-      {
-        MutexLock lock(&mu_);
-        if (traces_.size() >= n) return traces_;
-      }
-      if (std::chrono::steady_clock::now() >= deadline) {
-        MutexLock lock(&mu_);
-        return traces_;
-      }
-      std::this_thread::sleep_for(2ms);
-    }
-  }
-
- private:
-  Mutex mu_;
-  std::vector<RequestTrace> traces_ EGP_GUARDED_BY(mu_);
-};
+using testing_util::TraceCollector;
 
 /// One serving stack: PreviewService over the paper-example graph,
 /// HttpServer with flight recorder + collector wired into the trace

@@ -17,9 +17,9 @@ born from a real bug class here:
                 changes — a deadline on it can fire early, late, or
                 never (PR 6 fixed exactly this bug class).
 
-  naked-syscall Raw accept/read/write/recv/send/fsync calls skip both
-                the EINTR retry loop and the fault-injection sites; all
-                of them go through the Posix* wrappers in
+  naked-syscall Raw accept/read/write/recv/send/sendmsg/fsync calls skip
+                both the EINTR retry loop and the fault-injection sites;
+                all of them go through the Posix* wrappers in
                 src/common/posix.h (PR 8 audited and fixed several
                 unretried EINTR paths).
 
@@ -110,7 +110,8 @@ BLOCKING_IO_ALLOWED = {
 # other identifiers ending in the name (`fread(`, `pread(`,
 # `SendAll(`), or the Posix* wrappers themselves.
 NAKED_SYSCALL_RE = re.compile(
-    r"(?:::\s*|(?<![\w.:>]))(accept4?|read|write|fsync|recv|send)\s*\(")
+    r"(?:::\s*|(?<![\w.:>]))(accept4?|read|write|fsync|recv|send|sendmsg)"
+    r"\s*\(")
 NAKED_SYSCALL_ALLOWED = {
     "src/common/posix.h",  # the wrappers wrap the real syscalls
 }
