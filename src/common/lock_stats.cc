@@ -1,7 +1,5 @@
 #include "common/lock_stats.h"
 
-#include <time.h>
-
 #include <cstring>
 
 namespace egp {
@@ -45,12 +43,6 @@ LockSite* RegisterLockSite(const char* name) {
   }
   g_sites[slot].name.store(name, std::memory_order_release);
   return &g_sites[slot];
-}
-
-int64_t LockStatsNanos() {
-  struct timespec ts;
-  clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<int64_t>(ts.tv_sec) * 1'000'000'000 + ts.tv_nsec;
 }
 
 void RecordLockWait(LockSite* site, int64_t wait_nanos) {

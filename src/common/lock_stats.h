@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "common/histogram.h"
+#include "common/timer.h"  // MonotonicNanos times waits and holds
 
 namespace egp {
 
@@ -59,10 +60,6 @@ struct LockSite {
 /// (the mutex then degrades to an unlabeled one — never an error).
 /// `name` must outlive the process (string literals, in practice).
 LockSite* RegisterLockSite(const char* name);
-
-/// CLOCK_MONOTONIC nanos. Self-contained (not trace.h's MonotonicNanos)
-/// so mutex.h pulls in nothing beyond this header.
-int64_t LockStatsNanos();
 
 /// Records one contended acquisition that waited `wait_nanos`.
 void RecordLockWait(LockSite* site, int64_t wait_nanos);

@@ -61,9 +61,9 @@ class EGP_CAPABILITY("mutex") Mutex {
       return;
     }
     if (site_ != nullptr) {
-      const int64_t wait_start = LockStatsNanos();
+      const int64_t wait_start = MonotonicNanos();
       mu_.lock();
-      RecordLockWait(site_, LockStatsNanos() - wait_start);
+      RecordLockWait(site_, MonotonicNanos() - wait_start);
     } else {
       mu_.lock();
     }
@@ -90,12 +90,12 @@ class EGP_CAPABILITY("mutex") Mutex {
   void AfterAcquire() {
     hold_start_ns_ = 0;
     if (site_ != nullptr && ShouldSampleHold(site_)) {
-      hold_start_ns_ = LockStatsNanos();
+      hold_start_ns_ = MonotonicNanos();
     }
   }
   void BeforeRelease() {
     if (hold_start_ns_ != 0) {
-      RecordLockHold(site_, LockStatsNanos() - hold_start_ns_);
+      RecordLockHold(site_, MonotonicNanos() - hold_start_ns_);
       hold_start_ns_ = 0;
     }
   }

@@ -1,6 +1,7 @@
 #include "common/parallel.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <exception>
 #include <stdexcept>
@@ -18,12 +19,6 @@ struct ParallelBodyGuard {
   ParallelBodyGuard() { tls_in_parallel_body = true; }
   ~ParallelBodyGuard() { tls_in_parallel_body = false; }
 };
-
-/// Chunk c of a static partition of `n` items into `parts` chunks:
-/// boundaries depend only on (n, parts, c), never on execution order.
-size_t ChunkBoundary(size_t n, size_t parts, size_t c) {
-  return n / parts * c + std::min(n % parts, c);
-}
 
 }  // namespace
 
@@ -78,8 +73,8 @@ void ThreadPool::WorkerLoop() {
     {
       MutexLock lock(&mu_);
       while (!stopping_ && queue_.empty()) work_available_.Wait(mu_);
-      // Drain the queue even when stopping: chunks belong to ParallelFor
-      // calls that are blocked waiting for them.
+      // Drain the queue even when stopping: runners belong to
+      // ParallelFor calls that are blocked waiting for them.
       if (queue_.empty()) return;
       task = std::move(queue_.front());
       queue_.pop_front();
@@ -96,133 +91,54 @@ void ParallelForChunks(ThreadPool* pool, size_t begin, size_t end,
     throw std::logic_error(
         "ParallelFor may not be nested inside a ParallelFor body");
   }
+  grain = std::max<size_t>(grain, 1);
   const size_t n = end - begin;
-  const size_t parts =
-      pool == nullptr
-          ? 1
-          : std::min<size_t>(pool->parallelism(),
-                             n / std::max<size_t>(grain, 1));
-  if (parts <= 1) {
+  const size_t runners =
+      pool == nullptr ? 1 : std::min<size_t>(pool->parallelism(), n / grain);
+  if (runners <= 1) {
     ParallelBodyGuard guard;
     body(begin, end);
     return;
   }
 
-  // One synchronous batch: chunks 1..parts-1 go to the workers, chunk 0
-  // runs on the caller; the caller then waits for the stragglers. The
-  // first-failing-chunk (lowest index) exception is rethrown so failure
-  // reporting is as deterministic as the results.
+  // One synchronous batch: the caller and runners - 1 workers claim
+  // chunks until none is left, then the caller waits for the workers. A
+  // chunk whose body throws is recorded (the lowest chunk wins, so
+  // failure reporting is as deterministic as the results) and its
+  // runner claims on.
   //
   // The batch lives on the caller's stack and workers hold plain
   // references: a worker's final touch of the batch (and of any captured
-  // exception) is its locked record step, which happens-before the
-  // caller observing remaining == 0 — so the batch, and the exception
-  // object the caller rethrows, are never destroyed from a worker.
+  // exception) is its locked decrement, which happens-before the caller
+  // observing remaining == 0 — so the batch, and the exception object
+  // the caller rethrows, are never destroyed from a worker.
+  const size_t chunks = n / grain + (n % grain != 0 ? 1 : 0);
   struct Batch {
-    explicit Batch(size_t parts) : remaining(parts), error_chunk(parts) {}
+    Batch(size_t runners, size_t chunks)
+        : remaining(runners), error_chunk(chunks) {}
+    std::atomic<size_t> next_chunk{0};
     Mutex mu;
     CondVar done;
     size_t remaining EGP_GUARDED_BY(mu);
     size_t error_chunk EGP_GUARDED_BY(mu);
     std::exception_ptr error EGP_GUARDED_BY(mu);
   };
-  Batch batch(parts);
+  Batch batch(runners, chunks);
 
-  auto run_chunk = [&batch, begin, n, parts, &body](size_t c) {
-    std::exception_ptr error;
-    {
-      ParallelBodyGuard guard;
-      try {
-        body(begin + ChunkBoundary(n, parts, c),
-             begin + ChunkBoundary(n, parts, c + 1));
-      } catch (...) {
-        error = std::current_exception();
-      }
-    }
-    MutexLock lock(&batch.mu);
-    if (error && c < batch.error_chunk) {
-      batch.error_chunk = c;
-      batch.error = std::move(error);
-    }
-    if (--batch.remaining == 0) batch.done.NotifyAll();
-  };
-
-  // If Submit itself throws (queue allocation under memory pressure),
-  // chunks already handed to workers still reference the stack-owned
-  // batch — account for the never-launched chunks, finish the ones in
-  // flight, and only then surface the failure. Unwinding immediately
-  // would free the batch under the workers' feet.
-  size_t launched = 0;
-  std::exception_ptr submit_error;
-  try {
-    for (size_t c = 1; c < parts; ++c) {
-      pool->Submit([run_chunk, c] { run_chunk(c); });
-      ++launched;
-    }
-  } catch (...) {
-    submit_error = std::current_exception();
-    MutexLock lock(&batch.mu);
-    batch.remaining -= parts - 1 - launched;
-  }
-  run_chunk(0);
-
-  std::exception_ptr chunk_error;
-  {
-    MutexLock lock(&batch.mu);
-    while (batch.remaining != 0) batch.done.Wait(batch.mu);
-    chunk_error = std::move(batch.error);
-  }
-  if (submit_error) {
-    // Some chunks never ran: the submit failure is the primary error.
-    std::rethrow_exception(std::move(submit_error));
-  }
-  if (chunk_error) std::rethrow_exception(std::move(chunk_error));
-}
-
-void ParallelForDynamic(ThreadPool* pool, size_t begin, size_t end,
-                        const std::function<void(size_t)>& body) {
-  if (begin >= end) return;
-  if (tls_in_parallel_body) {
-    throw std::logic_error(
-        "ParallelFor may not be nested inside a ParallelFor body");
-  }
-  const size_t n = end - begin;
-  const size_t runners =
-      pool == nullptr ? 1 : std::min<size_t>(pool->parallelism(), n);
-  if (runners <= 1) {
-    ParallelBodyGuard guard;
-    for (size_t i = begin; i < end; ++i) body(i);
-    return;
-  }
-
-  // Same caller-owned batch protocol as ParallelForChunks, but runners
-  // pull indices from a shared counter instead of owning fixed chunks.
-  // An index whose body throws is recorded (lowest index wins) and the
-  // runner moves on, mirroring the static path where other chunks still
-  // complete.
-  struct Batch {
-    Batch(size_t runners, size_t end) : remaining(runners), error_index(end) {}
-    Mutex mu;
-    CondVar done;
-    size_t remaining EGP_GUARDED_BY(mu);
-    size_t error_index EGP_GUARDED_BY(mu);
-    std::exception_ptr error EGP_GUARDED_BY(mu);
-  };
-  Batch batch(runners, end);
-  std::atomic<size_t> next{begin};
-
-  auto run = [&batch, &next, end, &body] {
+  const auto run = [&batch, &body, begin, end, grain, chunks] {
     {
       ParallelBodyGuard guard;
       for (;;) {
-        const size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= end) break;
+        const size_t c =
+            batch.next_chunk.fetch_add(1, std::memory_order_relaxed);
+        if (c >= chunks) break;
+        const size_t chunk_begin = begin + c * grain;
         try {
-          body(i);
+          body(chunk_begin, chunk_begin + std::min(grain, end - chunk_begin));
         } catch (...) {
           MutexLock lock(&batch.mu);
-          if (i < batch.error_index) {
-            batch.error_index = i;
+          if (c < batch.error_chunk) {
+            batch.error_chunk = c;
             batch.error = std::current_exception();
           }
         }
@@ -232,14 +148,13 @@ void ParallelForDynamic(ThreadPool* pool, size_t begin, size_t end,
     if (--batch.remaining == 0) batch.done.NotifyAll();
   };
 
-  // A Submit failure here only costs parallelism, not coverage: the
-  // runners that did launch (plus the caller) drain the whole index
-  // counter regardless, so account for the missing runners and proceed.
+  // A Submit failure (queue allocation under memory pressure) costs only
+  // parallelism: the runners that launched and the caller claim every
+  // chunk, so account for the missing runners and proceed.
   size_t launched = 0;
   try {
-    for (size_t r = 1; r < runners; ++r) {
+    for (; launched + 1 < runners; ++launched) {
       pool->Submit([&run] { run(); });
-      ++launched;
     }
   } catch (...) {
     MutexLock lock(&batch.mu);
@@ -247,13 +162,13 @@ void ParallelForDynamic(ThreadPool* pool, size_t begin, size_t end,
   }
   run();
 
-  std::exception_ptr index_error;
+  std::exception_ptr error;
   {
     MutexLock lock(&batch.mu);
     while (batch.remaining != 0) batch.done.Wait(batch.mu);
-    index_error = std::move(batch.error);
+    error = std::move(batch.error);
   }
-  if (index_error) std::rethrow_exception(std::move(index_error));
+  if (error) std::rethrow_exception(std::move(error));
 }
 
 }  // namespace egp

@@ -1,31 +1,35 @@
-// Deterministic parallel execution for the scoring pipeline.
+// Parallel loops for the scoring pipeline and the catalog load.
 //
 // The PreparedSchema build is dominated by embarrassingly parallel loops
 // (per-(relationship, direction) entropy, per-source BFS, per-type
-// candidate sorts). ThreadPool + ParallelFor run those loops across a
-// fixed set of worker threads with STATIC partitioning: the index range
-// is split into contiguous chunks whose boundaries depend only on the
-// range and the pool's parallelism — never on scheduling — and each index
-// is processed by exactly one chunk, in index order within the chunk.
-// A loop whose body writes only to per-index slots therefore produces
+// candidate sorts, random-walk rows). ThreadPool + ParallelFor run those
+// loops across a fixed set of worker threads: the caller and the workers
+// claim grain-sized chunks of the index range from one shared counter
+// until none is left, so a loop whose per-index cost is skewed (one
+// relationship owning most of the edges) balances across the runners,
+// and a uniform one pays one atomic increment per chunk. Scheduling
+// decides only which runner takes a chunk. A body that writes only
+// index-owned slots, each in a fixed order, therefore produces
 // bit-identical results at any thread count, which the determinism
 // regression suite (tests/core/prepare_determinism_test.cc) locks in.
 //
 // Conventions:
-//   - A null pool (or parallelism 1) runs the loop inline on the caller:
-//     the serial path has no pool overhead at all.
+//   - A null pool, parallelism 1, or a range shorter than two grains
+//     runs body(begin, end) inline on the caller: the serial path has no
+//     pool overhead at all.
 //   - ThreadPool(n) provides n-way parallelism using n-1 workers; the
-//     calling thread executes the first chunk itself.
-//   - Exceptions thrown by the body are caught per chunk and the one from
-//     the lowest chunk index is rethrown on the caller after every chunk
-//     finished (the pool stays usable).
+//     calling thread claims chunks beside them.
+//   - An exception thrown by the body ends its chunk; the runner claims
+//     on. The exception from the lowest failing chunk (which holds the
+//     lowest failing index) is rethrown on the caller after every runner
+//     stopped, and the pool stays usable.
 //   - Nesting is rejected: calling ParallelFor from inside a ParallelFor
-//     body throws std::logic_error. Scoring loops are flat by design;
-//     silent serialization would hide an architectural mistake.
+//     body throws std::logic_error, on the inline path too. Scoring
+//     loops are flat by design; silent serialization would hide an
+//     architectural mistake.
 #ifndef EGP_COMMON_PARALLEL_H_
 #define EGP_COMMON_PARALLEL_H_
 
-#include <atomic>
 #include <cstddef>
 #include <deque>
 #include <functional>
@@ -54,12 +58,12 @@ unsigned Threads();
 class ThreadPool {
  public:
   /// n-way parallelism: spawns n-1 workers (clamped to [1, kMaxThreads];
-  /// a 1-parallel pool has no workers and runs everything inline).
+  /// a 1-parallel pool has no workers and ParallelFor runs inline).
   explicit ThreadPool(unsigned parallelism = Threads());
 
-  /// Joins all workers. Outstanding ParallelFor calls must have returned;
-  /// queued chunks of calls still blocked in ParallelFor are drained, not
-  /// dropped, so concurrent callers never hang on shutdown.
+  /// Joins all workers once they have run every queued task (see Submit
+  /// for a 1-parallel pool). Outstanding ParallelFor calls must have
+  /// returned.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -68,13 +72,11 @@ class ThreadPool {
   /// The n of construction: workers + the participating caller.
   unsigned parallelism() const { return parallelism_; }
 
-  /// Enqueues an arbitrary task for a worker thread. This is the
-  /// primitive under ParallelFor and the one the HTTP server uses for
-  /// per-connection work. Caveats: a 1-parallel pool has NO workers, so
-  /// a submitted task never runs until the pool is destroyed (callers
-  /// that may own such a pool must run the work inline themselves — see
-  /// HttpServer); tasks queued at destruction are drained, not dropped;
-  /// a task that lets an exception escape terminates the process.
+  /// Enqueues a task for a worker thread: the primitive under
+  /// ParallelFor and the one the HTTP server runs its handlers with.
+  /// A 1-parallel pool has no worker, so a task submitted to it never
+  /// runs and is dropped at destruction. A task that lets an exception
+  /// escape terminates the process.
   void Submit(std::function<void()> task);
 
  private:
@@ -88,32 +90,20 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
-/// Runs body(chunk_begin, chunk_end) over a static partition of
-/// [begin, end) into min(parallelism, (end - begin) / grain) contiguous
-/// chunks. Chunk boundaries are a pure function of (begin, end,
-/// parallelism, grain) — never of scheduling. `grain` is the minimum
-/// indices a chunk must be worth (default 1): loops whose per-index work
-/// is tiny (e.g. one power-iteration row) set it so short ranges run
-/// inline instead of paying cross-thread dispatch per call. Null pool,
-/// parallelism 1, or a sub-grain range executes body(begin, end) inline.
+/// Runs body(chunk_begin, chunk_end) over [begin, end) cut into chunks of
+/// `grain` indices ([begin, begin + grain), [begin + grain, begin +
+/// 2·grain), ...; the last may be shorter). The caller and up to
+/// min(parallelism, (end - begin) / grain) - 1 workers claim the chunks
+/// in index order from one shared counter. `grain` (default 1) is the
+/// fewest indices worth a runner: loops whose per-index work is tiny
+/// (e.g. one power-iteration row) set it so short ranges run inline
+/// instead of paying cross-thread dispatch per call.
 void ParallelForChunks(ThreadPool* pool, size_t begin, size_t end,
                        const std::function<void(size_t, size_t)>& body,
                        size_t grain = 1);
 
-/// Dynamically scheduled per-index loop: runners pull the next index
-/// from a shared atomic counter, so heavily skewed per-index costs (one
-/// relationship owning most of the edges, say) load-balance instead of
-/// serializing behind the unluckiest static chunk. Only for bodies whose
-/// whole effect is writing index-owned slots — then the output is
-/// bit-identical to any static schedule, because no value depends on
-/// which thread ran which index. Shares ParallelFor's other guarantees:
-/// lowest-failing-index exception rethrown after all indices finish,
-/// nesting rejected, null pool / 1-parallelism runs inline.
-void ParallelForDynamic(ThreadPool* pool, size_t begin, size_t end,
-                        const std::function<void(size_t)>& body);
-
-/// Per-index convenience: runs body(i) for every i in [begin, end), with
-/// the chunking (and guarantees) of ParallelForChunks.
+/// The parallel loop: runs body(i) for every i in [begin, end), in index
+/// order within each chunk of ParallelForChunks.
 template <typename Body>
 void ParallelFor(ThreadPool* pool, size_t begin, size_t end, Body&& body,
                  size_t grain = 1) {

@@ -1,7 +1,5 @@
 #include "common/trace.h"
 
-#include <ctime>
-
 namespace egp {
 namespace {
 
@@ -13,12 +11,6 @@ thread_local RequestTrace* t_current_trace = nullptr;
 thread_local TracePhase t_current_phase = TracePhase::kIdle;
 
 }  // namespace
-
-int64_t MonotonicNanos() {
-  timespec ts{};
-  clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<int64_t>(ts.tv_sec) * 1'000'000'000 + ts.tv_nsec;
-}
 
 RequestTrace* CurrentRequestTrace() { return t_current_trace; }
 

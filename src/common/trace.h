@@ -23,11 +23,6 @@
 
 namespace egp {
 
-/// CLOCK_MONOTONIC now, in nanoseconds — the fine-grained sibling of the
-/// millisecond deadline clock; sub-millisecond phases (serialize, flush
-/// on loopback) need the resolution.
-int64_t MonotonicNanos();
-
 /// One request's trace: identity, phase timings (seconds), sizes, and
 /// outcome. All fields are plain values; the object is only ever touched
 /// by one thread at a time (loop thread -> pool thread -> loop thread,

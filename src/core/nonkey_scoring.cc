@@ -138,11 +138,11 @@ Result<NonKeyScores> ComputeNonKeyEntropy(const EntityGraph& graph,
   scores.outgoing.resize(schema.num_edges());
   scores.incoming.resize(schema.num_edges());
   // Jobs are (edge, direction) pairs; each writes one disjoint slot, so
-  // the scores are bit-identical at any parallelism — including under
-  // dynamic scheduling, which matters here because job cost is each
-  // relationship's edge count (heavily skewed): a static chunk holding
-  // the dominant relationship would bound the whole phase.
-  ParallelForDynamic(pool, 0, 2 * schema.num_edges(), [&](size_t job) {
+  // the scores are bit-identical at any parallelism. Grain 1: job cost is
+  // each relationship's edge count (heavily skewed), so every job is
+  // claimed on its own and the dominant relationship never holds others
+  // back behind it.
+  ParallelFor(pool, 0, 2 * schema.num_edges(), [&](size_t job) {
     const uint32_t edge = static_cast<uint32_t>(job >> 1);
     const RelTypeId rel_type = schema.RelTypeOfEdge(edge);
     if ((job & 1) == 0) {

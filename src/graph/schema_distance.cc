@@ -52,9 +52,9 @@ SchemaDistanceMatrix::SchemaDistanceMatrix(const SchemaGraph& schema,
     for (size_t source = 0; source < n_; ++source) sweep(source);
   } else {
     ParallelFor(pool, 0, n_, neighbors, /*grain=*/16);
-    // Dynamic scheduling: BFS cost varies with the source's component
-    // size, and every source writes only its own row/partials.
-    ParallelForDynamic(pool, 0, n_, sweep);
+    // Grain 1: BFS cost varies with the source's component size, and
+    // every source writes only its own row/partials.
+    ParallelFor(pool, 0, n_, sweep);
   }
 
   uint64_t finite_pairs = 0;

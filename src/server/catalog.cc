@@ -106,17 +106,11 @@ Result<DatasetCatalog> DatasetCatalog::Load(
                   << specs[i].path << " storage=" << slot.storage
                   << " seconds=" << slot.load_seconds;
   };
-  size_t load_threads = options.load_threads == 0
-                            ? std::min<size_t>(specs.size(), Threads())
-                            : options.load_threads;
-  load_threads = std::min<size_t>(load_threads, specs.size());
-  load_threads = std::min<size_t>(load_threads, kMaxThreads);
-  if (load_threads > 1) {
-    ThreadPool pool(static_cast<unsigned>(load_threads));
-    ParallelForDynamic(&pool, 0, specs.size(), load_one);
-  } else {
-    for (size_t i = 0; i < specs.size(); ++i) load_one(i);
-  }
+  // ThreadPool clamps the parallelism to [1, kMaxThreads].
+  ThreadPool pool(static_cast<unsigned>(std::min<size_t>(
+      specs.size(),
+      options.load_threads == 0 ? Threads() : options.load_threads)));
+  ParallelFor(&pool, 0, specs.size(), load_one);
 
   std::vector<std::pair<std::string, Engine>> engines;
   std::vector<FailedDataset> failed;

@@ -321,12 +321,11 @@ std::string SerializeHead(const HttpResponse& response, bool keep_alive) {
   return head;
 }
 
-std::string SerializeResponse(const HttpResponse& response, bool keep_alive,
-                              bool omit_body) {
+std::string SerializeResponse(const HttpResponse& response, bool keep_alive) {
   std::string out;
-  out.reserve(256 + (omit_body ? 0 : response.body.size()));
+  out.reserve(256 + response.body.size());
   AppendHead(response, keep_alive, &out);
-  if (!omit_body) out += response.body;
+  out += response.body;
   return out;
 }
 

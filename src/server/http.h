@@ -133,11 +133,8 @@ std::string JsonErrorBody(int status, std::string_view message);
 /// (response.close_connection overrides it to false).
 std::string SerializeHead(const HttpResponse& response, bool keep_alive);
 
-/// Full response bytes: SerializeHead, then the body. `omit_body`
-/// serializes the head only — Content-Length still describes the body,
-/// as a HEAD response requires.
-std::string SerializeResponse(const HttpResponse& response, bool keep_alive,
-                              bool omit_body = false);
+/// Full response bytes: SerializeHead, then the body.
+std::string SerializeResponse(const HttpResponse& response, bool keep_alive);
 
 }  // namespace egp
 

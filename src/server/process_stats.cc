@@ -7,7 +7,7 @@
 #include <cstdlib>
 
 #include "common/posix.h"
-#include "common/trace.h"
+#include "common/timer.h"
 
 namespace egp {
 namespace {

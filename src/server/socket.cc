@@ -6,7 +6,6 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -59,12 +58,6 @@ IoResult PollUntil(int fd, short events, int64_t deadline_ms) {
 }
 
 }  // namespace
-
-int64_t MonotonicMillis() {
-  struct timespec ts;
-  ::clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<int64_t>(ts.tv_sec) * 1000 + ts.tv_nsec / 1'000'000;
-}
 
 int64_t DeadlineAfterMillis(int timeout_ms) {
   return timeout_ms < 0 ? kNoDeadline : MonotonicMillis() + timeout_ms;
@@ -183,7 +176,8 @@ Result<UniqueFd> ConnectTcp(const std::string& host, uint16_t port,
   return fd;
 }
 
-IoResult RecvSomeUntil(int fd, char* buf, size_t len, int64_t deadline_ms) {
+IoResult RecvSome(int fd, char* buf, size_t len, int timeout_ms) {
+  const int64_t deadline_ms = DeadlineAfterMillis(timeout_ms);
   for (;;) {
     const IoResult wait = PollUntil(fd, POLLIN, deadline_ms);
     if (wait.status != IoStatus::kOk) return wait;
@@ -198,7 +192,8 @@ IoResult RecvSomeUntil(int fd, char* buf, size_t len, int64_t deadline_ms) {
   }
 }
 
-IoResult SendAllUntil(int fd, std::string_view data, int64_t deadline_ms) {
+IoResult SendAll(int fd, std::string_view data, int timeout_ms) {
+  const int64_t deadline_ms = DeadlineAfterMillis(timeout_ms);
   size_t sent = 0;
   while (sent < data.size()) {
     const IoResult wait = PollUntil(fd, POLLOUT, deadline_ms);
@@ -215,14 +210,6 @@ IoResult SendAllUntil(int fd, std::string_view data, int64_t deadline_ms) {
     return IoResult{IoStatus::kError, sent, errno};
   }
   return IoResult{IoStatus::kOk, sent, 0};
-}
-
-IoResult RecvSome(int fd, char* buf, size_t len, int timeout_ms) {
-  return RecvSomeUntil(fd, buf, len, DeadlineAfterMillis(timeout_ms));
-}
-
-IoResult SendAll(int fd, std::string_view data, int timeout_ms) {
-  return SendAllUntil(fd, data, DeadlineAfterMillis(timeout_ms));
 }
 
 IoResult WaitReadable(int fd, int timeout_ms) {

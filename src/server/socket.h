@@ -17,6 +17,7 @@
 #include <string_view>
 
 #include "common/result.h"
+#include "common/timer.h"  // MonotonicMillis, the deadline base
 
 namespace egp {
 
@@ -65,10 +66,6 @@ struct [[nodiscard]] IoResult {
   int error = 0;     // errno for kError
 };
 
-/// CLOCK_MONOTONIC now, in milliseconds. The time base for every
-/// deadline below (and for the event loop's per-connection timers).
-int64_t MonotonicMillis();
-
 /// No-deadline sentinel: wait forever.
 inline constexpr int64_t kNoDeadline = -1;
 
@@ -94,21 +91,14 @@ Result<UniqueFd> ConnectTcp(const std::string& host, uint16_t port,
 /// created elsewhere (listen sockets feeding an event loop, pipes).
 void SetNonBlocking(int fd);
 
-/// Receives up to `len` bytes, waiting until `deadline_ms` (absolute,
-/// MonotonicMillis base; kNoDeadline waits forever) for the first byte.
-IoResult RecvSomeUntil(int fd, char* buf, size_t len, int64_t deadline_ms);
-
-/// Sends all of `data` before `deadline_ms` passes. The deadline bounds
-/// the WHOLE send: partial progress never restarts the clock. On
-/// kTimeout, `bytes` reports how much was sent.
-IoResult SendAllUntil(int fd, std::string_view data, int64_t deadline_ms);
-
-/// Receives up to `len` bytes within a total budget of `timeout_ms` from
-/// now (-1 waits forever).
+/// Receives up to `len` bytes, waiting at most `timeout_ms` from now (-1
+/// waits forever) for the first byte.
 IoResult RecvSome(int fd, char* buf, size_t len, int timeout_ms);
 
-/// Sends all of `data` within a total budget of `timeout_ms` from now
-/// (-1 waits forever).
+/// Sends all of `data` within a total budget of `timeout_ms` from now (-1
+/// waits forever). The budget bounds the WHOLE send: partial progress
+/// never restarts the clock. On kTimeout, `bytes` reports how much was
+/// sent.
 IoResult SendAll(int fd, std::string_view data, int timeout_ms);
 
 /// Blocks until `fd` is readable or `timeout_ms` expires. Used by

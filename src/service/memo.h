@@ -34,7 +34,7 @@
 
 #include "common/mutex.h"
 #include "common/result.h"
-#include "common/trace.h"  // MonotonicNanos
+#include "common/timer.h"
 
 namespace egp {
 

@@ -4,10 +4,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -43,13 +45,17 @@ TEST(ThreadPoolTest, ZeroParallelismClampsToOne) {
 TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
   for (unsigned parallelism : {1u, 2u, 3u, 8u}) {
     ThreadPool pool(parallelism);
-    for (size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{7}, size_t{64},
-                     size_t{1000}}) {
-      std::vector<std::atomic<int>> hits(n);
-      ParallelFor(&pool, 0, n, [&hits](size_t i) { ++hits[i]; });
-      for (size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(hits[i].load(), 1) << "index " << i << " at parallelism "
-                                     << parallelism;
+    for (size_t grain : {size_t{1}, size_t{3}, size_t{16}}) {
+      for (size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{7},
+                       size_t{64}, size_t{500}, size_t{1000}}) {
+        std::vector<std::atomic<int>> hits(n);
+        ParallelFor(
+            &pool, 0, n, [&hits](size_t i) { ++hits[i]; }, grain);
+        for (size_t i = 0; i < n; ++i) {
+          EXPECT_EQ(hits[i].load(), 1)
+              << "index " << i << " of " << n << " at parallelism "
+              << parallelism << ", grain " << grain;
+        }
       }
     }
   }
@@ -57,14 +63,43 @@ TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
 
 TEST(ParallelForTest, NullPoolRunsInline) {
   const std::thread::id caller = std::this_thread::get_id();
-  size_t count = 0;
-  ParallelFor(nullptr, 5, 10, [&](size_t i) {
-    EXPECT_EQ(std::this_thread::get_id(), caller);
-    EXPECT_GE(i, 5u);
-    EXPECT_LT(i, 10u);
-    ++count;
+  for (const auto& range : {std::pair<size_t, size_t>{5, 10}, {0, 10}}) {
+    const size_t begin = range.first;
+    const size_t end = range.second;
+    size_t count = 0;
+    size_t sum = 0;
+    ParallelFor(nullptr, begin, end, [&](size_t i) {
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      EXPECT_GE(i, begin);
+      EXPECT_LT(i, end);
+      ++count;
+      sum += i;
+    });
+    EXPECT_EQ(count, end - begin);
+    EXPECT_EQ(sum, (begin + end - 1) * (end - begin) / 2);
+  }
+}
+
+TEST(ParallelForTest, SlowChunkDoesNotHoldBackTheRest) {
+  // Index 0 waits until every other index has run, which only other
+  // runners can do: chunks are claimed, not dealt out in advance (dealt
+  // out, 1..15 would wait behind index 0 until the timeout).
+  ThreadPool pool(4);
+  constexpr size_t kN = 64;
+  std::atomic<size_t> others{0};
+  ParallelFor(&pool, 0, kN, [&others](size_t i) {
+    if (i != 0) {
+      ++others;
+      return;
+    }
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (others.load() < kN - 1 &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::yield();
+    }
+    EXPECT_EQ(others.load(), kN - 1);
   });
-  EXPECT_EQ(count, 5u);
 }
 
 TEST(ParallelForTest, EmptyAndReversedRangesAreNoOps) {
@@ -84,26 +119,29 @@ TEST(ParallelForTest, OneElementRange) {
 }
 
 TEST(ParallelForTest, ChunksPartitionTheRange) {
+  // Grain-sized chunks, the last one shorter; a range shorter than two
+  // grains is one inline chunk.
+  using Chunks = std::vector<std::pair<size_t, size_t>>;
   ThreadPool pool(3);
-  std::vector<std::pair<size_t, size_t>> chunks;
-  std::mutex mu;
-  ParallelForChunks(&pool, 0, 10, [&](size_t lo, size_t hi) {
-    std::lock_guard<std::mutex> lock(mu);
-    chunks.emplace_back(lo, hi);
-  });
-  ASSERT_EQ(chunks.size(), 3u);
-  std::sort(chunks.begin(), chunks.end());
-  EXPECT_EQ(chunks.front().first, 0u);
-  EXPECT_EQ(chunks.back().second, 10u);
-  size_t total = 0;
-  for (size_t c = 0; c < chunks.size(); ++c) {
-    EXPECT_LT(chunks[c].first, chunks[c].second);
-    if (c > 0) {
-      EXPECT_EQ(chunks[c].first, chunks[c - 1].second);
-    }
-    total += chunks[c].second - chunks[c].first;
+  for (const auto& [end, grain, expected] :
+       {std::tuple{size_t{10}, size_t{4}, Chunks{{0, 4}, {4, 8}, {8, 10}}},
+        std::tuple{size_t{10}, size_t{1}, Chunks{{0, 1}, {1, 2}, {2, 3},
+                                                 {3, 4}, {4, 5}, {5, 6},
+                                                 {6, 7}, {7, 8}, {8, 9},
+                                                 {9, 10}}},
+        std::tuple{size_t{7}, size_t{4}, Chunks{{0, 7}}}}) {
+    Chunks chunks;
+    std::mutex mu;
+    ParallelForChunks(
+        &pool, 0, end,
+        [&](size_t lo, size_t hi) {
+          std::lock_guard<std::mutex> lock(mu);
+          chunks.emplace_back(lo, hi);
+        },
+        grain);
+    std::sort(chunks.begin(), chunks.end());
+    EXPECT_EQ(chunks, expected) << "grain " << grain;
   }
-  EXPECT_EQ(total, 10u);
 }
 
 TEST(ParallelForTest, PropagatesBodyException) {
@@ -121,18 +159,31 @@ TEST(ParallelForTest, PropagatesBodyException) {
 }
 
 TEST(ParallelForTest, ExceptionFromLowestChunkWins) {
-  // Multiple chunks throw; the error from the lowest chunk index is the
-  // one the caller sees, independent of scheduling.
+  // Multiple chunks throw; the error from the lowest failing index is the
+  // one the caller sees, independent of scheduling. At grain 8 the low
+  // throw sits mid-chunk, after indices of its chunk that succeeded.
+  struct Case {
+    size_t n;
+    size_t grain;
+    size_t low;
+    size_t high_from;
+  };
   ThreadPool pool(4);
-  for (int round = 0; round < 8; ++round) {
-    try {
-      ParallelFor(&pool, 0, 100, [](size_t i) {
-        if (i == 0) throw std::runtime_error("first-chunk");
-        if (i >= 90) throw std::runtime_error("last-chunk");
-      });
-      FAIL() << "expected an exception";
-    } catch (const std::runtime_error& e) {
-      EXPECT_STREQ(e.what(), "first-chunk");
+  for (const Case& c : {Case{100, 1, 0, 90}, Case{64, 1, 3, 50},
+                        Case{100, 8, 13, 50}}) {
+    for (int round = 0; round < 8; ++round) {
+      try {
+        ParallelFor(
+            &pool, 0, c.n,
+            [&c](size_t i) {
+              if (i == c.low) throw std::runtime_error("low");
+              if (i >= c.high_from) throw std::runtime_error("high");
+            },
+            c.grain);
+        FAIL() << "expected an exception";
+      } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "low") << "grain " << c.grain;
+      }
     }
   }
 }
@@ -145,11 +196,13 @@ TEST(ParallelForTest, SerialExceptionAlsoPropagates) {
 
 TEST(ParallelForTest, NestedCallIsRejected) {
   ThreadPool pool(4);
-  EXPECT_THROW(ParallelFor(&pool, 0, 8,
-                           [&pool](size_t) {
-                             ParallelFor(&pool, 0, 2, [](size_t) {});
-                           }),
-               std::logic_error);
+  for (size_t n : {size_t{4}, size_t{8}}) {
+    EXPECT_THROW(ParallelFor(&pool, 0, n,
+                             [&pool](size_t) {
+                               ParallelFor(&pool, 0, 2, [](size_t) {});
+                             }),
+                 std::logic_error);
+  }
   // The serial (null-pool) path enforces the same contract.
   EXPECT_THROW(ParallelFor(nullptr, 0, 1,
                            [](size_t) {
@@ -160,49 +213,6 @@ TEST(ParallelForTest, NestedCallIsRejected) {
   std::atomic<int> runs{0};
   ParallelFor(&pool, 0, 8, [&runs](size_t) { ++runs; });
   EXPECT_EQ(runs.load(), 8);
-}
-
-TEST(ParallelForDynamicTest, CoversEveryIndexExactlyOnce) {
-  for (unsigned parallelism : {1u, 3u, 8u}) {
-    ThreadPool pool(parallelism);
-    for (size_t n : {size_t{0}, size_t{1}, size_t{7}, size_t{500}}) {
-      std::vector<std::atomic<int>> hits(n);
-      ParallelForDynamic(&pool, 0, n, [&hits](size_t i) { ++hits[i]; });
-      for (size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(hits[i].load(), 1) << "index " << i << " at parallelism "
-                                     << parallelism;
-      }
-    }
-  }
-}
-
-TEST(ParallelForDynamicTest, LoadBalancesSkewedWork) {
-  // One dominant index plus many trivial ones must all complete; null
-  // pool runs inline.
-  std::atomic<uint64_t> sum{0};
-  ParallelForDynamic(nullptr, 0, 10, [&sum](size_t i) { sum += i; });
-  EXPECT_EQ(sum.load(), 45u);
-}
-
-TEST(ParallelForDynamicTest, LowestIndexExceptionWinsAndNestingRejected) {
-  ThreadPool pool(4);
-  for (int round = 0; round < 4; ++round) {
-    try {
-      ParallelForDynamic(&pool, 0, 64, [](size_t i) {
-        if (i == 3) throw std::runtime_error("low");
-        if (i >= 50) throw std::runtime_error("high");
-      });
-      FAIL() << "expected an exception";
-    } catch (const std::runtime_error& e) {
-      EXPECT_STREQ(e.what(), "low");
-    }
-  }
-  EXPECT_THROW(
-      ParallelForDynamic(&pool, 0, 4,
-                         [&pool](size_t) {
-                           ParallelForDynamic(&pool, 0, 2, [](size_t) {});
-                         }),
-      std::logic_error);
 }
 
 TEST(ThreadPoolTest, SharedPoolUnderContentionAndShutdown) {

@@ -224,13 +224,12 @@ TEST(HttpResponseTest, SerializesStatusAndFraming) {
   EXPECT_NE(close.find("Connection: close\r\n"), std::string::npos);
 }
 
-TEST(HttpResponseTest, OmitBodyKeepsContentLength) {
+TEST(HttpResponseTest, HeadKeepsTheBodysContentLength) {
   // HEAD framing: the head — including the Content-Length the matching
   // GET would carry — without the body bytes.
   HttpResponse response;
   response.body = "{\"ok\":true}";
-  const std::string head_only =
-      SerializeResponse(response, true, /*omit_body=*/true);
+  const std::string head_only = SerializeHead(response, true);
   EXPECT_NE(head_only.find("Content-Length: 11\r\n"), std::string::npos);
   EXPECT_EQ(head_only.find("{\"ok\":true}"), std::string::npos);
   EXPECT_EQ(head_only.substr(head_only.size() - 4), "\r\n\r\n");

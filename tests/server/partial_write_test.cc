@@ -183,8 +183,7 @@ TEST_F(PartialWriteTest, HeadGetsTheGetsContentLengthAndNoBody) {
   const size_t head = HeadSize("head");
   ASSERT_TRUE(
       ConfigureFaults(StrFormat("socket.send=short:%zu@1", head / 2)).ok());
-  const std::string wire =
-      SerializeResponse(Expected("head"), false, /*omit_body=*/true);
+  const std::string wire = SerializeHead(Expected("head"), false);
   ASSERT_EQ(wire.size(), head);
   EXPECT_EQ(Exchange("HEAD", "head"), wire);
   EXPECT_EQ(Injected(), 1u);

@@ -52,12 +52,11 @@ TEST(DeadlineTest, DeadlineAfterMillisMapsNegativeToNoDeadline) {
   EXPECT_LE(deadline, MonotonicMillis() + 250);
 }
 
-TEST(DeadlineTest, RecvSomeUntilReturnsAtTheDeadline) {
+TEST(DeadlineTest, RecvSomeReturnsAtTheDeadline) {
   SocketPair pair = MakePair();
   char buf[64];
   const int64_t start = MonotonicMillis();
-  const IoResult r =
-      RecvSomeUntil(pair.a.get(), buf, sizeof(buf), DeadlineAfterMillis(200));
+  const IoResult r = RecvSome(pair.a.get(), buf, sizeof(buf), 200);
   const int64_t elapsed = MonotonicMillis() - start;
   EXPECT_EQ(r.status, IoStatus::kTimeout);
   EXPECT_GE(elapsed, 150);
@@ -101,7 +100,7 @@ TEST(DeadlineTest, TricklingPeerCannotExtendSendAllPastItsBudget) {
   EXPECT_LE(elapsed, 5'000);
 }
 
-TEST(DeadlineTest, SendAllUntilWithoutDeadlineCompletes) {
+TEST(DeadlineTest, SendAllWithoutDeadlineCompletes) {
   SocketPair pair = MakePair();
   std::thread drainer([fd = pair.b.get()] {
     char buf[16 * 1024];
@@ -113,7 +112,7 @@ TEST(DeadlineTest, SendAllUntilWithoutDeadlineCompletes) {
     }
   });
   const std::string payload(1024 * 1024, 'y');
-  const IoResult sent = SendAllUntil(pair.a.get(), payload, kNoDeadline);
+  const IoResult sent = SendAll(pair.a.get(), payload, /*timeout_ms=*/-1);
   drainer.join();
   EXPECT_EQ(sent.status, IoStatus::kOk);
   EXPECT_EQ(sent.bytes, payload.size());

@@ -12,6 +12,8 @@
 #include <iterator>
 #include <map>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "datagen/generator.h"
@@ -146,20 +148,35 @@ TEST(SnapshotRoundtripTest, CornersGraphBothOpenModes) {
 }
 
 TEST(SnapshotRoundtripTest, DatagenDomainSurvives) {
-  GeneratorOptions options;
-  options.scale = 0.05;
-  auto domain = GenerateDomainByName("basketball", options);
-  ASSERT_TRUE(domain.ok());
-  std::stringstream buffer(std::ios::in | std::ios::out |
-                           std::ios::binary);
-  ASSERT_TRUE(WriteSnapshot(domain->graph, buffer).ok());
-  const std::string bytes = buffer.str();
-  auto owned = std::make_shared<std::vector<uint8_t>>(bytes.begin(),
-                                                      bytes.end());
-  auto stored = OpenSnapshotBytes({owned->data(), owned->size()}, owned);
-  ASSERT_TRUE(stored.ok()) << stored.status().ToString();
-  ExpectSameGraph(domain->graph, stored->graph);
-  ExpectSameFrozen(domain->graph.adjacency(), stored->graph.adjacency());
+  std::vector<std::pair<std::string, EntityGraph>> graphs;
+  for (const auto& [name, scale] :
+       {std::pair{"basketball", 0.05}, {"film", 0.0003}, {"people", 0.0003}}) {
+    GeneratorOptions options;
+    options.scale = scale;
+    auto domain = GenerateDomainByName(name, options);
+    ASSERT_TRUE(domain.ok()) << name;
+    graphs.emplace_back(name, std::move(domain->graph));
+  }
+  graphs.emplace_back("paper example", BuildPaperExampleGraph());
+  EntityGraphBuilder one_entity;
+  one_entity.AddTypedEntity("only", "T");
+  auto built = one_entity.Build();
+  ASSERT_TRUE(built.ok());
+  graphs.emplace_back("one entity", std::move(built).value());
+
+  for (const auto& [name, graph] : graphs) {
+    SCOPED_TRACE(name);
+    std::stringstream buffer(std::ios::in | std::ios::out |
+                             std::ios::binary);
+    ASSERT_TRUE(WriteSnapshot(graph, buffer).ok());
+    const std::string bytes = buffer.str();
+    auto owned = std::make_shared<std::vector<uint8_t>>(bytes.begin(),
+                                                        bytes.end());
+    auto stored = OpenSnapshotBytes({owned->data(), owned->size()}, owned);
+    ASSERT_TRUE(stored.ok()) << stored.status().ToString();
+    ExpectSameGraph(graph, stored->graph);
+    ExpectSameFrozen(graph.adjacency(), stored->graph.adjacency());
+  }
 }
 
 TEST(SnapshotRoundtripTest, PreviewBitIdentityAllMeasures) {

@@ -3,14 +3,14 @@
 
 Scope: first-party C++ under src/, tools/, bench/ (tests are exempt —
 they deliberately poke at internals, e.g. raw sockets for misbehaving
-clients), plus the Python scripts in tools/. Ten rule families, each
+clients), plus the Python scripts in tools/. Eleven rule families, each
 born from a real bug class here:
 
   blocking-io   The event-loop serving core must never block on a
-                socket. The convenience blocking wrappers (SendAll,
-                RecvSome, WaitReadable — the non-`Until` variants) are
-                for clients and tools only; server-side code uses the
-                absolute-deadline `*Until` forms or non-blocking I/O.
+                socket. The blocking wrappers (SendAll, RecvSome,
+                WaitReadable, each bounded by a timeout) are for clients
+                and tools only; the server's event loop does
+                non-blocking I/O through the Posix* wrappers.
 
   system-clock  Deadlines live on the CLOCK_MONOTONIC /steady_clock
                 base. std::chrono::system_clock jumps with NTP/clock
@@ -70,6 +70,15 @@ born from a real bug class here:
                 Engine once had two hand-written fills, and one kept a
                 broken promise cached after a thrown build.
 
+  one-parallel-loop
+                ThreadPool::Submit is called only by ParallelFor
+                (src/common/parallel.cc), whose one batch protocol owns
+                the nesting guard, the runners' handoff, Submit-failure
+                accounting and the lowest-failure exception, and by the
+                HTTP server's handler dispatch (src/server/http_server.cc).
+                There were two copies of that protocol, a static and a
+                dynamic scheduler; a third cannot be hand-rolled.
+
   python-assert A tools/*.py script checks with a raised error, never an
                 assert statement: `python3 -O` (or PYTHONOPTIMIZE)
                 strips asserts, and a checker whose checks vanish passes
@@ -92,8 +101,7 @@ CXX_EXTENSIONS = (".h", ".hpp", ".cc", ".cpp")
 # ---------------------------------------------------------------------------
 # Rule: blocking-io
 # ---------------------------------------------------------------------------
-# The blocking convenience wrappers. `SendAllUntil(`/`RecvSomeUntil(` do
-# not match: the character after the name must be `(`.
+# The blocking wrappers; the character after the name must be `(`.
 BLOCKING_IO_RE = re.compile(r"\b(SendAll|RecvSome|WaitReadable)\s*\(")
 BLOCKING_IO_ALLOWED = {
     "src/server/socket.h",     # declares them
@@ -174,6 +182,17 @@ ONCE_FILL_ALLOWED = {
 }
 
 # ---------------------------------------------------------------------------
+# Rule: one-parallel-loop
+# ---------------------------------------------------------------------------
+# A call (`pool->Submit(`, `pool.Submit(`); the declaration and the
+# definition (`ThreadPool::Submit(`) do not match.
+POOL_SUBMIT_RE = re.compile(r"(?:\.|->)\s*Submit\s*\(")
+POOL_SUBMIT_ALLOWED = {
+    "src/common/parallel.cc",     # the loop
+    "src/server/http_server.cc",  # the handlers
+}
+
+# ---------------------------------------------------------------------------
 # Rule: layering
 # ---------------------------------------------------------------------------
 # module -> modules it may #include from (first path component of a
@@ -223,8 +242,8 @@ def scan_file(rel_path: str, findings: list) -> None:
             if m:
                 findings.append(
                     f"{rel_path}:{lineno}: [blocking-io] blocking {m.group(1)}() "
-                    f"outside the socket/client layer — use the deadline-based "
-                    f"*Until form or non-blocking I/O")
+                    f"outside the socket/client layer — server code does "
+                    f"non-blocking I/O")
         if rel_path not in NAKED_SYSCALL_ALLOWED:
             m = NAKED_SYSCALL_RE.search(line)
             if m:
@@ -270,6 +289,11 @@ def scan_file(rel_path: str, findings: list) -> None:
                 f"promise/future fill — memoize through egp::Memo from "
                 f"service/memo.h (it erases a failed computation before "
                 f"its waiters see it)")
+        if rel_path not in POOL_SUBMIT_ALLOWED and POOL_SUBMIT_RE.search(line):
+            findings.append(
+                f"{rel_path}:{lineno}: [one-parallel-loop] ThreadPool::Submit "
+                f"outside the parallel loop and the HTTP handlers — run the "
+                f"loop through ParallelFor from common/parallel.h")
         if module is not None:
             for inc in QUOTED_INCLUDE_RE.findall(line):
                 target = inc.split("/", 1)[0]
