@@ -102,6 +102,25 @@ BENCHMARK(BM_AprioriTight)
     ->ArgNames({"k", "exhaustive"})
     ->ArgsProduct({{3, 5}, {0, 1}});
 
+// Diverse d=4 at n = k + 3, the Apriori shape discover_music sends most,
+// on both walks.
+void BM_AprioriDiverse(benchmark::State& state) {
+  const PreparedSchema prepared = PreparedMusic();
+  const uint32_t k = static_cast<uint32_t>(state.range(0));
+  const SizeConstraint size{k, k + 3};
+  AprioriOptions options;
+  options.walk =
+      state.range(1) != 0 ? AprioriWalk::kExhaustive : AprioriWalk::kPruned;
+  for (auto _ : state) {
+    auto preview = AprioriDiscover(prepared, size,
+                                   DistanceConstraint::Diverse(4), options);
+    benchmark::DoNotOptimize(preview);
+  }
+}
+BENCHMARK(BM_AprioriDiverse)
+    ->ArgNames({"k", "exhaustive"})
+    ->ArgsProduct({{5, 6}, {0, 1}});
+
 void BM_BeamConcise(benchmark::State& state) {
   const PreparedSchema prepared = PreparedMusic();
   const SizeConstraint size{static_cast<uint32_t>(state.range(0)), 20};

@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cfloat>
-#include <functional>
-#include <numeric>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/strings.h"
@@ -15,97 +14,53 @@
 namespace egp {
 namespace {
 
-/// Calls visit(value) on the `limit` largest values of two descending
-/// lists, largest first; returns how many it visited.
-template <typename Visit>
-size_t VisitLargest(const double* a, size_t a_size, const double* b,
-                    size_t b_size, size_t limit, Visit&& visit) {
-  size_t i = 0;
-  size_t j = 0;
-  size_t count = 0;
-  for (; count < limit && (i < a_size || j < b_size); ++count) {
-    visit(j == b_size || (i < a_size && a[i] >= b[j]) ? a[i++] : b[j++]);
-  }
-  return count;
-}
-
 /// Writes the `limit` largest values of two descending lists to `out`,
 /// descending, and returns how many it wrote.
 size_t MergeLargest(const double* a, size_t a_size, const double* b,
                     size_t b_size, size_t limit, double* out) {
-  return VisitLargest(a, a_size, b, b_size, limit,
-                      [&out](double value) { *out++ = value; });
+  size_t i = 0;
+  size_t j = 0;
+  size_t count = 0;
+  for (; count < limit && (i < a_size || j < b_size); ++count) {
+    out[count] = j == b_size || (i < a_size && a[i] >= b[j]) ? a[i++] : b[j++];
+  }
+  return count;
 }
 
-/// Sum of the `limit` largest values of two descending lists.
+/// Sum of the `limit` largest values of two descending lists, the second
+/// followed by `extra` copies of `rest` (at most its last value).
 double SumOfLargest(const double* a, size_t a_size, const double* b,
-                    size_t b_size, size_t limit) {
+                    size_t b_size, size_t limit, size_t extra = 0,
+                    double rest = 0.0) {
+  const size_t b_end = b_size + extra;
   double sum = 0.0;
-  VisitLargest(a, a_size, b, b_size, limit,
-               [&sum](double value) { sum += value; });
+  size_t i = 0;
+  size_t j = 0;
+  for (size_t count = 0; count < limit && (i < a_size || j < b_end);
+       ++count) {
+    const double next = j < b_size ? b[j] : rest;
+    if (j == b_end || (i < a_size && a[i] >= next)) {
+      sum += a[i++];
+    } else {
+      sum += next;
+      ++j;
+    }
+  }
   return sum;
 }
 
 /// Theorem 3 upper bounds on the scores of the k-subsets below a node of
-/// the walk, over eligible indices. A type's head is S(τ) times its top
-/// candidate's score; its tails are S(τ) times each other candidate's, in
-/// descending order, of which only the first m = n − k can ever be picked.
-/// The bounds hold because every weighted score is nonnegative.
+/// the walk, over the indices of the key-set index's head order. Of a
+/// type's tails only the first m = n − k can ever be picked. The bounds
+/// hold because every weighted score is nonnegative.
 class CompletionBound {
  public:
-  CompletionBound(const PreparedSchema& prepared,
-                  const std::vector<TypeId>& eligible, uint32_t k,
-                  uint32_t n)
-      : k_(k),
-        heads_(eligible.size()),
-        head_order_(eligible.size()),
-        tail_count_(eligible.size()) {
-    const size_t count = eligible.size();
-    size_t all_tails = 0;
-    for (const TypeId t : eligible) {
-      all_tails += prepared.Candidates(t).size() - 1;
-    }
-    m_ = std::min<size_t>(n - k, all_tails);
+  CompletionBound(const KeySetIndex& index, uint32_t k, uint32_t n)
+      : index_(index), k_(k) {
+    m_ = std::min<size_t>(n - k, index.total_tails());
     // Both the bound and the score sum at most k + m nonnegative terms, so
     // each lies within (k + m)·2^-53 of its exact value, relatively.
     slack_ = 1.0 + std::max(1e-12, 2.0 * DBL_EPSILON * (k + m_));
-
-    tails_.resize(count * m_);
-    for (size_t i = 0; i < count; ++i) {
-      const std::vector<NonKeyCandidate>& sorted =
-          prepared.Candidates(eligible[i]).sorted;
-      const double key_score = prepared.KeyScore(eligible[i]);
-      heads_[i] = key_score * sorted[0].score;
-      tail_count_[i] = std::min(m_, sorted.size() - 1);
-      for (size_t s = 0; s < tail_count_[i]; ++s) {
-        tails_[i * m_ + s] = key_score * sorted[s + 1].score;
-      }
-    }
-    std::iota(head_order_.begin(), head_order_.end(), 0);
-    std::sort(head_order_.begin(), head_order_.end(),
-              [this](size_t a, size_t b) { return heads_[a] > heads_[b]; });
-
-    // Per suffix [j, K): prefix sums of its k largest heads, and its m
-    // largest tails.
-    suffix_heads_.assign((count + 1) * (k + 1), 0.0);
-    suffix_tails_.resize((count + 1) * m_);
-    suffix_tail_count_.assign(count + 1, 0);
-    std::vector<double> top;  // the suffix's largest heads, descending
-    top.reserve(k + 1);
-    for (size_t j = count; j-- > 0;) {
-      top.insert(std::upper_bound(top.begin(), top.end(), heads_[j],
-                                  std::greater<double>()),
-                 heads_[j]);
-      if (top.size() > k) top.pop_back();
-      double* row = &suffix_heads_[j * (k + 1)];
-      for (size_t r = 1; r <= k; ++r) {
-        row[r] = row[r - 1] + (r <= top.size() ? top[r - 1] : 0.0);
-      }
-      suffix_tail_count_[j] = MergeLargest(
-          Tails(j), tail_count_[j], suffix_tails_.data() + (j + 1) * m_,
-          suffix_tail_count_[j + 1], m_, suffix_tails_.data() + j * m_);
-    }
-
     prefix_heads_.assign(k + 1, 0.0);
     prefix_tails_.resize((k + 1) * m_);
     prefix_tail_count_.assign(k + 1, 0);
@@ -116,59 +71,59 @@ class CompletionBound {
   /// above `best`.
   bool Below(double bound, double best) const { return bound * slack_ < best; }
 
-  /// Stage 1, for extending the depth-key prefix by eligible index j.
+  /// Stage 1, for extending the depth-key prefix by index j.
   struct SuffixBound {
     /// On every completion whose other keys all lie at j or above: the
-    /// prefix's heads, the k − depth largest heads from j on, and `tails`.
+    /// prefix's heads, the k − depth largest heads from j on (the first
+    /// k − depth, in head order), and `tails`.
     double from;
-    /// On those of them that contain j: j's head in place of the largest.
-    double with;
-    /// The m largest of the prefix's tails and every tail from j on.
+    /// The m largest of the prefix's tails and every tail from j on, or
+    /// more: the suffix's tails past the index's kSuffixTails count as
+    /// the last one it keeps.
     double tails;
   };
   SuffixBound Suffix(uint32_t depth, size_t j) const {
-    const double* from_j = &suffix_heads_[j * (k_ + 1)];
-    const double* after_j = from_j + (k_ + 1);
-    const uint32_t missing = k_ - depth;
-    const double tails =
-        SumOfLargest(PrefixTails(depth), prefix_tail_count_[depth],
-                     suffix_tails_.data() + j * m_, suffix_tail_count_[j], m_);
-    return {prefix_heads_[depth] + from_j[missing] + tails,
-            prefix_heads_[depth] + heads_[j] + after_j[missing - 1] + tails,
+    const std::span<const double> suffix = index_.SuffixTails(j);
+    const size_t left_out = index_.SuffixTailsLeftOut(j);
+    const double tails = SumOfLargest(
+        PrefixTails(depth), prefix_tail_count_[depth], suffix.data(),
+        suffix.size(), m_, left_out, left_out == 0 ? 0.0 : suffix.back());
+    return {prefix_heads_[depth] + index_.HeadsFrom(j, k_ - depth) + tails,
             tails};
   }
 
   /// The exact score, summed in another order, of the k-subset that
-  /// extends the (k − 1)-key prefix by eligible index j.
+  /// extends the (k − 1)-key prefix by index j.
   double Leaf(size_t j) const {
     const uint32_t depth = k_ - 1;
-    return prefix_heads_[depth] + heads_[j] +
+    return prefix_heads_[depth] + index_.head(j) +
            SumOfLargest(PrefixTails(depth), prefix_tail_count_[depth],
-                        Tails(j), tail_count_[j], m_);
+                        Tails(j), TailCount(j), m_);
   }
 
-  /// Makes the (depth + 1)-key prefix the depth-key one plus eligible
-  /// index j.
+  /// Makes the (depth + 1)-key prefix the depth-key one plus index j.
   void Extend(uint32_t depth, size_t j) {
-    prefix_heads_[depth + 1] = prefix_heads_[depth] + heads_[j];
+    prefix_heads_[depth + 1] = prefix_heads_[depth] + index_.head(j);
     prefix_tail_count_[depth + 1] = MergeLargest(
         PrefixTails(depth), prefix_tail_count_[depth], Tails(j),
-        tail_count_[j], m_, prefix_tails_.data() + (depth + 1) * m_);
+        TailCount(j), m_, prefix_tails_.data() + (depth + 1) * m_);
   }
 
   // Stage 2: Suffix's sums for the size-key prefix (made by Extend), drawn
   // from the types in its candidate set, words [first_word, words) of
   // `cand`, in place of every type from some index on.
 
-  /// The prefix's heads and the k − size largest heads among `cand`.
-  double HeadsWithin(uint32_t size, const uint64_t* cand,
-                     size_t first_word) const {
+  /// The prefix's heads and the k − size largest heads among `cand`: its
+  /// k − size lowest indices. `cand` holds at least that many.
+  double HeadsWithin(uint32_t size, const uint64_t* cand, size_t first_word,
+                     size_t words) const {
     double sum = prefix_heads_[size];
     uint32_t missing = k_ - size;
-    for (const size_t i : head_order_) {
-      if (i / 64 >= first_word && (cand[i / 64] >> (i % 64) & 1) != 0) {
-        sum += heads_[i];
-        if (--missing == 0) break;
+    for (size_t w = first_word; w < words; ++w) {
+      for (uint64_t word = cand[w]; word != 0; word &= word - 1) {
+        const size_t i = w * 64 + static_cast<size_t>(std::countr_zero(word));
+        sum += index_.head(i);
+        if (--missing == 0) return sum;
       }
     }
     return sum;
@@ -183,11 +138,12 @@ class CompletionBound {
     for (size_t w = first_word; w < words; ++w) {
       for (uint64_t word = cand[w]; word != 0; word &= word - 1) {
         const size_t i = w * 64 + static_cast<size_t>(std::countr_zero(word));
-        if (tail_count_[i] == 0 ||
+        const size_t tail_count = TailCount(i);
+        if (tail_count == 0 ||
             (count == m_ && Tails(i)[0] <= tails[m_ - 1])) {
           continue;
         }
-        count = MergeLargest(tails, count, Tails(i), tail_count_[i], m_, spare);
+        count = MergeLargest(tails, count, Tails(i), tail_count, m_, spare);
         tails = spare;
         spare = spare == merge_buffers_.data() ? merge_buffers_.data() + m_
                                                : merge_buffers_.data();
@@ -199,52 +155,50 @@ class CompletionBound {
   }
 
  private:
-  const double* Tails(size_t i) const { return tails_.data() + i * m_; }
+  const double* Tails(size_t i) const { return index_.tails(i).data(); }
+  size_t TailCount(size_t i) const {
+    return std::min(m_, index_.tails(i).size());
+  }
   const double* PrefixTails(uint32_t depth) const {
     return prefix_tails_.data() + depth * m_;
   }
 
+  const KeySetIndex& index_;
   const uint32_t k_;
-  size_t m_;       // tail slots: n − k, or every tail there is if fewer
-  double slack_;   // 1 + the relative rounding the bounds allow for
-  std::vector<double> heads_;
-  std::vector<size_t> head_order_;  // eligible indices, largest head first
-  std::vector<double> tails_;       // m_ per type, descending
-  std::vector<size_t> tail_count_;
-  std::vector<double> suffix_heads_;  // k_ + 1 per suffix start
-  std::vector<double> suffix_tails_;  // m_ per suffix start, descending
-  std::vector<size_t> suffix_tail_count_;
+  size_t m_;      // tail slots: n − k, or every tail there is if fewer
+  double slack_;  // 1 + the relative rounding the bounds allow for
   std::vector<double> prefix_heads_;  // per prefix size, 0..k_
   std::vector<double> prefix_tails_;  // m_ per prefix size, descending
   std::vector<size_t> prefix_tail_count_;
   std::vector<double> merge_buffers_;  // TailsWithin's two, m_ each
 };
 
-/// The depth-first walk over L_k. keys[0..depth) is the current prefix, a
-/// member of L_depth; `cand` holds the eligible indices that extend it,
-/// all above its last key. With a bound, the walk skips every subtree that
-/// cannot hold a subset scoring above the best so far; without one it
-/// scores all of L_k.
+/// The depth-first walk over L_k, in the order of `order`. keys[0..depth)
+/// is the current prefix, a member of L_depth; `cand` holds the indices
+/// into `order` that extend it, all above its last key's. With a bound,
+/// the walk skips every subtree that cannot hold a subset scoring at or
+/// above the best so far; without one it scores all of L_k.
 class LevelWalk {
  public:
-  LevelWalk(const std::vector<TypeId>& eligible, const CompatibilityRows& rows,
+  LevelWalk(const std::vector<TypeId>& order, const CompatibilityRows& rows,
             uint32_t k, uint64_t max_level_size, CompletionBound* bound,
             SubsetScorer* scorer)
-      : eligible_(eligible),
+      : order_(order),
         rows_(rows),
         k_(k),
         max_level_size_(max_level_size),
         bound_(bound),
         scorer_(scorer),
         keys_(k),
+        sorted_keys_(k),
         cand_(static_cast<size_t>(k) * rows.words()),
         level_size_(k + 1, 0) {
     best_keys_.reserve(k);
   }
 
   void Run() {
-    // Every eligible type extends the empty prefix.
-    const size_t count = eligible_.size();
+    // Every type extends the empty prefix.
+    const size_t count = order_.size();
     for (size_t i = 0; i < count; ++i) {
       cand_[i / 64] |= uint64_t{1} << (i % 64);
     }
@@ -256,10 +210,32 @@ class LevelWalk {
   uint32_t exceeded() const { return exceeded_; }
   uint64_t enumerated() const { return enumerated_; }
   uint64_t scored() const { return scored_; }
+  /// In TypeId order.
   const std::vector<TypeId>& best_keys() const { return best_keys_; }
 
  private:
   bool Below(double bound) const { return bound_->Below(bound, best_score_); }
+
+  /// Scores keys[0..k) in TypeId order, so a key set sums its heads in
+  /// one order however the walk reached it, and keeps it if it beats the
+  /// best so far, or ties it and is lexicographically smaller: the first
+  /// best subset of a TypeId-order walk wins in any order.
+  void ScoreLeaf() {
+    const TypeId* keys = keys_.data();
+    if (bound_ != nullptr) {  // the pruned walk runs in head order
+      std::copy(keys_.begin(), keys_.end(), sorted_keys_.begin());
+      std::sort(sorted_keys_.begin(), sorted_keys_.end());
+      keys = sorted_keys_.data();
+    }
+    const double score = scorer_->Score(keys, k_);
+    if (score > best_score_ ||
+        (score == best_score_ &&
+         std::lexicographical_compare(keys, keys + k_, best_keys_.begin(),
+                                      best_keys_.end()))) {
+      best_score_ = score;
+      best_keys_.assign(keys, keys + k_);
+    }
+  }
 
   void Walk(uint32_t depth, const uint64_t* cand, size_t first_word) {
     const size_t words = rows_.words();
@@ -268,14 +244,18 @@ class LevelWalk {
     for (size_t w = first_word; w < words; ++w) {
       for (uint64_t word = cand[w]; word != 0; word &= word - 1) {
         const size_t j = w * 64 + static_cast<size_t>(std::countr_zero(word));
-        CompletionBound::SuffixBound suffix{};
-        if (bound_ != nullptr) {
-          suffix = bound_->Suffix(depth, j);
+        // Every bound is nonnegative, so none prunes before a subset is
+        // scored.
+        const bool bounding = bound_ != nullptr && best_score_ >= 0.0;
+        double suffix_tails = 0.0;
+        if (bounding) {
+          const CompletionBound::SuffixBound suffix = bound_->Suffix(depth, j);
           // No completion with keys from j on can beat the best so far,
           // so neither can j's subtree nor any later sibling's.
           if (Below(suffix.from)) return;
+          suffix_tails = suffix.tails;
         }
-        keys_[depth] = eligible_[j];
+        keys_[depth] = order_[j];
         // Once a level overflows, each later node of it returns here, so
         // no deeper level is walked again while the smaller ones keep
         // counting: the last level to overflow is the smallest.
@@ -286,19 +266,11 @@ class LevelWalk {
         }
         if (size == k_) {
           ++enumerated_;
-          if (bound_ != nullptr && Below(bound_->Leaf(j))) continue;
+          if (bounding && Below(bound_->Leaf(j))) continue;
           ++scored_;
-          const double score = scorer_->Score(keys_.data(), k_);
-          if (score > best_score_) {
-            best_score_ = score;
-            best_keys_.assign(keys_.begin(), keys_.end());
-          }
+          ScoreLeaf();
           continue;
         }
-        // j's subtree alone. The candidate-set bound below is never
-        // above this one, so this prunes nothing it would keep; it only
-        // spares building the child's candidate set.
-        if (bound_ != nullptr && Below(suffix.with)) continue;
         // The extensions of keys[0..size): candidates above j that are
         // compatible with j too.
         const uint64_t* row = rows_.row(j);
@@ -317,10 +289,12 @@ class LevelWalk {
           // only spares the second's tail merge.
           if (extensions < k_ - size) continue;
           bound_->Extend(depth, j);
-          const double heads = bound_->HeadsWithin(size, child, w);
-          if (Below(heads + suffix.tails) ||
-              Below(heads + bound_->TailsWithin(size, child, w, words))) {
-            continue;
+          if (bounding) {
+            const double heads = bound_->HeadsWithin(size, child, w, words);
+            if (Below(heads + suffix_tails) ||
+                Below(heads + bound_->TailsWithin(size, child, w, words))) {
+              continue;
+            }
           }
         }
         Walk(size, child, w);
@@ -328,13 +302,14 @@ class LevelWalk {
     }
   }
 
-  const std::vector<TypeId>& eligible_;
+  const std::vector<TypeId>& order_;
   const CompatibilityRows& rows_;
   const uint32_t k_;
   const uint64_t max_level_size_;
   CompletionBound* bound_;  // null on the exhaustive walk
   SubsetScorer* scorer_;
   std::vector<TypeId> keys_;
+  std::vector<TypeId> sorted_keys_;
   std::vector<uint64_t> cand_;  // one candidate set per depth
   std::vector<uint64_t> level_size_;
   uint32_t exceeded_ = 0;
@@ -364,20 +339,29 @@ Result<Preview> AprioriDiscover(const PreparedSchema& prepared,
                   size.n, k));
   }
 
-  const std::vector<TypeId> eligible = EligibleKeyTypes(prepared);
-  if (eligible.size() < k) {
+  const KeySetIndex& index = prepared.key_sets();
+  if (index.size() < k) {
     return Status::NotFound(StrFormat(
-        "only %zu eligible key types, need k=%u", eligible.size(), k));
+        "only %zu eligible key types, need k=%u", index.size(), k));
   }
 
   // Steps 1 and 2 in one pass: each k-subset is scored as the walk
-  // reaches it, unless its bound already rules it out.
-  const CompatibilityRows rows(prepared, distance, eligible);
+  // reaches it, unless its bound already rules it out. The pruned walk
+  // runs in the index's head order over its rows; the exhaustive one in
+  // TypeId order over rows built for this call.
   SubsetScorer scorer(prepared, size.n);
+  std::vector<TypeId> eligible;
+  std::optional<CompatibilityRows> rows;
   std::optional<CompletionBound> bound;
-  if (pruned) bound.emplace(prepared, eligible, k, size.n);
-  LevelWalk walk(eligible, rows, k, options.max_level_size,
-                 bound ? &*bound : nullptr, &scorer);
+  if (pruned) {
+    bound.emplace(index, k, size.n);
+  } else {
+    eligible = EligibleKeyTypes(prepared);
+    rows.emplace(prepared, distance, eligible);
+  }
+  LevelWalk walk(pruned ? index.types() : eligible,
+                 pruned ? index.Rows(distance) : *rows, k,
+                 options.max_level_size, bound ? &*bound : nullptr, &scorer);
   walk.Run();
   if (walk.exceeded() != 0) {
     return Status::OutOfRange(StrFormat(

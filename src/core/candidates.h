@@ -2,9 +2,10 @@
 //
 // Mirrors the paper's cost model (§5): "Both the schema graph and the
 // scoring measures ... are computed before optimal preview discovery."
-// Holds the chosen key-attribute scores and shares the rest: the per-type
-// candidate non-key attribute lists Γτ sorted by score with prefix sums
-// (NonKeyPart), the schema graph and the all-pairs type distance matrix.
+// Holds the chosen key-attribute scores and the key-set index built from
+// them, and shares the rest: the per-type candidate non-key attribute
+// lists Γτ sorted by score with prefix sums (NonKeyPart), the schema graph
+// and the all-pairs type distance matrix.
 #ifndef EGP_CORE_CANDIDATES_H_
 #define EGP_CORE_CANDIDATES_H_
 
@@ -14,6 +15,7 @@
 
 #include "common/result.h"
 #include "core/key_scoring.h"
+#include "core/key_sets.h"
 #include "core/nonkey_scoring.h"
 #include "core/scoring_registry.h"
 #include "graph/schema_distance.h"
@@ -120,8 +122,8 @@ class PreparedSchema {
 
   /// The one assembly step: `key_scores` (from ScoreKeys over
   /// `shared.schema`) with the shared parts, which must have been built
-  /// for `measures`. Create assembles the parts it just computed; the
-  /// Engine assembles the ones it keeps.
+  /// for `measures`, and the key-set index over them. Create assembles
+  /// the parts it just computed; the Engine assembles the ones it keeps.
   static PreparedSchema Assemble(SharedPreparation shared,
                                  const MeasureSelection& measures,
                                  std::vector<double> key_scores,
@@ -148,18 +150,22 @@ class PreparedSchema {
   /// Whether τ can key a table at all (≥1 candidate; Def. 1 requires at
   /// least one non-key attribute).
   bool Eligible(TypeId t) const { return !candidates_[t].sorted.empty(); }
+  /// The eligible types in head order, with their heads, tails and
+  /// compatibility rows under every distance constraint.
+  const KeySetIndex& key_sets() const { return key_sets_; }
 
   /// N in the paper's complexity analysis: total candidate count over all
   /// types (= 2|Es| counting both directions).
   size_t TotalCandidates() const;
 
-  /// Rough resident size of what this instance owns: its key scores. The
-  /// shared parts are counted where they are held (NonKeyPart and
-  /// SchemaDistanceMatrix::ApproximateBytes), once however many instances
-  /// share them. For cache introspection (/v1/debug/cache), not
-  /// accounting.
+  /// Rough resident size of what this instance owns: its key scores and
+  /// key-set index. The shared parts are counted where they are held
+  /// (NonKeyPart and SchemaDistanceMatrix::ApproximateBytes), once however
+  /// many instances share them. For cache introspection
+  /// (/v1/debug/cache), not accounting.
   size_t ApproximateBytes() const {
-    return sizeof(*this) + key_scores_.capacity() * sizeof(double);
+    return sizeof(*this) + key_scores_.capacity() * sizeof(double) +
+           key_sets_.ApproximateBytes();
   }
 
  private:
@@ -172,6 +178,7 @@ class PreparedSchema {
   MeasureSelection measures_;
   PrepareTimings timings_;
   std::vector<double> key_scores_;
+  KeySetIndex key_sets_;
 };
 
 }  // namespace egp

@@ -80,7 +80,7 @@ Result<Preview> DynamicProgrammingDiscover(const PreparedSchema& prepared,
   const size_t num_types = prepared.num_types();
   if (num_types == 0) return Status::NotFound("empty schema graph");
   // Answer an infeasible k before sizing the tables.
-  if (EligibleKeyTypes(prepared).size() < k) {
+  if (prepared.key_sets().size() < k) {
     return Status::NotFound(
         StrFormat("fewer than k=%u eligible key types", k));
   }

@@ -51,10 +51,12 @@ SchemaDistanceMatrix::SchemaDistanceMatrix(const SchemaGraph& schema,
     for (size_t t = 0; t < n_; ++t) neighbors(t);
     for (size_t source = 0; source < n_; ++source) sweep(source);
   } else {
+    // Grain 16: on a schema of tens of types a sweep takes about a
+    // microsecond, less than handing a chunk to a worker, so a schema of
+    // fewer than 32 types runs inline. Every source writes only its own
+    // row/partials.
     ParallelFor(pool, 0, n_, neighbors, /*grain=*/16);
-    // Grain 1: BFS cost varies with the source's component size, and
-    // every source writes only its own row/partials.
-    ParallelFor(pool, 0, n_, sweep);
+    ParallelFor(pool, 0, n_, sweep, /*grain=*/16);
   }
 
   uint64_t finite_pairs = 0;

@@ -88,14 +88,14 @@ bool ExpectPrunedMatchesExhaustive(const PreparedSchema& prepared,
   return true;
 }
 
-/// The pruned-walk grid: tight and diverse d 1–4, k 1–5, n from k to k+6.
+/// The pruned-walk grid: tight and diverse d 1–7, k 1–5, n from k to k+6.
 /// Returns how many requests ran; the levels do not depend on n, so a
 /// (constraint, k) whose levels outgrow `cap` skips every n.
 size_t ExpectPrunedMatchesExhaustiveOnTheGrid(const PreparedSchema& prepared,
                                               uint64_t cap = 0) {
   size_t ran = 0;
   for (DistanceMode mode : {DistanceMode::kTight, DistanceMode::kDiverse}) {
-    for (uint32_t d = 1; d <= 4; ++d) {
+    for (uint32_t d = 1; d <= 7; ++d) {
       for (uint32_t k = 1; k <= 5; ++k) {
         for (uint32_t n = k; n <= k + 6; ++n) {
           if (!ExpectPrunedMatchesExhaustive(prepared, SizeConstraint{k, n},
@@ -251,7 +251,7 @@ TEST_P(PrunedWalkTest, MatchesTheExhaustiveWalk) {
         8000 + 100 * num_types + seed, num_types, num_edges);
     for (const PreparedSchema& prepared : PrepareBothKeyMeasures(schema)) {
       EXPECT_EQ(ExpectPrunedMatchesExhaustiveOnTheGrid(prepared),
-                2u * 4 * 5 * 7);
+                2u * 7 * 5 * 7);
     }
   }
 }
@@ -278,7 +278,7 @@ TEST(PrunedWalkTest, MatchesTheExhaustiveWalkOnAFlatRing) {
     schema.AddEdge("s" + std::to_string(t), t, (t + 1) % 12, 3);
   }
   for (const PreparedSchema& prepared : PrepareBothKeyMeasures(schema)) {
-    EXPECT_EQ(ExpectPrunedMatchesExhaustiveOnTheGrid(prepared), 2u * 4 * 5 * 7);
+    EXPECT_EQ(ExpectPrunedMatchesExhaustiveOnTheGrid(prepared), 2u * 7 * 5 * 7);
   }
   // With coverage keys every score ties exactly: the pruned walk scores
   // all of L_k, and the first subset wins.
@@ -438,7 +438,7 @@ TEST_P(WideSchemaTest, PrunedWalkMatchesTheExhaustiveWalk) {
   for (const PreparedSchema& prepared : PrepareBothKeyMeasures(schema_)) {
     // More requests than the k <= 3 part of the grid alone.
     EXPECT_GT(ExpectPrunedMatchesExhaustiveOnTheGrid(prepared, 200'000),
-              2u * 4 * 3 * 7);
+              2u * 7 * 3 * 7);
   }
 }
 

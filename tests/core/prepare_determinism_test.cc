@@ -1,10 +1,11 @@
 // Determinism regression: a PreparedSchema built on a thread pool must be
 // bit-identical to the serial golden — key scores, non-key scores, the Γτ
 // candidate ordering and prefix sums, and the distance matrix — at every
-// parallelism. The parallel pipeline statically partitions index ranges
-// and each job writes its own slot with a fixed-order accumulation, so
-// nothing here is allowed to depend on scheduling. Runs under the TSan
-// build like every suite (see .github/workflows/ci.yml).
+// parallelism. Which thread runs which chunk of an index range is up to
+// scheduling, but every job writes only the slots its indices own, and
+// each slot accumulates in a fixed order, so nothing here is allowed to
+// depend on scheduling. Runs under the TSan build like every suite (see
+// .github/workflows/ci.yml).
 #include <gtest/gtest.h>
 
 #include <memory>

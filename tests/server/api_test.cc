@@ -17,8 +17,10 @@
 
 #include "common/profiler.h"
 #include "common/strings.h"
+#include "core/candidates.h"
 #include "core/key_scoring.h"
 #include "datagen/paper_example.h"
+#include "graph/schema_graph.h"
 #include "io/json_export.h"
 #include "io/ntriples.h"
 
@@ -546,7 +548,8 @@ TEST(PreviewServiceTest, DebugCacheShowsPreparedEntries) {
 
   // Two more selections that share the coverage non-key part: it is
   // listed once, with the seconds its one computation took, and an entry
-  // counts only its own key scores.
+  // counts only what it owns, its key scores and key-set index, as a
+  // PreparedSchema built alone over the same schema does.
   service.Handle(Post("/v1/preview",
                       R"({"k":2,"n":4,"measures":{"key":"randomwalk"}})"));
   service.Handle(Post("/v1/preview", R"({"k":2,"n":4,"measures":)"
@@ -565,10 +568,14 @@ TEST(PreviewServiceTest, DebugCacheShowsPreparedEntries) {
   EXPECT_TRUE(parts[0].Find("ready")->bool_value());
   EXPECT_FALSE(parts[0].Find("building")->bool_value());
   EXPECT_GE(parts[0].Find("seconds")->number_value(), 0.0);
-  const double part_bytes = parts[0].Find("approxBytes")->number_value();
+  EXPECT_GT(parts[0].Find("approxBytes")->number_value(), 0.0);
   EXPECT_GT(dataset.Find("distanceMatrixBytes")->number_value(), 0.0);
+  const auto alone = PreparedSchema::Create(
+      SchemaGraph::FromEntityGraph(BuildPaperExampleGraph()));
+  ASSERT_TRUE(alone.ok());
   for (const JsonValue& entry : entries) {
-    EXPECT_LT(entry.Find("approxBytes")->number_value(), part_bytes)
+    EXPECT_EQ(entry.Find("approxBytes")->number_value(),
+              static_cast<double>(alone->ApproximateBytes()))
         << shared.body;
   }
 }
