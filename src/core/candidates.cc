@@ -180,7 +180,9 @@ PreparedSchema PreparedSchema::Assemble(SharedPreparation shared,
   prepared.measures_ = measures;
   prepared.timings_ = timings;
   prepared.key_scores_ = std::move(key_scores);
+  const Timer index_timer;
   prepared.key_sets_ = KeySetIndex(prepared);
+  prepared.timings_.total_seconds += index_timer.ElapsedSeconds();
   return prepared;
 }
 

@@ -86,7 +86,7 @@ struct PrepareTimings {
   double nonkey_seconds = 0.0;         // non-key-measure scoring
   double distance_seconds = 0.0;       // all-pairs type distances
   double candidate_sort_seconds = 0.0; // Γτ sort + prefix sums
-  double total_seconds = 0.0;          // whole build
+  double total_seconds = 0.0;          // whole build, key-set index too
 };
 
 /// The parts of a preparation that do not depend on the key measure. A
@@ -124,6 +124,7 @@ class PreparedSchema {
   /// `shared.schema`) with the shared parts, which must have been built
   /// for `measures`, and the key-set index over them. Create assembles
   /// the parts it just computed; the Engine assembles the ones it keeps.
+  /// The index build's time is added to `timings.total_seconds`.
   static PreparedSchema Assemble(SharedPreparation shared,
                                  const MeasureSelection& measures,
                                  std::vector<double> key_scores,

@@ -18,13 +18,10 @@ std::vector<TypeId> EligibleKeyTypes(const PreparedSchema& prepared) {
   return eligible;
 }
 
-CompatibilityRows::CompatibilityRows(size_t count)
-    : words_((count + 63) / 64), bits_(count * words_, 0) {}
-
 CompatibilityRows::CompatibilityRows(const PreparedSchema& prepared,
                                      const DistanceConstraint& distance,
                                      const std::vector<TypeId>& order)
-    : CompatibilityRows(order.size()) {
+    : words_((order.size() + 63) / 64), bits_(order.size() * words_, 0) {
   const size_t count = order.size();
   if (distance.mode == DistanceMode::kNone) {
     // Every pair is compatible: set all but the diagonal.
@@ -104,33 +101,13 @@ KeySetIndex::KeySetIndex(const PreparedSchema& prepared)
       }
     }
   }
-  // Each pair goes once to its distance's bucket, diverse d's slot (a
-  // finite d is at least 1, since the types differ; an unreachable pair
-  // goes to D + 1's). Tight d is then the OR of buckets 1..d, taken before
-  // diverse d becomes the OR of buckets d..D + 1.
   const uint32_t top = max_distance_;
-  rows_.assign(2 * (static_cast<size_t>(top) + 1), CompatibilityRows(count));
-  for (size_t i = 0; i < count; ++i) {
-    const std::span<const uint32_t> from = distances.Row(types_[i]);
-    for (size_t j = i + 1; j < count; ++j) {
-      CompatibilityRows& bucket =
-          rows_[top + std::min(from[types_[j]], top + 1)];
-      bucket.bits_[i * bucket.words_ + j / 64] |= uint64_t{1} << (j % 64);
-      bucket.bits_[j * bucket.words_ + i / 64] |= uint64_t{1} << (i % 64);
-    }
+  rows_.reserve(2 * (static_cast<size_t>(top) + 1));
+  for (uint32_t d = 0; d <= top; ++d) {
+    rows_.emplace_back(prepared, DistanceConstraint::Tight(d), types_);
   }
-  const auto merge = [](CompatibilityRows& into,
-                        const CompatibilityRows& from) {
-    for (size_t w = 0; w < into.bits_.size(); ++w) {
-      into.bits_[w] |= from.bits_[w];
-    }
-  };
-  for (uint32_t d = 1; d <= top; ++d) {
-    merge(rows_[d], rows_[d - 1]);
-    merge(rows_[d], rows_[top + d]);
-  }
-  for (uint32_t d = top; d >= 1; --d) {
-    merge(rows_[top + d], rows_[top + d + 1]);
+  for (uint32_t d = 1; d <= top + 1; ++d) {
+    rows_.emplace_back(prepared, DistanceConstraint::Diverse(d), types_);
   }
 }
 
@@ -157,7 +134,7 @@ size_t KeySetIndex::ApproximateBytes() const {
                      sizeof(size_t) +
                  rows_.capacity() * sizeof(CompatibilityRows);
   for (const CompatibilityRows& rows : rows_) {
-    bytes += rows.bits_.capacity() * sizeof(uint64_t);
+    bytes += size() * rows.words() * sizeof(uint64_t);
   }
   return bytes;
 }

@@ -34,11 +34,6 @@ class CompatibilityRows {
   const uint64_t* row(size_t i) const { return &bits_[i * words_]; }
 
  private:
-  friend class KeySetIndex;
-
-  /// `count` rows with no bit set.
-  explicit CompatibilityRows(size_t count);
-
   size_t words_;
   std::vector<uint64_t> bits_;
 };
@@ -75,8 +70,13 @@ class KeySetIndex {
   /// The tails of all K types.
   size_t total_tails() const { return tails_.size(); }
 
-  /// How many of a suffix's largest tails the index keeps.
-  static constexpr size_t kSuffixTails = 16;
+  /// How many of a suffix's largest tails the index keeps. While n − k
+  /// is at most this, the walk's suffix bound sums the suffix's n − k
+  /// largest tails; past it, each left-out tail counts as the last kept
+  /// one. perfbench's request mixes ask for n − k of at most 6, which 8
+  /// covers. On perfbench's music snapshot, Fig. 9's shapes (n − k up to
+  /// 17) reach and score the same subsets with 8 as with 16.
+  static constexpr size_t kSuffixTails = 8;
   /// The kSuffixTails largest tails of the types from index j on (all of
   /// them if fewer; none for j = K), descending.
   std::span<const double> SuffixTails(size_t j) const {

@@ -549,7 +549,8 @@ TEST(PreviewServiceTest, DebugCacheShowsPreparedEntries) {
   // Two more selections that share the coverage non-key part: it is
   // listed once, with the seconds its one computation took, and an entry
   // counts only what it owns, its key scores and key-set index, as a
-  // PreparedSchema built alone over the same schema does.
+  // PreparedSchema built alone over the same schema does. Less its index,
+  // an entry is smaller than the shared part, so it does not count it.
   service.Handle(Post("/v1/preview",
                       R"({"k":2,"n":4,"measures":{"key":"randomwalk"}})"));
   service.Handle(Post("/v1/preview", R"({"k":2,"n":4,"measures":)"
@@ -568,15 +569,18 @@ TEST(PreviewServiceTest, DebugCacheShowsPreparedEntries) {
   EXPECT_TRUE(parts[0].Find("ready")->bool_value());
   EXPECT_FALSE(parts[0].Find("building")->bool_value());
   EXPECT_GE(parts[0].Find("seconds")->number_value(), 0.0);
-  EXPECT_GT(parts[0].Find("approxBytes")->number_value(), 0.0);
+  const double part_bytes = parts[0].Find("approxBytes")->number_value();
   EXPECT_GT(dataset.Find("distanceMatrixBytes")->number_value(), 0.0);
   const auto alone = PreparedSchema::Create(
       SchemaGraph::FromEntityGraph(BuildPaperExampleGraph()));
   ASSERT_TRUE(alone.ok());
+  const double index_bytes =
+      static_cast<double>(alone->key_sets().ApproximateBytes());
   for (const JsonValue& entry : entries) {
-    EXPECT_EQ(entry.Find("approxBytes")->number_value(),
-              static_cast<double>(alone->ApproximateBytes()))
+    const double entry_bytes = entry.Find("approxBytes")->number_value();
+    EXPECT_EQ(entry_bytes, static_cast<double>(alone->ApproximateBytes()))
         << shared.body;
+    EXPECT_LT(entry_bytes - index_bytes, part_bytes) << shared.body;
   }
 }
 
